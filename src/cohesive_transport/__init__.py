@@ -15,7 +15,7 @@ from .dynamics import (ControllerConfig, NetworkState, SimulationTrace,
                        step_dsr)
 from .eigensolve import eigen_decompose
 from .errors import (CalibrationError, CohesiveTransportError, ConfigError,
-                     DivergenceError, TuningInfeasibleError,
+                     CrosscheckError, DivergenceError, TuningInfeasibleError,
                      UnpinnedNetworkError, UnstableGainError)
 from .metrics import (Improvement, RunSummary, deformation_series, improvement,
                       max_deformation, max_force, max_speed,
@@ -34,7 +34,8 @@ from .tuning import (TuningResult, TuningSpec, dsr_settling_estimate,
 
 __all__ = [
     "CalibrationError", "CalibrationRecord", "CohesiveTransportError",
-    "ConfigError", "ControllerConfig", "CouplingNetwork", "DivergenceError",
+    "ConfigError", "ControllerConfig", "CouplingNetwork", "CrosscheckError",
+    "DivergenceError",
     "Improvement", "ModeRoots", "NetworkState", "PinnedLaplacian",
     "RunSummary", "ScenarioConfig", "SimulationTrace", "StabilityReport",
     "StiffnessChain", "SweepRow", "TrajectorySpec", "TuningInfeasibleError",

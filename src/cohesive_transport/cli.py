@@ -8,7 +8,8 @@ Subcommands
     reproduce  run both bundled reference scenarios and compare against
                the expected results (nonzero exit on mismatch)
 
-Exit codes: 0 success, 2 config problem, 3 simulation divergence,
+Exit codes: 0 success, 1 other package error (infeasible tuning, failed
+per-robot crosscheck), 2 config problem, 3 simulation divergence,
 4 reproduce mismatch. Set COHESIVE_TRANSPORT_LOG=debug|info|warning for
 log verbosity.
 
@@ -27,14 +28,14 @@ import logging
 import math
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from . import benchmark, metrics, tuning
 from .dynamics import SimulationTrace, simulate
-from .errors import (CohesiveTransportError, ConfigError, DivergenceError,
-                     TuningInfeasibleError)
+from .errors import CohesiveTransportError, ConfigError, DivergenceError
 from .network import build_pinned_laplacian
 from .scenario import ScenarioConfig, load_config
 from .stability import baseline_gamma_bound, baseline_spectral_radius, spectral_radius
@@ -55,15 +56,14 @@ def write_trace_csv(trace: SimulationTrace, path: Path) -> None:
     step_speed = np.max(np.abs(trace.speeds), axis=1)
     header = ("t," + ",".join(f"y_{k + 1}" for k in range(n)) + ","
               + ",".join(f"f_{k + 1}" for k in range(n)) + ",yd,D,vmax_step")
-    lines = [header]
-    for m in range(trace.num_samples):
-        row = ([_fmt(trace.times[m])]
-               + [_fmt(v) for v in trace.positions[m]]
-               + [_fmt(v) for v in trace.forces[m]]
-               + [_fmt(trace.reference[m]), _fmt(deformation[m]),
-                  _fmt(step_speed[m])])
-        lines.append(",".join(row))
-    path.write_text("\n".join(lines) + "\n")
+    table = np.column_stack((trace.times, trace.positions, trace.forces,
+                             trace.reference, deformation, step_speed))
+    # "%.9g" % x matches _fmt(x) byte for byte; rows are formatted one at
+    # a time so the whole table never exists as Python floats at once
+    row_format = ",".join(["%.9g"] * table.shape[1]) + "\n"
+    with path.open("w") as out:
+        out.write(header + "\n")
+        out.writelines(row_format % tuple(row.tolist()) for row in table)
 
 
 def _json_safe(value):
@@ -178,8 +178,14 @@ def cmd_tune(args) -> int:
 def cmd_sweep(args) -> int:
     scenario = load_config(args.config)
     out = _out_dir(args, scenario)
-    omega_list = ([float(w) for w in args.omega_c_list.split(",")]
-                  if args.omega_c_list else _DEFAULT_SWEEP)
+    try:
+        omega_list = ([float(w) for w in args.omega_c_list.split(",")]
+                      if args.omega_c_list else _DEFAULT_SWEEP)
+        for wc in omega_list:
+            replace(scenario.trajectory, kind="filtered_step",
+                    cutoff=wc).validate_dt(scenario.controller.dt)
+    except ValueError as exc:
+        raise ConfigError(f"--omega-c-list: {exc}") from exc
     rows = cutoff_sweep(scenario, omega_list)
     sweep_csv = out / "sweep.csv"
     sweep_csv.write_text("omega_c,D_bar_cm,v_max_cmps\n" + "\n".join(
@@ -247,7 +253,7 @@ def main(argv=None) -> int:
     except DivergenceError as exc:
         print(f"simulation aborted: {exc}", file=sys.stderr)
         return 3
-    except (TuningInfeasibleError, CohesiveTransportError) as exc:
+    except CohesiveTransportError as exc:  # infeasible tuning, failed crosscheck
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

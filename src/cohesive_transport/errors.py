@@ -30,6 +30,11 @@ class DivergenceError(CohesiveTransportError, RuntimeError):
         super().__init__(f"diverged at step {step}")
 
 
+class CrosscheckError(CohesiveTransportError, RuntimeError):
+    """The per-robot update disagrees with the stacked update, so the
+    step is not certified as computable from local measurements."""
+
+
 class TuningInfeasibleError(CohesiveTransportError, RuntimeError):
     """No controller parameters satisfy the tuning constraints."""
 

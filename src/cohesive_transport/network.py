@@ -18,6 +18,8 @@ Units throughout: cm, N, s, N/cm. Robot indices are 0-based.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
+from types import MappingProxyType
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -28,8 +30,36 @@ from .errors import CalibrationError, UnpinnedNetworkError
 _EIGEN_RECONSTRUCT_RTOL = 1e-10
 
 
+class _CachedNetwork:
+    """Derived data of an immutable network, each built once per object.
+
+    Both network classes are frozen, so the spring list and the pinned
+    Laplacian can never go stale; every caller of one network object
+    shares a single assembly and eigendecomposition.
+    """
+
+    @cached_property
+    def _springs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Directed spring list (robot, neighbour, stiffness): every
+        coupling appears once from each end, so robot k's reading sums
+        the rows where robot == k."""
+        couplings = self.coupling_map()
+        ends = np.array(list(couplings), dtype=np.intp).reshape(-1, 2)
+        stiffness = np.fromiter(couplings.values(), dtype=float, count=len(couplings))
+        springs = (np.concatenate((ends[:, 0], ends[:, 1])),
+                   np.concatenate((ends[:, 1], ends[:, 0])),
+                   np.concatenate((stiffness, stiffness)))
+        for arr in springs:
+            arr.flags.writeable = False
+        return springs
+
+    @cached_property
+    def _laplacian(self) -> PinnedLaplacian:
+        return _assemble(self.n, self.coupling_map(), self.leader_stiffness)
+
+
 @dataclass(frozen=True)
-class StiffnessChain:
+class StiffnessChain(_CachedNetwork):
     """Open chain of robots: robot i couples to robot i+1.
 
     ``neighbor_stiffness[i]`` is the spring between robots i and i+1
@@ -68,11 +98,12 @@ class StiffnessChain:
 
 
 @dataclass(frozen=True)
-class CouplingNetwork:
+class CouplingNetwork(_CachedNetwork):
     """General undirected stiffness topology for non-chain objects.
 
     ``couplings`` maps unordered robot pairs (stored with i < j) to a
-    positive stiffness. Same invariants as the chain otherwise.
+    positive stiffness; it is a read-only view. Same invariants as the
+    chain otherwise.
     """
 
     n: int
@@ -90,7 +121,7 @@ class CouplingNetwork:
             if k <= 0 or not np.isfinite(k):
                 raise ValueError(f"coupling stiffness for {key} must be positive")
             normalized[key] = float(k)
-        object.__setattr__(self, "couplings", normalized)
+        object.__setattr__(self, "couplings", MappingProxyType(normalized))
         object.__setattr__(self, "leader_stiffness",
                            tuple(float(k) for k in self.leader_stiffness))
         if len(self.leader_stiffness) != self.n:
@@ -100,6 +131,10 @@ class CouplingNetwork:
 
     def coupling_map(self) -> dict[tuple[int, int], float]:
         return dict(self.couplings)
+
+    def __reduce__(self):
+        # the read-only view cannot be pickled; rebuild from a plain dict
+        return CouplingNetwork, (self.n, dict(self.couplings), self.leader_stiffness)
 
 
 @dataclass(frozen=True)
@@ -181,8 +216,9 @@ def _assemble(n: int, couplings: Mapping[tuple[int, int], float],
 
 
 def build_pinned_laplacian(network: StiffnessChain | CouplingNetwork) -> PinnedLaplacian:
-    """Assemble K and B from a chain or a general stiffness map."""
-    return _assemble(network.n, network.coupling_map(), network.leader_stiffness)
+    """K and B of a chain or a general stiffness map, assembled and
+    decomposed on the first call for a network object and shared after."""
+    return network._laplacian
 
 
 def build_pinned_laplacian_from_map(n: int,
@@ -194,28 +230,28 @@ def build_pinned_laplacian_from_map(n: int,
 
 
 def measured_force(network: StiffnessChain | CouplingNetwork,
-                   positions: Sequence[float], robot: int) -> float:
-    """Local object force on one robot: sum of its neighbor spring forces.
+                   positions: Sequence[float], robot: int | None = None):
+    """Local object force on a robot: sum of its neighbor spring forces.
 
     This is the quantity a force sensor between robot and object reads.
     The virtual-source force on leaders is not included here; update
-    laws add it separately.
+    laws add it separately. With ``robot`` given, returns that robot's
+    reading as a float; without it, every robot's reading as an array,
+    from one pass over the spring list.
     """
     y = np.asarray(positions, dtype=float)
-    total = 0.0
-    for (i, j), stiff in network.coupling_map().items():
-        if i == robot:
-            total += stiff * (y[i] - y[j])
-        elif j == robot:
-            total += stiff * (y[j] - y[i])
-    return total
+    robots, neighbours, stiffness = network._springs
+    pulls = stiffness * (y[robots] - y[neighbours])
+    if robot is None:
+        return np.bincount(robots, weights=pulls, minlength=network.n)
+    return float(np.sum(pulls[robots == robot]))
 
 
 def neighbor_forces(laplacian: PinnedLaplacian, positions: np.ndarray) -> np.ndarray:
     """All robots' local forces at once, via f = K @ Y - B * Y.
 
     Works on a single position vector or row-wise on a (steps, n) array.
-    Equivalent to stacking ``measured_force`` over robots; the identity
+    Equivalent to ``measured_force(network, positions)``; the identity
     holds because the leader stiffness appears in K's diagonal only.
     """
     y = np.asarray(positions, dtype=float)

@@ -34,13 +34,12 @@ import numpy as np
 from . import metrics
 from .dynamics import ControllerConfig, simulate
 from .errors import TuningInfeasibleError, UnstableGainError
+from .metrics import SETTLING_BAND
 from .network import CouplingNetwork, PinnedLaplacian
 from .scenario import ScenarioConfig
 from .stability import (baseline_gamma_bound, baseline_spectral_radius,
                         closed_form_stable, spectral_radius)
 from .trajectory import TrajectorySpec
-
-SETTLING_BAND = 0.02
 
 
 @dataclass(frozen=True)

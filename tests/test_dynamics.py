@@ -1,7 +1,13 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from cohesive_transport import (ControllerConfig, DivergenceError,
+import cohesive_transport
+from cohesive_transport import (ControllerConfig, CrosscheckError, DivergenceError,
                                 NetworkState, ScenarioConfig, StiffnessChain,
                                 TrajectorySpec, UnstableControllerWarning,
                                 build_pinned_laplacian, measured_force,
@@ -100,6 +106,44 @@ def test_update_forms_agree_on_random_states(chain4, lap4, rng):
         worst_dsr = max(worst_dsr, float(np.max(np.abs(stacked - local))))
     assert worst_base < 1e-12
     assert worst_dsr < 1e-12
+
+
+def test_crosscheck_rejects_springs_that_disagree_with_the_laplacian(chain4, lap4):
+    # middle spring stiffer than lap4 says: the per-robot route reads
+    # other forces than the stacked law uses
+    stiffer = StiffnessChain((0.05, 0.06, 0.05), chain4.leader_stiffness)
+    state = NetworkState.at_rest([0.0, 1.0, 3.0, 6.0], delay_multiple=2)
+    with pytest.raises(CrosscheckError, match="disagree"):
+        step_baseline(state, lap4, stiffer, ControllerConfig.baseline(1.93, DT), 1.0)
+    with pytest.raises(CrosscheckError, match="disagree"):
+        step_dsr(state, lap4, stiffer, ControllerConfig.dsr(0.39, 10.92, DT, 2), 1.0)
+    # the matching network passes the same check
+    step_baseline(state, lap4, chain4, ControllerConfig.baseline(1.93, DT), 1.0)
+
+
+_OPTIMIZED_SCRIPT = """
+assert False, "asserts are still on"
+from cohesive_transport import *
+chain = StiffnessChain((0.05, 0.05, 0.05), (0.05, 0, 0, 0))
+stiffer = StiffnessChain((0.05, 0.06, 0.05), (0.05, 0, 0, 0))
+lap = build_pinned_laplacian(chain)
+state = NetworkState.at_rest([0.0, 1.0, 3.0, 6.0], delay_multiple=2)
+for step, config in ((step_baseline, ControllerConfig.baseline(1.93, 0.03)),
+                     (step_dsr, ControllerConfig.dsr(0.39, 10.92, 0.03, 2))):
+    try:
+        step(state, lap, stiffer, config, 1.0)
+    except CrosscheckError:
+        print(step.__name__, "raised")
+"""
+
+
+def test_crosscheck_survives_optimized_python():
+    src = Path(cohesive_transport.__file__).resolve().parents[1]
+    result = subprocess.run([sys.executable, "-O", "-c", _OPTIMIZED_SCRIPT],
+                            capture_output=True, text=True, timeout=120,
+                            env={**os.environ, "PYTHONPATH": str(src)})
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines() == ["step_baseline raised", "step_dsr raised"]
 
 
 def test_multisample_delay_matches_manual_form(chain4, lap4, rng):

@@ -1,6 +1,9 @@
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cohesive_transport import (CalibrationError, CalibrationRecord,
                                 CouplingNetwork, StiffnessChain,
@@ -8,8 +11,11 @@ from cohesive_transport import (CalibrationError, CalibrationRecord,
                                 build_pinned_laplacian_from_map,
                                 calibrate_stiffness, measured_force,
                                 neighbor_forces)
+from cohesive_transport.dynamics import baseline_update_forms, dsr_update_forms
 
-from strategies import chains, chains_with_positions
+from conftest import DT
+from strategies import (chains, chains_with_positions, coupling_networks,
+                        position_values)
 
 
 def test_reference_chain_matrix(lap4):
@@ -53,6 +59,16 @@ def test_coupling_map_equivalent_to_chain(chain4, lap4):
     lap = build_pinned_laplacian_from_map(4, chain4.coupling_map(),
                                           chain4.leader_stiffness)
     assert np.array_equal(lap.matrix, lap4.matrix)
+
+
+def test_coupling_network_caches_its_laplacian_and_pickles():
+    net = CouplingNetwork(3, {(1, 0): 0.1, (1, 2): 0.2}, (0.05, 0.0, 0.0))
+    assert dict(net.couplings) == {(0, 1): 0.1, (1, 2): 0.2}
+    assert build_pinned_laplacian(net) is build_pinned_laplacian(net)
+    copy = pickle.loads(pickle.dumps(net))
+    assert copy == net
+    assert np.array_equal(build_pinned_laplacian(copy).matrix,
+                          build_pinned_laplacian(net).matrix)
 
 
 def test_general_topology_star():
@@ -134,6 +150,40 @@ def test_stacked_forces_match_per_robot(chain_positions):
     for robot in range(chain.n):
         assert abs(stacked[robot] - measured_force(chain, positions, robot)) \
             <= 1e-12 * scale
+
+
+@settings(max_examples=80, deadline=None)
+@given(coupling_networks(), st.data())
+def test_spring_list_sensing_on_random_networks(net, data):
+    positions = st.lists(position_values, min_size=net.n, max_size=net.n)
+    y = np.array(data.draw(positions))
+    y_old = np.array(data.draw(positions))
+    y_d = data.draw(position_values)
+    lap = build_pinned_laplacian(net)
+    # Rounding grows with the size of the summed terms, not of their sum,
+    # so every bound is 1e-12 of the terms each result adds up.
+    terms = np.abs(lap.matrix) @ (np.abs(y) + np.abs(y_old) + abs(y_d))
+
+    forces = measured_force(net, y)
+    per_robot = np.array([measured_force(net, y, k) for k in range(net.n)])
+    scale = max(1.0, float(np.max(terms)))
+    assert np.max(np.abs(forces - per_robot)) <= 1e-12 * scale
+    assert np.max(np.abs(forces - neighbor_forces(lap, y))) <= 1e-12 * scale
+
+    gamma = data.draw(st.floats(0.1, 5.0))
+    stacked, local = baseline_update_forms(y, lap, net, gamma, y_d)
+    scale = max(1.0, float(np.max(np.abs(y) + gamma * terms)))
+    assert np.max(np.abs(stacked - local)) <= 1e-12 * scale
+
+    alpha, beta = data.draw(st.floats(0.05, 2.0)), data.draw(st.floats(0.1, 11.0))
+    delay = data.draw(st.integers(2, 5))
+    stacked, local = dsr_update_forms(y, y_old, lap, net, alpha, beta, DT, delay, y_d)
+    scale = max(1.0, float(np.max(np.abs(y) + np.abs(y_old)
+                                  + (alpha * beta * DT + beta) * terms)))
+    assert np.max(np.abs(stacked - local)) <= 1e-12 * scale
+
+    with pytest.raises(TypeError):
+        net.couplings[(0, 1)] = 1.0
 
 
 def test_calibration_reference_procedure():

@@ -4,9 +4,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from cohesive_transport import dynamics
 from cohesive_transport import (ConfigError, ControllerConfig, CouplingNetwork,
-                                ScenarioConfig, TrajectorySpec, load_config,
-                                simulate, write_config)
+                                ScenarioConfig, SimulationTrace, TrajectorySpec,
+                                deformation_series, load_config, simulate,
+                                write_config)
 from cohesive_transport.benchmark import baseline_scenario, dsr_scenario
 from cohesive_transport.cli import main, write_trace_csv
 
@@ -136,6 +138,35 @@ def test_trace_csv_schema_and_determinism(tmp_path, chain4):
     assert float(row[0]) == pytest.approx(DT)
 
 
+def test_trace_csv_matches_per_value_formatting(tmp_path, rng):
+    """The row-at-a-time writer gives the bytes of a plain f"{v:.9g}" join,
+    also for signed zeros, infinities, NaN and subnormals."""
+    samples, n = 40, 3
+    specials = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -2.5e-310,
+                1.0 / 3.0, -123456789.125, 1e300]
+    forces = rng.normal(0.0, 1e3, (samples, n))
+    forces.flat[:len(specials)] = specials
+    positions = rng.normal(0.0, 50.0, (samples, n))
+    positions[1] = [0.0, -0.0, 5e-324]
+    speeds = np.zeros((samples, n))
+    speeds[:-1] = np.diff(positions, axis=0) / DT
+    trace = SimulationTrace(dt=DT, times=np.arange(samples) * DT, positions=positions,
+                            forces=forces, augmented_forces=forces,
+                            reference=rng.permutation(np.resize(specials, samples)),
+                            speeds=speeds)
+    path = tmp_path / "trace.csv"
+    write_trace_csv(trace, path)
+
+    deformation = deformation_series(trace)
+    step_speed = np.max(np.abs(speeds), axis=1)
+    expected = ["t,y_1,y_2,y_3,f_1,f_2,f_3,yd,D,vmax_step"]
+    for m in range(samples):
+        values = [trace.times[m], *positions[m], *forces[m], trace.reference[m],
+                  deformation[m], step_speed[m]]
+        expected.append(",".join(f"{v:.9g}" for v in values))
+    assert path.read_bytes() == ("\n".join(expected) + "\n").encode()
+
+
 def test_cli_simulate_and_stability(tmp_path):
     out = tmp_path / "run"
     assert main(["simulate", "--config", str(CONFIG_DIR / "chain4_dsr.cfg"),
@@ -183,6 +214,19 @@ def test_cli_sweep(tmp_path):
     assert anchor["d"] == pytest.approx(5.824, rel=0.05)
 
 
+@pytest.mark.parametrize("cutoffs, reason", [
+    ("abc", "could not convert"),
+    ("0.1,100", "must be < 2"),      # cutoff*dt = 3
+    ("0.1,0", "cutoff > 0"),
+])
+def test_cli_sweep_bad_cutoffs_are_config_errors(tmp_path, capsys, cutoffs, reason):
+    assert main(["sweep", "--config", str(CONFIG_DIR / "chain4_baseline.cfg"),
+                 "--omega-c-list", cutoffs, "--out", str(tmp_path / "s")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: --omega-c-list") and reason in err
+    assert not (tmp_path / "s" / "sweep.csv").exists()
+
+
 def test_cli_reproduce(tmp_path, capsys):
     assert main(["reproduce", "--out", str(tmp_path / "rep")]) == 0
     printed = capsys.readouterr().out
@@ -206,6 +250,16 @@ def test_cli_exit_code_divergence(tmp_path):
     with pytest.warns(RuntimeWarning):
         assert main(["simulate", "--config", str(config),
                      "--out", str(tmp_path / "d")]) == 3
+
+
+def test_cli_exit_code_failed_crosscheck(tmp_path, monkeypatch, capsys):
+    # a per-robot route that senses no force disagrees with the stacked
+    # law as soon as the leader has moved
+    monkeypatch.setattr(dynamics, "measured_force",
+                        lambda network, positions, robot=None: np.zeros(network.n))
+    assert main(["simulate", "--config", str(CONFIG_DIR / "chain4_dsr.cfg"),
+                 "--out", str(tmp_path / "c")]) == 1
+    assert "per-robot and stacked updates disagree" in capsys.readouterr().err
 
 
 def test_cli_exit_code_reproduce_tolerance(capsys):
