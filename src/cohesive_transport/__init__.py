@@ -22,13 +22,12 @@ from .metrics import (Improvement, RunSummary, deformation_series, improvement,
                       measured_settling_time, summarize)
 from .network import (CalibrationRecord, CouplingNetwork, PinnedLaplacian,
                       StiffnessChain, build_pinned_laplacian,
-                      build_pinned_laplacian_from_map, calibrate_stiffness,
-                      measured_force, neighbor_forces)
+                      calibrate_stiffness, measured_force, neighbor_forces)
 from .scenario import ScenarioConfig, load_config, write_config
 from .stability import (ModeRoots, StabilityReport, baseline_gamma_bound,
                         baseline_spectral_radius, closed_form_stable,
                         dsr_mode_roots, jury_stable, spectral_radius)
-from .trajectory import SweepRow, TrajectorySpec, cutoff_sweep, filtered_step, reference_series
+from .trajectory import SweepRow, TrajectorySpec, cutoff_sweep, reference_series
 from .tuning import (TuningResult, TuningSpec, dsr_settling_estimate,
                      settling_time_estimate, tune_dsr, tune_gamma)
 
@@ -42,10 +41,10 @@ __all__ = [
     "TuningResult", "TuningSpec", "UnpinnedNetworkError",
     "UnstableControllerWarning", "UnstableGainError",
     "baseline_gamma_bound", "baseline_spectral_radius",
-    "build_pinned_laplacian", "build_pinned_laplacian_from_map",
+    "build_pinned_laplacian",
     "calibrate_stiffness", "closed_form_stable", "cutoff_sweep",
     "deformation_series", "dsr_mode_roots", "dsr_settling_estimate",
-    "eigen_decompose", "filtered_step", "improvement", "jury_stable",
+    "eigen_decompose", "improvement", "jury_stable",
     "load_config", "max_deformation", "max_force", "max_speed",
     "measured_force", "measured_settling_time", "neighbor_forces",
     "reference_series", "run_reproduction", "settling_time_estimate",

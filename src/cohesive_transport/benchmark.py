@@ -19,7 +19,7 @@ import time
 from dataclasses import dataclass
 
 from . import metrics
-from .dynamics import ControllerConfig, simulate
+from .dynamics import ControllerConfig, SimulationTrace, simulate
 from .network import StiffnessChain
 from .scenario import ScenarioConfig
 from .trajectory import TrajectorySpec
@@ -66,13 +66,16 @@ def dsr_scenario() -> ScenarioConfig:
 
 @dataclass(frozen=True)
 class ReproductionReport:
-    """Measured vs expected headline metrics for both reference runs."""
+    """Measured vs expected headline metrics for both reference runs,
+    with the traces they were measured on."""
 
     baseline: metrics.RunSummary
     dsr: metrics.RunSummary
     improvement: metrics.Improvement
     tolerance: float
     elapsed_s: float
+    baseline_trace: SimulationTrace
+    dsr_trace: SimulationTrace
 
     @property
     def checks(self) -> list[tuple[str, float, float, bool]]:
@@ -106,7 +109,8 @@ def run_reproduction(tolerance: float = DEFAULT_TOLERANCE) -> ReproductionReport
     gain = metrics.improvement(base, dsr)
     return ReproductionReport(baseline=base, dsr=dsr, improvement=gain,
                               tolerance=tolerance,
-                              elapsed_s=time.perf_counter() - start)
+                              elapsed_s=time.perf_counter() - start,
+                              baseline_trace=base_trace, dsr_trace=dsr_trace)
 
 
 def format_report(report: ReproductionReport) -> str:

@@ -125,13 +125,16 @@ def cmd_stability(args) -> int:
 
 def cmd_tune(args) -> int:
     scenario = load_config(args.config)
+    try:
+        spec = tuning.TuningSpec(target_settling=args.target_ts,
+                                 dt=scenario.controller.dt)
+    except ValueError as exc:
+        raise ConfigError(f"--target-ts: {exc}") from exc
     out = _out_dir(args, scenario)
     lap = build_pinned_laplacian(scenario.network)
-    spec = tuning.TuningSpec(target_settling=args.target_ts,
-                             dt=scenario.controller.dt)
 
-    base = tuning.tune_gamma(lap, spec)
-    dsr = tuning.tune_dsr(lap, spec, v_nodsr=base.max_speed)
+    base = tuning.tune_gamma(scenario.network, spec)
+    dsr = tuning.tune_dsr(scenario.network, spec, v_nodsr=base.max_speed)
 
     rows = tuning.ts_vs_gamma_table(lap, spec)
     gamma_csv = out / "ts_vs_gamma.csv"
@@ -200,8 +203,8 @@ def cmd_reproduce(args) -> int:
     print(benchmark.format_report(report))
     if args.out:
         out = _out_dir(args)
-        write_trace_csv(simulate(benchmark.baseline_scenario()), out / "baseline_trace.csv")
-        write_trace_csv(simulate(benchmark.dsr_scenario()), out / "dsr_trace.csv")
+        write_trace_csv(report.baseline_trace, out / "baseline_trace.csv")
+        write_trace_csv(report.dsr_trace, out / "dsr_trace.csv")
         (out / "reproduction.txt").write_text(benchmark.format_report(report) + "\n")
     if not report.ok:
         print("reproduction outside tolerance", file=sys.stderr)

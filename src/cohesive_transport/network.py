@@ -221,14 +221,6 @@ def build_pinned_laplacian(network: StiffnessChain | CouplingNetwork) -> PinnedL
     return network._laplacian
 
 
-def build_pinned_laplacian_from_map(n: int,
-                                    couplings: Mapping[tuple[int, int], float],
-                                    leader_stiffness: Sequence[float]) -> PinnedLaplacian:
-    """Assemble K and B directly from an explicit {(i, j): stiffness} map."""
-    return build_pinned_laplacian(CouplingNetwork(n=n, couplings=dict(couplings),
-                                                  leader_stiffness=tuple(leader_stiffness)))
-
-
 def measured_force(network: StiffnessChain | CouplingNetwork,
                    positions: Sequence[float], robot: int | None = None):
     """Local object force on a robot: sum of its neighbor spring forces.

@@ -76,13 +76,6 @@ def reference_series(spec: TrajectorySpec, dt: float, num_steps: int) -> np.ndar
     return y
 
 
-def filtered_step(spec: TrajectorySpec, dt: float, m: int) -> float:
-    """Single reference value y_d[m]; runs the recursion up to m."""
-    if m < 0:
-        raise ValueError("sample index must be >= 0")
-    return float(reference_series(spec, dt, m)[m])
-
-
 @dataclass(frozen=True)
 class SweepRow:
     omega_c: float

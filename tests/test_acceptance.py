@@ -73,11 +73,11 @@ def test_criterion_3_extreme_eigenvalues(lap4):
                     f"2/(min+max)={balance:.3f}")
 
 
-def test_criterion_4_tuning_recovery(lap4):
+def test_criterion_4_tuning_recovery(chain4, lap4):
     start = time.perf_counter()
     spec = TuningSpec(target_settling=10.0, dt=DT)
-    base = tune_gamma(lap4, spec)
-    dsr = tune_dsr(lap4, spec, v_nodsr=base.max_speed)
+    base = tune_gamma(chain4, spec)
+    dsr = tune_dsr(chain4, spec, v_nodsr=base.max_speed)
     elapsed = time.perf_counter() - start
 
     gamma = base.controller.gamma

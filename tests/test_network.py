@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from cohesive_transport import (CalibrationError, CalibrationRecord,
                                 CouplingNetwork, StiffnessChain,
                                 UnpinnedNetworkError, build_pinned_laplacian,
-                                build_pinned_laplacian_from_map,
                                 calibrate_stiffness, measured_force,
                                 neighbor_forces)
 from cohesive_transport.dynamics import baseline_update_forms, dsr_update_forms
@@ -56,8 +55,8 @@ def test_arrays_are_read_only(lap4):
 
 
 def test_coupling_map_equivalent_to_chain(chain4, lap4):
-    lap = build_pinned_laplacian_from_map(4, chain4.coupling_map(),
-                                          chain4.leader_stiffness)
+    lap = build_pinned_laplacian(CouplingNetwork(4, chain4.coupling_map(),
+                                                 chain4.leader_stiffness))
     assert np.array_equal(lap.matrix, lap4.matrix)
 
 
@@ -73,8 +72,8 @@ def test_coupling_network_caches_its_laplacian_and_pickles():
 
 def test_general_topology_star():
     # robot 0 in the middle, pinned; three satellites
-    lap = build_pinned_laplacian_from_map(
-        4, {(0, 1): 0.1, (0, 2): 0.2, (0, 3): 0.3}, (0.05, 0, 0, 0))
+    lap = build_pinned_laplacian(CouplingNetwork(
+        4, {(0, 1): 0.1, (0, 2): 0.2, (0, 3): 0.3}, (0.05, 0, 0, 0)))
     assert lap.matrix[0, 0] == pytest.approx(0.65)
     assert lap.matrix[1, 1] == pytest.approx(0.1)
     assert np.all(lap.eigenvalues > 0)
@@ -92,8 +91,8 @@ def test_coupling_network_validation():
 def test_disconnected_component_rejected():
     # robots 2,3 form an island that is not pinned anywhere
     with pytest.raises(UnpinnedNetworkError):
-        build_pinned_laplacian_from_map(4, {(0, 1): 0.1, (2, 3): 0.1},
-                                        (0.05, 0, 0, 0))
+        build_pinned_laplacian(CouplingNetwork(4, {(0, 1): 0.1, (2, 3): 0.1},
+                                               (0.05, 0, 0, 0)))
 
 
 def test_chain_validation():

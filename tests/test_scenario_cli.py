@@ -4,11 +4,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cohesive_transport import dynamics
+from cohesive_transport import benchmark, cli, dynamics, network
 from cohesive_transport import (ConfigError, ControllerConfig, CouplingNetwork,
-                                ScenarioConfig, SimulationTrace, TrajectorySpec,
-                                deformation_series, load_config, simulate,
-                                write_config)
+                                ScenarioConfig, SimulationTrace, StiffnessChain,
+                                TrajectorySpec, deformation_series, load_config,
+                                simulate, write_config)
 from cohesive_transport.benchmark import baseline_scenario, dsr_scenario
 from cohesive_transport.cli import main, write_trace_csv
 
@@ -202,6 +202,45 @@ def test_cli_tune(tmp_path):
     assert len(table) > 5
 
 
+def test_cli_tune_decomposes_the_network_once(tmp_path, monkeypatch):
+    calls = []
+    decompose = network.eigen_decompose
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return decompose(*args, **kwargs)
+
+    monkeypatch.setattr(network, "eigen_decompose", counting)
+    assert main(["tune", "--config", str(CONFIG_DIR / "chain4_baseline.cfg"),
+                 "--target-ts", "10", "--out", str(tmp_path / "t")]) == 0
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("target", ["0", "-1", "nan"])
+def test_cli_tune_bad_target_is_a_config_error(tmp_path, capsys, target):
+    assert main(["tune", "--config", str(CONFIG_DIR / "chain4_baseline.cfg"),
+                 "--target-ts", target, "--out", str(tmp_path / "t")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: --target-ts") and "positive" in err
+    assert not (tmp_path / "t").exists()
+
+
+def test_cli_tune_without_a_stable_rate_gain_is_infeasible(tmp_path, capsys):
+    # 32 robots, one leader: lam_min/lam_max ~ 6e-4, so the balanced
+    # reinforcement gain destabilises every rate gain on the grid
+    robots = 32
+    config = tmp_path / "chain32.cfg"
+    write_config(ScenarioConfig(
+        network=StiffnessChain((0.05,) * (robots - 1),
+                               (0.05,) + (0.0,) * (robots - 1)),
+        controller=ControllerConfig.baseline(1.0, DT),
+        trajectory=TrajectorySpec(kind="step", amplitude=1.0),
+        duration=10.0), config)
+    assert main(["tune", "--config", str(config), "--target-ts", "200",
+                 "--out", str(tmp_path / "t")]) == 1
+    assert "grid gains in [0.05, 2] is stable with beta" in capsys.readouterr().err
+
+
 def test_cli_sweep(tmp_path):
     out = tmp_path / "sweep"
     assert main(["sweep", "--config", str(CONFIG_DIR / "chain4_baseline.cfg"),
@@ -233,6 +272,19 @@ def test_cli_reproduce(tmp_path, capsys):
     assert "max force" in printed and "ok" in printed
     assert (tmp_path / "rep" / "baseline_trace.csv").exists()
     assert (tmp_path / "rep" / "dsr_trace.csv").exists()
+
+
+def test_cli_reproduce_out_simulates_each_scenario_once(tmp_path, monkeypatch):
+    calls = []
+
+    def counting(scenario):
+        calls.append(scenario.label)
+        return simulate(scenario)
+
+    monkeypatch.setattr(benchmark, "simulate", counting)
+    monkeypatch.setattr(cli, "simulate", counting)
+    assert main(["reproduce", "--out", str(tmp_path / "rep")]) == 0
+    assert sorted(calls) == ["chain4-baseline", "chain4-dsr"]
 
 
 def test_cli_exit_code_config_error(tmp_path):

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from cohesive_transport import (TrajectorySpec, cutoff_sweep, filtered_step,
-                                reference_series)
+from cohesive_transport import TrajectorySpec, cutoff_sweep, reference_series
 from cohesive_transport.benchmark import baseline_scenario
 
 DT = 0.03
@@ -31,7 +30,7 @@ def test_zero_amplitude_is_identically_zero():
 def test_first_sample_value():
     spec = TrajectorySpec(kind="filtered_step", amplitude=50.0, cutoff=0.1)
     expected = 50.0 * (0.1 * DT) / (2.0 + 0.1 * DT)  # only y_ds[1] contributes
-    assert filtered_step(spec, DT, 1) == pytest.approx(expected, rel=1e-12)
+    assert reference_series(spec, DT, 1)[1] == pytest.approx(expected, rel=1e-12)
     assert expected == pytest.approx(0.0749, abs=5e-5)
 
 

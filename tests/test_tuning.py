@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from cohesive_transport import (ControllerConfig, StiffnessChain,
                                 dsr_settling_estimate, closed_form_stable,
                                 measured_settling_time, settling_time_estimate,
                                 simulate, tune_dsr, tune_gamma)
+from cohesive_transport import tuning
 from cohesive_transport.tuning import dsr_gains_vs_ts_table, ts_vs_gamma_table
 
 from conftest import DT, unit_step_scenario
@@ -20,8 +22,19 @@ def spec_for(target, **kwargs):
     return TuningSpec(target_settling=target, dt=DT, **kwargs)
 
 
+def single_mode_chain(stiffness=1.0):
+    return StiffnessChain((), (stiffness,))
+
+
 def single_mode_lap(stiffness=1.0):
-    return build_pinned_laplacian(StiffnessChain((), (stiffness,)))
+    return build_pinned_laplacian(single_mode_chain(stiffness))
+
+
+def fastest_baseline_settling(lap):
+    """T(gamma*): at gamma* = 2/(lam_min + lam_max) both extreme modes
+    shrink by (lam_max - lam_min)/(lam_max + lam_min) per sample."""
+    decay = (lap.lambda_max - lap.lambda_min) / (lap.lambda_max + lap.lambda_min)
+    return DT * math.log(0.02) / math.log(decay)
 
 
 def test_estimate_reference_gain(lap4):
@@ -50,8 +63,8 @@ def test_estimate_rejects_unstable_gain(lap4):
         settling_time_estimate(lap4, 0.0, DT)
 
 
-def test_tune_gamma_reference_target(lap4):
-    result = tune_gamma(lap4, spec_for(10.0))
+def test_tune_gamma_reference_target(chain4, lap4):
+    result = tune_gamma(chain4, spec_for(10.0))
     gamma = result.controller.gamma
     assert abs(gamma - 1.93) <= 0.02 * 1.93
     # closed-form inversion of the dominant-mode estimate
@@ -64,40 +77,55 @@ def test_tune_gamma_reference_target(lap4):
 
 
 def test_tune_gamma_single_mode_closed_form():
-    lap = single_mode_lap(0.5)
     target = 7.0
-    result = tune_gamma(lap, spec_for(target))
+    result = tune_gamma(single_mode_chain(0.5), spec_for(target))
     exact = (1.0 - math.exp(-BAND_LOG * DT / target)) / 0.5
     assert result.controller.gamma == pytest.approx(exact, rel=1e-9)
 
 
-def test_tune_gamma_measured_settling_recorded(lap4):
-    result = tune_gamma(lap4, spec_for(10.0))
+def test_tune_gamma_measured_settling_recorded(chain4):
+    result = tune_gamma(chain4, spec_for(10.0))
     assert math.isfinite(result.measured_settling)
     # estimate and simulation agree to well within 10% at this gain
     assert result.measured_settling == pytest.approx(result.predicted_settling,
                                                      rel=0.10)
 
 
-def test_tune_gamma_unreachable_targets(lap4):
+def test_tune_gamma_unreachable_targets(chain4):
     with pytest.raises(TuningInfeasibleError, match="achievable"):
-        tune_gamma(lap4, spec_for(0.5))
+        tune_gamma(chain4, spec_for(0.5))
     with pytest.raises((TuningInfeasibleError, ValueError)):
-        tune_gamma(lap4, spec_for(math.inf))
+        tune_gamma(chain4, spec_for(math.inf))
 
 
-def test_tune_gamma_deterministic_and_reanchorable(lap4):
-    first = tune_gamma(lap4, spec_for(10.0))
-    second = tune_gamma(lap4, spec_for(10.0))
+def test_tune_gamma_reaches_the_fastest_settling(chain4, lap4):
+    fastest = fastest_baseline_settling(lap4)
+    assert fastest == pytest.approx(1.71773, abs=5e-6)
+    target = fastest * (1.0 + 1e-6)
+    result = tune_gamma(chain4, spec_for(target))
+    assert result.controller.gamma <= 2.0 / (lap4.lambda_min + lap4.lambda_max)
+    assert result.predicted_settling == pytest.approx(target, rel=1e-9)
+
+
+def test_tune_gamma_below_the_fastest_settling_quotes_it(chain4, lap4):
+    fastest = fastest_baseline_settling(lap4)
+    with pytest.raises(TuningInfeasibleError,
+                       match=re.escape(f"[{fastest:.9g}, inf) s")):
+        tune_gamma(chain4, spec_for(fastest * (1.0 - 1e-6)))
+
+
+def test_tune_gamma_deterministic_and_reanchorable(chain4):
+    first = tune_gamma(chain4, spec_for(10.0))
+    second = tune_gamma(chain4, spec_for(10.0))
     assert first.controller.gamma == second.controller.gamma
     # feeding the achieved estimate back as the target returns the same gain
-    anchored = tune_gamma(lap4, spec_for(first.predicted_settling))
+    anchored = tune_gamma(chain4, spec_for(first.predicted_settling))
     assert anchored.controller.gamma == pytest.approx(first.controller.gamma,
                                                       rel=1e-9)
 
 
-def test_tune_gamma_monotone_in_target(lap4):
-    gammas = [tune_gamma(lap4, spec_for(t)).controller.gamma
+def test_tune_gamma_monotone_in_target(chain4):
+    gammas = [tune_gamma(chain4, spec_for(t)).controller.gamma
               for t in (8.0, 10.0, 14.0)]
     assert gammas[0] > gammas[1] > gammas[2]
 
@@ -116,8 +144,8 @@ def test_estimate_tracks_measurement_on_slow_branch(chain4, lap4):
 
 
 def test_tune_dsr_reference_target(chain4, lap4):
-    base = tune_gamma(lap4, spec_for(10.0))
-    result = tune_dsr(lap4, spec_for(10.0), v_nodsr=base.max_speed)
+    base = tune_gamma(chain4, spec_for(10.0))
+    result = tune_dsr(chain4, spec_for(10.0), v_nodsr=base.max_speed)
     alpha = result.controller.alpha
     beta = result.controller.beta
 
@@ -135,8 +163,8 @@ def test_tune_dsr_reference_target(chain4, lap4):
 
 
 def test_tune_dsr_result_revalidates(chain4, lap4):
-    base = tune_gamma(lap4, spec_for(10.0))
-    result = tune_dsr(lap4, spec_for(10.0), v_nodsr=base.max_speed)
+    base = tune_gamma(chain4, spec_for(10.0))
+    result = tune_dsr(chain4, spec_for(10.0), v_nodsr=base.max_speed)
     assert closed_form_stable(lap4, result.controller.alpha, result.controller.beta, DT)
     trace = simulate(unit_step_scenario(chain4, result.controller, duration=25.0))
     speed = float(np.max(np.abs(trace.speeds)))
@@ -144,19 +172,19 @@ def test_tune_dsr_result_revalidates(chain4, lap4):
     assert speed == pytest.approx(result.max_speed, rel=1e-9)
 
 
-def test_tune_dsr_speed_constraint_binds(lap4):
+def test_tune_dsr_speed_constraint_binds(chain4):
     with pytest.raises(TuningInfeasibleError, match="cm/s"):
-        tune_dsr(lap4, spec_for(10.0), v_nodsr=0.01)
+        tune_dsr(chain4, spec_for(10.0), v_nodsr=0.01)
 
 
-def test_tune_dsr_unreachable_target(lap4):
+def test_tune_dsr_unreachable_target(chain4):
     with pytest.raises(TuningInfeasibleError, match="settling"):
-        tune_dsr(lap4, spec_for(0.5), v_nodsr=5.0)
+        tune_dsr(chain4, spec_for(0.5), v_nodsr=5.0)
 
 
-def test_tune_dsr_deterministic(lap4):
-    a = tune_dsr(lap4, spec_for(10.0), v_nodsr=5.0)
-    b = tune_dsr(lap4, spec_for(10.0), v_nodsr=5.0)
+def test_tune_dsr_deterministic(chain4):
+    a = tune_dsr(chain4, spec_for(10.0), v_nodsr=5.0)
+    b = tune_dsr(chain4, spec_for(10.0), v_nodsr=5.0)
     assert a.controller == b.controller
 
 
@@ -182,6 +210,15 @@ def test_dsr_table_alpha_decreases_with_target(lap4):
     assert alphas[0] > alphas[1] > alphas[2]
     betas = [b for _, _, b, _ in rows]
     assert all(b == pytest.approx(betas[0], rel=1e-6) for b in betas)
+
+
+def test_dsr_table_runs_no_simulation(lap4, monkeypatch):
+    def no_simulation(scenario):
+        raise AssertionError("the gain table simulated a step")
+
+    monkeypatch.setattr(tuning, "simulate", no_simulation)
+    rows = dsr_gains_vs_ts_table(lap4, spec_for(10.0), targets=[8.0, 10.0, 12.0])
+    assert len(rows) == 3
 
 
 def test_tuning_spec_validation():
