@@ -180,7 +180,6 @@ def cmd_tune(args) -> int:
 
 def cmd_sweep(args) -> int:
     scenario = load_config(args.config)
-    out = _out_dir(args, scenario)
     try:
         omega_list = ([float(w) for w in args.omega_c_list.split(",")]
                       if args.omega_c_list else _DEFAULT_SWEEP)
@@ -189,6 +188,7 @@ def cmd_sweep(args) -> int:
                     cutoff=wc).validate_dt(scenario.controller.dt)
     except ValueError as exc:
         raise ConfigError(f"--omega-c-list: {exc}") from exc
+    out = _out_dir(args, scenario)
     rows = cutoff_sweep(scenario, omega_list)
     sweep_csv = out / "sweep.csv"
     sweep_csv.write_text("omega_c,D_bar_cm,v_max_cmps\n" + "\n".join(

@@ -1,13 +1,19 @@
 """Symmetric eigendecomposition via cyclic Jacobi rotations.
 
-A plain cyclic Jacobi sweep is more than enough for the stiffness
-networks this package deals with (a handful of robots, occasionally a
-few hundred nodes when stress-testing). It is simple, deterministic,
-and produces an orthonormal eigenbasis to near machine precision.
-
-Eigenvalues are returned in ascending order, eigenvectors as the
-columns of an orthogonal matrix, so ``V @ diag(w) @ V.T`` reconstructs
-the input.
+Eigenvalues come back ascending, eigenvectors as orthonormal columns,
+so ``V @ diag(w) @ V.T`` reconstructs the input. The working array is
+``T = [K | V^T]``: K stays exactly symmetric, so row p of T holds
+column p of K and of V, and the textbook column rotation of a pair
+(p, q) is one in-place rotation of rows p and q. The textbook row
+rotation that follows computes the same products of the same operands
+off the 2x2 block, so copying the two rows into columns p and q of K
+replaces it exactly; the 2x2 diagonal keeps its two-stage formulas.
+Only the operand order of commutative products and of one addition
+differs, so the output is byte-identical to the two-sided loop (the
+tests keep it as an oracle). That matters: one ulp of lambda_max
+moves the last row of the ``tune`` gain table in its 5th digit. Hence
+elementwise ufuncs only (``@``, ``np.dot`` and ``einsum`` may fuse or
+reorder) and one pair at a time.
 """
 from __future__ import annotations
 
@@ -31,9 +37,10 @@ def eigen_decompose(matrix, size_cap: int = DEFAULT_SIZE_CAP):
     """Diagonalize a symmetric matrix with cyclic Jacobi rotations.
 
     Returns ``(eigenvalues, eigenvectors)`` with eigenvalues ascending
-    and eigenvectors as orthonormal columns. Raises ValueError for
-    non-square, non-symmetric, or oversized input. Symmetry is checked
-    exactly: callers are expected to construct symmetric matrices, not
+    and eigenvectors as orthonormal columns (a new C-contiguous array;
+    the input is never modified). Raises ValueError for non-square,
+    non-symmetric, or oversized input. Symmetry is checked exactly:
+    callers are expected to construct symmetric matrices, not
     approximately symmetric ones.
     """
     a = np.array(matrix, dtype=float)
@@ -45,42 +52,51 @@ def eigen_decompose(matrix, size_cap: int = DEFAULT_SIZE_CAP):
     if not np.array_equal(a, a.T):
         raise ValueError("matrix is not symmetric")
 
-    v = np.eye(n)
     scale = float(np.linalg.norm(a))
     if n == 1 or scale == 0.0:
-        return np.diag(a).copy(), v
+        return np.diag(a).copy(), np.eye(n)
 
+    t = np.hstack([a, np.eye(n)])
+    k = t[:, :n]
+    rows = list(t)
+    k_rows = [row[:n] for row in rows]
+    k_cols = list(k.T)
+    su, sv = np.empty(2 * n), np.empty(2 * n)   # s*xp, s*xq
     threshold = _CONVERGENCE_RTOL * scale
     for _ in range(_MAX_SWEEPS):
-        if _off_diagonal_norm(a) <= threshold:
+        if _off_diagonal_norm(k) <= threshold:
             break
         for p in range(n - 1):
+            xp = rows[p]
             for q in range(p + 1, n):
-                apq = a[p, q]
+                apq = t.item(p, q)
                 if apq == 0.0:
                     continue
-                # Rotation angle that annihilates a[p, q].
-                tau = (a[q, q] - a[p, p]) / (2.0 * apq)
-                t = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
-                c = 1.0 / math.hypot(1.0, t)
-                s = t * c
+                # Rotation angle that annihilates K[p, q].
+                tau = (t.item(q, q) - t.item(p, p)) / (2.0 * apq)
+                tan = math.copysign(1.0, tau) / (abs(tau) + math.hypot(1.0, tau))
+                c = 1.0 / math.hypot(1.0, tan)
+                s = tan * c
 
-                rot_p = c * a[:, p] - s * a[:, q]
-                rot_q = s * a[:, p] + c * a[:, q]
-                a[:, p], a[:, q] = rot_p, rot_q
-                rot_p = c * a[p, :] - s * a[q, :]
-                rot_q = s * a[p, :] + c * a[q, :]
-                a[p, :], a[q, :] = rot_p, rot_q
+                # Columns p, q of K and V: xp, xq = c*xp - s*xq, s*xp + c*xq,
+                # as explicit in-place ufunc calls (cheaper than operators).
+                xq = rows[q]
+                np.multiply(xp, s, su)
+                np.multiply(xq, s, sv)
+                np.multiply(xp, c, xp)
+                np.subtract(xp, sv, xp)
+                np.multiply(xq, c, xq)
+                np.add(xq, su, xq)
+                # Rows p, q of K: the 2x2 diagonal, then the mirror elsewhere.
+                t[p, p] = c * t.item(p, p) - s * t.item(p, q)
+                t[q, q] = s * t.item(q, p) + c * t.item(q, q)
+                k_cols[p][:] = k_rows[p]
+                k_cols[q][:] = k_rows[q]
                 # Zero the target pair explicitly to stop rounding creep.
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-
-                rot_p = c * v[:, p] - s * v[:, q]
-                rot_q = s * v[:, p] + c * v[:, q]
-                v[:, p], v[:, q] = rot_p, rot_q
+                t[p, q] = t[q, p] = 0.0
     else:
         raise RuntimeError("Jacobi sweep limit reached without convergence")
 
-    eigenvalues = np.diag(a).copy()
+    eigenvalues = k.diagonal().copy()
     order = np.argsort(eigenvalues, kind="stable")
-    return eigenvalues[order], v[:, order]
+    return eigenvalues[order], t[order, n:].T.copy()

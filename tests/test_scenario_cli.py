@@ -263,7 +263,7 @@ def test_cli_sweep_bad_cutoffs_are_config_errors(tmp_path, capsys, cutoffs, reas
                  "--omega-c-list", cutoffs, "--out", str(tmp_path / "s")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: --omega-c-list") and reason in err
-    assert not (tmp_path / "s" / "sweep.csv").exists()
+    assert not (tmp_path / "s").exists()
 
 
 def test_cli_reproduce(tmp_path, capsys):
