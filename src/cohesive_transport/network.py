@@ -24,7 +24,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .eigensolve import DEFAULT_SIZE_CAP, eigen_decompose
+from .eigensolve import eigen_decompose
 from .errors import CalibrationError, UnpinnedNetworkError
 
 _EIGEN_RECONSTRUCT_RTOL = 1e-10
@@ -194,22 +194,31 @@ def _assemble(n: int, couplings: Mapping[tuple[int, int], float],
             "unpinned network: every leader stiffness is zero, "
             "the pinned Laplacian would be singular")
     k = np.zeros((n, n))
-    for (i, j), stiff in couplings.items():
-        k[i, j] -= stiff
-        k[j, i] -= stiff
-        k[i, i] += stiff
-        k[j, j] += stiff
-    k[np.diag_indices(n)] += leaders
+    # Overflow is caught by the check below, not reported as a warning.
+    with np.errstate(over="ignore"):
+        for (i, j), stiff in couplings.items():
+            k[i, j] -= stiff
+            k[j, i] -= stiff
+            k[i, i] += stiff
+            k[j, j] += stiff
+        k[np.diag_indices(n)] += leaders
+        # The largest absolute row sum bounds lambda_max (Gershgorin), so a
+        # finite one keeps the spectrum and the reconstruction below finite.
+        row_sums = np.abs(k).sum(axis=1)
+    if not np.all(np.isfinite(row_sums)):
+        raise ValueError("stiffness sums overflow: the pinned Laplacian "
+                         "would have non-finite entries or eigenvalues")
 
-    eigenvalues, eigenvectors = eigen_decompose(k, size_cap=DEFAULT_SIZE_CAP)
-    if eigenvalues[0] <= 1e-12 * abs(eigenvalues[-1]):
+    eigenvalues, eigenvectors = eigen_decompose(k)
+    # Both guards are written so that a NaN fails them.
+    if not eigenvalues[0] > 1e-12 * abs(eigenvalues[-1]):
         # cannot happen for a connected pinned network; guards disconnected maps
         raise UnpinnedNetworkError(
             "network has a non-positive Laplacian eigenvalue; "
             "some component is not pinned to the virtual source")
     recon = eigenvectors @ np.diag(eigenvalues) @ eigenvectors.T
     err = np.max(np.abs(recon - k))
-    if err > _EIGEN_RECONSTRUCT_RTOL * max(np.max(np.abs(k)), 1e-300):
+    if not err <= _EIGEN_RECONSTRUCT_RTOL * max(np.max(np.abs(k)), 1e-300):
         raise RuntimeError("eigendecomposition failed its reconstruction bound")
     return PinnedLaplacian(matrix=k, leader_vector=leaders.copy(),
                            eigenvalues=eigenvalues, eigenvectors=eigenvectors)

@@ -170,6 +170,8 @@ def load_config(path) -> ScenarioConfig:
             build_pinned_laplacian(network)
         except UnpinnedNetworkError as exc:
             problems.append(f"network.leader_stiffness: {exc}")
+        except ValueError as exc:   # stiffness sums that overflow float64
+            problems.append(f"network: {exc}")
     if trajectory is not None and controller is not None:
         try:
             trajectory.validate_dt(controller.dt)

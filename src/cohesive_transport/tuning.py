@@ -253,12 +253,17 @@ def tune_dsr(network: StiffnessChain | CouplingNetwork, spec: TuningSpec,
 def ts_vs_gamma_table(laplacian: PinnedLaplacian,
                       spec: TuningSpec) -> list[tuple[float, float]]:
     """(gamma, settling estimate) rows across the stable range."""
-    gbar = baseline_gamma_bound(laplacian)
-    xs = np.linspace(gbar / spec.gamma_points, gbar * (1.0 - 1e-12),
-                     spec.gamma_points)
-    return [(float(g),
-             settling_time_estimate(laplacian, float(g), spec.dt, spec.band))
-            for g in xs]
+    # The rows are built on the fraction s of the stable bound 2/lam_max,
+    # not on gamma: the last row sits 1e-12 below the bound, where
+    # rounding gamma*lam_max moves the settling estimate in its 5th digit.
+    # On fractions the binding mode's multiplier is exactly 1 - 2s, so
+    # the table does not depend on the last ulps of the spectrum.
+    fractions = np.linspace(1.0 / spec.gamma_points, 1.0 - 1e-12, spec.gamma_points)
+    ratios = laplacian.eigenvalues / laplacian.lambda_max
+    decay = np.max(np.abs(1.0 - 2.0 * fractions[:, None] * ratios), axis=1)
+    gammas = baseline_gamma_bound(laplacian) * fractions
+    return [(float(g), _decay_to_settling(float(r), spec.dt, spec.band))
+            for g, r in zip(gammas, decay)]
 
 
 def dsr_gains_vs_ts_table(laplacian: PinnedLaplacian, spec: TuningSpec,

@@ -1,4 +1,5 @@
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -293,6 +294,40 @@ def test_cli_exit_code_config_error(tmp_path):
     bad.write_text((CONFIG_DIR / "chain4_dsr.cfg").read_text().replace(
         "beta = 10.92", "beta = 0"))
     assert main(["simulate", "--config", str(bad)]) == 2
+
+
+def _chain_config(path, neighbor, leaders):
+    write_config(ScenarioConfig(
+        network=StiffnessChain(neighbor, leaders),
+        controller=ControllerConfig.baseline(1.93, DT),
+        trajectory=TrajectorySpec(kind="step", amplitude=1.0),
+        duration=1.0), path)
+    return path
+
+
+def test_cli_simulates_a_chain_of_more_than_256_robots(tmp_path):
+    robots = 300
+    config = _chain_config(tmp_path / "chain300.cfg", (0.05,) * (robots - 1),
+                           (0.05,) + (0.0,) * (robots - 1))
+    assert main(["simulate", "--config", str(config),
+                 "--out", str(tmp_path / "r")]) == 0
+    header = (tmp_path / "r" / "trace.csv").read_text().splitlines()[0]
+    assert f"y_{robots}" in header.split(",")
+
+
+@pytest.mark.parametrize("neighbor, leaders", [
+    ((1e308, 1e308), (0.05, 0.0, 0.0)),   # the middle diagonal entry is inf
+    ((1e308,), (5e307, 0.0)),             # K is finite, lambda_max is not
+])
+def test_cli_overflowing_stiffness_is_a_config_error(tmp_path, capsys, neighbor, leaders):
+    config = _chain_config(tmp_path / "overflow.cfg", neighbor, leaders)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["simulate", "--config", str(config),
+                     "--out", str(tmp_path / "r")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert "network: stiffness sums overflow" in err
 
 
 def test_cli_exit_code_divergence(tmp_path):

@@ -4,8 +4,8 @@ import re
 import numpy as np
 import pytest
 
-from cohesive_transport import (ControllerConfig, StiffnessChain,
-                                TuningInfeasibleError, TuningSpec,
+from cohesive_transport import (ControllerConfig, PinnedLaplacian,
+                                StiffnessChain, TuningInfeasibleError, TuningSpec,
                                 UnstableGainError, build_pinned_laplacian,
                                 dsr_settling_estimate, closed_form_stable,
                                 measured_settling_time, settling_time_estimate,
@@ -201,6 +201,22 @@ def test_gamma_table_shape(lap4):
     gammas = [g for g, _ in rows]
     assert gammas == sorted(gammas)
     assert all(t > 0 for _, t in rows)
+
+
+def test_gamma_table_ignores_the_last_ulps_of_the_spectrum(lap4):
+    # the last row sits 1e-12 below the bound 2/lam_max; a table built
+    # on gamma*lam_max would move there in its 5th digit
+    spec = spec_for(10.0)
+    rows = ts_vs_gamma_table(lap4, spec)
+    for direction in (-np.inf, np.inf):
+        nudged = lap4.eigenvalues
+        for _ in range(3):
+            nudged = np.nextafter(nudged, direction)
+        shifted = PinnedLaplacian(matrix=lap4.matrix, leader_vector=lap4.leader_vector,
+                                  eigenvalues=nudged, eigenvectors=lap4.eigenvectors)
+        moved = ts_vs_gamma_table(shifted, spec)
+        assert moved[-1][1] == rows[-1][1]
+        assert np.allclose(moved, rows, rtol=1e-9, atol=0.0)
 
 
 def test_dsr_table_alpha_decreases_with_target(lap4):
