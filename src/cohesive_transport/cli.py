@@ -130,11 +130,14 @@ def cmd_tune(args) -> int:
                                  dt=scenario.controller.dt)
     except ValueError as exc:
         raise ConfigError(f"--target-ts: {exc}") from exc
-    out = _out_dir(args, scenario)
     lap = build_pinned_laplacian(scenario.network)
-
+    # the cohesive gains are purely spectral: a target they cannot reach
+    # fails here, before any step is simulated
+    gains = tuning._dsr_gains(lap, spec)
     base = tuning.tune_gamma(scenario.network, spec)
-    dsr = tuning.tune_dsr(scenario.network, spec, v_nodsr=base.max_speed)
+    dsr = tuning.tune_dsr(scenario.network, spec, v_nodsr=base.max_speed,
+                          gains=gains)
+    out = _out_dir(args, scenario)
 
     rows = tuning.ts_vs_gamma_table(lap, spec)
     gamma_csv = out / "ts_vs_gamma.csv"

@@ -75,13 +75,13 @@ class ControllerConfig:
         if self.dt <= 0 or not math.isfinite(self.dt):
             raise ValueError("dt must be positive")
         if self.kind == "baseline":
-            if self.gamma is None or self.gamma <= 0:
-                raise ValueError("baseline controller requires gamma > 0")
+            if self.gamma is None or not 0 < self.gamma < math.inf:
+                raise ValueError("baseline controller requires a finite gamma > 0")
         elif self.kind == "dsr":
-            if self.alpha is None or self.alpha <= 0:
-                raise ValueError("dsr controller requires alpha > 0")
-            if self.beta is None or self.beta <= 0:
-                raise ValueError("dsr controller requires beta > 0")
+            if self.alpha is None or not 0 < self.alpha < math.inf:
+                raise ValueError("dsr controller requires a finite alpha > 0")
+            if self.beta is None or not 0 < self.beta < math.inf:
+                raise ValueError("dsr controller requires a finite beta > 0")
             if self.delay_multiple < 1:
                 raise ValueError("dsr delay_multiple must be >= 1")
         else:

@@ -178,8 +178,8 @@ def load_config(path) -> ScenarioConfig:
         except ValueError as exc:
             problems.append(f"trajectory.cutoff: {exc}")
     if duration is not None:
-        if duration <= 0:
-            problems.append("run.duration: must be positive")
+        if not 0 < duration < math.inf:
+            problems.append("run.duration: must be positive and finite")
         elif trajectory is not None and controller is not None:
             horizon = trajectory.start_index * controller.dt
             if trajectory.kind == "filtered_step" and trajectory.cutoff:

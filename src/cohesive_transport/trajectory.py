@@ -44,8 +44,8 @@ class TrajectorySpec:
         if self.start_index < 0:
             raise ValueError("start_index must be >= 0")
         if self.kind == "filtered_step":
-            if self.cutoff is None or self.cutoff <= 0:
-                raise ValueError("filtered_step requires cutoff > 0")
+            if self.cutoff is None or not 0 < self.cutoff < math.inf:
+                raise ValueError("filtered_step requires a finite cutoff > 0")
 
     def validate_dt(self, dt: float) -> None:
         """Tustin mapping needs wc*dt < 2 to keep the pole inside (-1, 1)."""

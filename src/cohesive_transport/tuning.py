@@ -13,20 +13,31 @@ r = 1 - gamma*lam_min, and the estimate inverts in closed form:
 
     gamma = -expm1(dt * ln(eps) / T) / lam_min.
 
-A target is reachable iff it is finite and this gain does not exceed
-gamma*; it is then the smallest gain achieving the target.
+A target is reachable iff this gain does not exceed gamma*; it is
+then the smallest gain achieving the target.
 
 Cohesive controller: the two gains do nearly separable jobs. The
 reinforcement gain sets how uniformly the modes decay, so it balances
 the per-mode envelopes |1 - beta*lam_k|. Their maximum is smallest
 where the extreme modes cross, beta = 2/(lam_min + lam_max), which is
 capped just below the stability bound for a first-order guess of the
-rate gain. The rate gain then sets the overall speed. It enters each
-mode's dominant root through a quadratic, so the settling estimate has
-no closed-form inverse in it: the target is bracketed on a grid and
-refined by bisection. The result is verified against the closed-form
-stability condition and a unit-step simulation for the
-commanded-speed constraint.
+rate gain. The rate gain then sets the overall speed. With
+c_k = 1 - beta*lam_k, mode k's characteristic quadratic
+
+    D_k(z) = (z - 1)(z - c_k) + alpha*beta*dt*lam_k*z
+
+is linear in alpha, so D_k(r) = 0 at the target decay r = eps**(dt/T)
+inverts in closed form:
+
+    alpha_k(r) = (1 - r)/(dt*r) * (1 - (1 - r)/(beta*lam_k)).
+
+As alpha grows each mode's larger real root falls from 1, reaching r
+at alpha_k(r), which increases with lam_k; complex pairs (|z| =
+sqrt(c_k)) and the lam_max mode's negative root do not fall. So
+alpha_{lam_max}(r) is the smallest gain that can reach the target, and
+one spectral radius there decides whether it does. The result is also
+checked against the closed-form stability condition and a unit-step
+simulation for the commanded-speed constraint.
 """
 from __future__ import annotations
 
@@ -43,9 +54,13 @@ from .metrics import SETTLING_BAND
 from .network import (CouplingNetwork, PinnedLaplacian, StiffnessChain,
                       build_pinned_laplacian)
 from .scenario import ScenarioConfig
-from .stability import (baseline_gamma_bound, baseline_spectral_radius,
-                        closed_form_stable, spectral_radius)
+from .stability import (StabilityReport, baseline_gamma_bound,
+                        baseline_spectral_radius, closed_form_stable,
+                        spectral_radius)
 from .trajectory import TrajectorySpec
+
+# rounding allowed between the target decay and the root that meets it
+_ROOT_RTOL = 8 * 2.0 ** -52
 
 
 @dataclass(frozen=True)
@@ -53,8 +68,7 @@ class TuningSpec:
     """Tuning problem: hit ``target_settling`` without commanding more
     than ``speed_limit``, judged on ``reference`` (default: unit step).
 
-    ``gamma_points`` sets the rows of the baseline gain table. The rate
-    gain grid only needs to bracket the answer, which bisection refines.
+    ``gamma_points`` sets the rows of the baseline gain table.
     """
 
     target_settling: float
@@ -64,15 +78,13 @@ class TuningSpec:
     reference: TrajectorySpec = field(
         default_factory=lambda: TrajectorySpec(kind="step", amplitude=1.0))
     gamma_points: int = 1024
-    alpha_range: tuple[float, float] = (0.05, 2.0)
-    alpha_step: float = 0.01
 
     def __post_init__(self):
-        if not self.target_settling > 0:
-            raise ValueError("target settling time must be positive")
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
-        if self.speed_limit <= 0:
+        if not 0 < self.target_settling < math.inf:
+            raise ValueError("target settling time must be positive and finite")
+        if not 0 < self.dt < math.inf:
+            raise ValueError("dt must be positive and finite")
+        if not self.speed_limit > 0:
             raise ValueError("speed limit must be positive")
         if not 0 < self.band < 1:
             raise ValueError("band must be a fraction in (0, 1)")
@@ -144,7 +156,7 @@ def tune_gamma(network: StiffnessChain | CouplingNetwork,
     gamma_star = 2.0 / (laplacian.lambda_min + laplacian.lambda_max)
     gamma = -math.expm1(spec.dt * math.log(spec.band)
                         / spec.target_settling) / laplacian.lambda_min
-    if not math.isfinite(spec.target_settling) or gamma > gamma_star:
+    if gamma > gamma_star:
         fastest = settling_time_estimate(laplacian, gamma_star, spec.dt, spec.band)
         raise TuningInfeasibleError(
             f"target {spec.target_settling:.9g} s is outside the achievable "
@@ -177,51 +189,33 @@ def _balance_mode_envelopes(laplacian: PinnedLaplacian, spec: TuningSpec) -> flo
                cap * (1.0 - 1e-9))
 
 
-def _dsr_gains(laplacian: PinnedLaplacian, spec: TuningSpec) -> tuple[float, float]:
-    """(alpha, beta) matching the settling estimate, checked for stability."""
+def _dsr_gains(laplacian: PinnedLaplacian,
+               spec: TuningSpec) -> tuple[float, float, StabilityReport]:
+    """(alpha, beta) matching the settling estimate, with the stability
+    report that verified them."""
     beta = _balance_mode_envelopes(laplacian, spec)
-
-    a_lo, a_hi = spec.alpha_range
-    count = int(round((a_hi - a_lo) / spec.alpha_step)) + 1
-    xs = a_lo + spec.alpha_step * np.arange(count)
-    est = np.array([dsr_settling_estimate(laplacian, a, beta, spec.dt, spec.band)
-                    for a in xs])
-    finite = est[np.isfinite(est)]
-    if finite.size == 0:
-        raise TuningInfeasibleError(
-            f"no feasible rate gain: none of the {len(xs)} grid gains in "
-            f"[{a_lo:g}, {a_hi:g}] is stable with beta = {beta:.6g}")
-    # the smallest solution lies on the decreasing branch, which runs
-    # from the first grid point to the sweep minimum
-    for i in range(int(np.argmin(est))):
-        if est[i] >= spec.target_settling >= est[i + 1]:
-            lo, hi = xs[i], xs[i + 1]
-            break
-    else:
+    log_decay = spec.dt * math.log(spec.band) / spec.target_settling
+    decay, shortfall = math.exp(log_decay), -math.expm1(log_decay)  # r, 1 - r
+    alpha = (shortfall / (spec.dt * decay)
+             * (1.0 - shortfall / (beta * laplacian.lambda_max)))
+    report = spectral_radius(laplacian, alpha, beta, spec.dt)
+    if not report.spectral_radius <= decay * (1.0 + _ROOT_RTOL):
+        reached = _decay_to_settling(report.spectral_radius, spec.dt, spec.band)
         raise TuningInfeasibleError(
             f"no feasible rate gain: target {spec.target_settling:.6g} s not "
-            f"reachable with beta = {beta:.6g}; grid of {len(xs)} gains in "
-            f"[{a_lo:g}, {a_hi:g}] spans settling estimates "
-            f"[{np.min(finite):.6g}, {np.max(finite):.6g}] s")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if dsr_settling_estimate(laplacian, mid, beta, spec.dt,
-                                 spec.band) > spec.target_settling:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-15 * hi:
-            break
-    alpha = 0.5 * (lo + hi)
+            f"reachable with beta = {beta:.6g}; at alpha = {alpha:.6g}, where "
+            "the lambda_max mode decays at the target rate, the settling "
+            f"estimate is {reached:.6g} s")
     if not closed_form_stable(laplacian, alpha, beta, spec.dt):
         raise TuningInfeasibleError(
             f"tuned gains (alpha={alpha:.6g}, beta={beta:.6g}) violate the "
             "stability condition")
-    return alpha, beta
+    return alpha, beta, report
 
 
 def tune_dsr(network: StiffnessChain | CouplingNetwork, spec: TuningSpec,
-             v_nodsr: float) -> TuningResult:
+             v_nodsr: float,
+             gains: tuple[float, float, StabilityReport] | None = None) -> TuningResult:
     """Cohesive gains for a target settling time under a speed cap.
 
     ``v_nodsr`` is the peak commanded speed of the tuned baseline on
@@ -229,20 +223,20 @@ def tune_dsr(network: StiffnessChain | CouplingNetwork, spec: TuningSpec,
     The reinforcement gain balances the mode envelopes, the rate gain
     matches the settling estimate, and the pair is then checked against
     the closed-form stability condition and the simulated speed.
+    ``gains`` reuses an earlier ``_dsr_gains`` result for this network
+    and spec.
     """
-    laplacian = build_pinned_laplacian(network)
-    alpha, beta = _dsr_gains(laplacian, spec)
+    alpha, beta, report = gains or _dsr_gains(build_pinned_laplacian(network), spec)
     controller = ControllerConfig.dsr(alpha, beta, spec.dt)
     measured, vmax = _measure_step_response(network, controller, spec)
     if vmax > v_nodsr:
         raise TuningInfeasibleError(
             f"no feasible point: tuned gains command {vmax:.6g} cm/s, above "
             f"the baseline's {v_nodsr:.6g} cm/s")
-    report = spectral_radius(laplacian, alpha, beta, spec.dt)
     return TuningResult(
         controller=controller,
-        predicted_settling=dsr_settling_estimate(laplacian, alpha, beta,
-                                                 spec.dt, spec.band),
+        predicted_settling=_decay_to_settling(report.spectral_radius, spec.dt,
+                                              spec.band),
         measured_settling=measured,
         max_speed=vmax,
         spectral_radius=report.spectral_radius,
@@ -273,10 +267,9 @@ def dsr_gains_vs_ts_table(laplacian: PinnedLaplacian, spec: TuningSpec,
     rows = []
     for target in targets:
         try:
-            alpha, beta = _dsr_gains(laplacian,
-                                     replace(spec, target_settling=float(target)))
+            alpha, beta, report = _dsr_gains(
+                laplacian, replace(spec, target_settling=float(target)))
         except TuningInfeasibleError:
             continue
-        rows.append((float(target), alpha, beta,
-                     spectral_radius(laplacian, alpha, beta, spec.dt).spectral_radius))
+        rows.append((float(target), alpha, beta, report.spectral_radius))
     return rows

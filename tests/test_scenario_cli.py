@@ -1,11 +1,12 @@
 import json
+import re
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cohesive_transport import benchmark, cli, dynamics, network
+from cohesive_transport import benchmark, cli, dynamics, network, tuning
 from cohesive_transport import (ConfigError, ControllerConfig, CouplingNetwork,
                                 ScenarioConfig, SimulationTrace, StiffnessChain,
                                 TrajectorySpec, deformation_series, load_config,
@@ -217,7 +218,7 @@ def test_cli_tune_decomposes_the_network_once(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
-@pytest.mark.parametrize("target", ["0", "-1", "nan"])
+@pytest.mark.parametrize("target", ["0", "-1", "nan", "inf"])
 def test_cli_tune_bad_target_is_a_config_error(tmp_path, capsys, target):
     assert main(["tune", "--config", str(CONFIG_DIR / "chain4_baseline.cfg"),
                  "--target-ts", target, "--out", str(tmp_path / "t")]) == 2
@@ -226,9 +227,13 @@ def test_cli_tune_bad_target_is_a_config_error(tmp_path, capsys, target):
     assert not (tmp_path / "t").exists()
 
 
-def test_cli_tune_without_a_stable_rate_gain_is_infeasible(tmp_path, capsys):
-    # 32 robots, one leader: lam_min/lam_max ~ 6e-4, so the balanced
-    # reinforcement gain destabilises every rate gain on the grid
+def test_cli_tune_without_a_stable_rate_gain_is_infeasible(tmp_path, capsys,
+                                                          monkeypatch):
+    # 32 robots, one leader: lam_min/lam_max ~ 6e-4. At 200 s the rate
+    # gain that brings the lam_max mode's positive root down to the
+    # target decay leaves that mode's negative root above it; a smaller
+    # gain leaves the positive root above it, a larger one raises the
+    # negative root further
     robots = 32
     config = tmp_path / "chain32.cfg"
     write_config(ScenarioConfig(
@@ -237,9 +242,40 @@ def test_cli_tune_without_a_stable_rate_gain_is_infeasible(tmp_path, capsys):
         controller=ControllerConfig.baseline(1.0, DT),
         trajectory=TrajectorySpec(kind="step", amplitude=1.0),
         duration=10.0), config)
+
+    def no_simulation(scenario):
+        raise AssertionError("an infeasible cohesive target was simulated")
+
+    monkeypatch.setattr(tuning, "simulate", no_simulation)
     assert main(["tune", "--config", str(config), "--target-ts", "200",
                  "--out", str(tmp_path / "t")]) == 1
-    assert "grid gains in [0.05, 2] is stable with beta" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "target 200 s not reachable" in err
+    assert "settling estimate is 201.063 s" in err
+    assert not (tmp_path / "t").exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("config_name, key, section", [
+    ("chain4_baseline.cfg", "gamma", "controller"),
+    ("chain4_dsr.cfg", "alpha", "controller"),
+    ("chain4_dsr.cfg", "beta", "controller"),
+    ("chain4_baseline.cfg", "cutoff", "trajectory"),
+    ("chain4_baseline.cfg", "duration", "run"),
+])
+@pytest.mark.parametrize("command", ["simulate", "stability"])
+def test_cli_non_finite_config_values_are_config_errors(tmp_path, capsys, command,
+                                                        config_name, key, section,
+                                                        value):
+    text = (CONFIG_DIR / config_name).read_text()
+    bad, count = re.subn(rf"^{key} = .*$", f"{key} = {value}", text, flags=re.M)
+    assert count == 1
+    config = tmp_path / "bad.cfg"
+    config.write_text(bad)
+    assert main([command, "--config", str(config), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and f"{section}" in err and "finite" in err
+    assert not (tmp_path / "o").exists()
 
 
 def test_cli_sweep(tmp_path):

@@ -3,6 +3,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cohesive_transport import (ControllerConfig, PinnedLaplacian,
                                 StiffnessChain, TuningInfeasibleError, TuningSpec,
@@ -14,6 +16,7 @@ from cohesive_transport import tuning
 from cohesive_transport.tuning import dsr_gains_vs_ts_table, ts_vs_gamma_table
 
 from conftest import DT, unit_step_scenario
+from strategies import coupling_networks
 
 BAND_LOG = math.log(1.0 / 0.02)  # 2% band needs ln 50 decades of decay
 
@@ -28,6 +31,36 @@ def single_mode_chain(stiffness=1.0):
 
 def single_mode_lap(stiffness=1.0):
     return build_pinned_laplacian(single_mode_chain(stiffness))
+
+
+def _grid_rate_gain(lap, spec, alpha_range=(0.05, 2.0), alpha_step=0.01):
+    """Independent oracle for the rate gain: the grid search the closed
+    form replaced. The settling estimate is evaluated on a fixed alpha
+    grid, the target is bracketed on its decreasing branch and the
+    bracket is bisected. Returns None where the grid holds no bracket.
+    """
+    beta = tuning._balance_mode_envelopes(lap, spec)
+    a_lo, a_hi = alpha_range
+    count = int(round((a_hi - a_lo) / alpha_step)) + 1
+    xs = a_lo + alpha_step * np.arange(count)
+    est = np.array([dsr_settling_estimate(lap, a, beta, spec.dt, spec.band)
+                    for a in xs])
+    for i in range(int(np.argmin(est))):
+        if est[i] >= spec.target_settling >= est[i + 1]:
+            lo, hi = xs[i], xs[i + 1]
+            break
+    else:
+        return None
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if dsr_settling_estimate(lap, mid, beta, spec.dt,
+                                 spec.band) > spec.target_settling:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= 1e-15 * hi:
+            break
+    return 0.5 * (lo + hi)
 
 
 def fastest_baseline_settling(lap):
@@ -180,6 +213,42 @@ def test_tune_dsr_speed_constraint_binds(chain4):
 def test_tune_dsr_unreachable_target(chain4):
     with pytest.raises(TuningInfeasibleError, match="settling"):
         tune_dsr(chain4, spec_for(0.5), v_nodsr=5.0)
+
+
+def test_rate_gain_matches_the_grid_oracle_on_chain4(lap4):
+    for target in range(4, 21):
+        spec = spec_for(float(target))
+        alpha, beta, report = tuning._dsr_gains(lap4, spec)
+        assert alpha == pytest.approx(_grid_rate_gain(lap4, spec), rel=1e-12, abs=0)
+        assert beta == tuning._balance_mode_envelopes(lap4, spec)
+        assert report == tuning.spectral_radius(lap4, alpha, beta, DT)
+        assert dsr_settling_estimate(lap4, alpha, beta, DT) == pytest.approx(
+            float(target), rel=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(coupling_networks(), st.floats(min_value=1.0, max_value=100.0))
+def test_rate_gain_matches_the_grid_oracle_wherever_it_finds_one(network, target):
+    lap = build_pinned_laplacian(network)
+    spec = spec_for(target)
+    oracle = _grid_rate_gain(lap, spec)
+    if oracle is None:
+        return
+    alpha, _, report = tuning._dsr_gains(lap, spec)
+    assert alpha == pytest.approx(oracle, rel=1e-12, abs=0)
+    assert report.spectral_radius == pytest.approx(
+        math.exp(DT * math.log(0.02) / target), rel=1e-13)
+
+
+def test_rate_gain_tunes_a_32_robot_chain_beyond_the_grid():
+    # alpha* = 1.96e-3 lies below the grid's 0.05, which found no bracket
+    lap = build_pinned_laplacian(StiffnessChain((0.05,) * 31, (0.05,) + (0.0,) * 31))
+    spec = spec_for(2000.0)
+    assert _grid_rate_gain(lap, spec) is None
+    alpha, beta, report = tuning._dsr_gains(lap, spec)
+    assert alpha == pytest.approx(1.956011e-3, rel=1e-6)
+    assert closed_form_stable(lap, alpha, beta, DT) and report.stable
+    assert dsr_settling_estimate(lap, alpha, beta, DT) == pytest.approx(2000.0, rel=1e-9)
 
 
 def test_tune_dsr_deterministic(chain4):
