@@ -10,8 +10,9 @@ Subcommands
 
 Exit codes: 0 success, 1 other package error (infeasible tuning, failed
 per-robot crosscheck), 2 config problem, 3 simulation divergence,
-4 reproduce mismatch. Set COHESIVE_TRANSPORT_LOG=debug|info|warning for
-log verbosity.
+4 reproduce mismatch, 5 out of memory (a run too long or too wide to
+hold). A failed run creates no output directory. Set
+COHESIVE_TRANSPORT_LOG=debug|info|warning for log verbosity.
 
 The trace CSV schema is one row per sample:
     t,y_1..y_n,f_1..f_n,yd,D,vmax_step
@@ -86,9 +87,9 @@ def _out_dir(args, scenario: ScenarioConfig | None = None) -> Path:
 
 def cmd_simulate(args) -> int:
     scenario = load_config(args.config)
-    out = _out_dir(args, scenario)
     trace = simulate(scenario)
     summary = metrics.summarize(trace, final_value=scenario.trajectory.amplitude or None)
+    out = _out_dir(args, scenario)
     write_trace_csv(trace, out / "trace.csv")
     write_summary_json(summary, out / "summary.json")
     print(f"wrote {out / 'trace.csv'} ({trace.num_samples} samples)")
@@ -103,7 +104,8 @@ def cmd_stability(args) -> int:
     lap = build_pinned_laplacian(scenario.network)
     ctl = scenario.controller
     if ctl.kind == "dsr":
-        report = spectral_radius(lap, ctl.alpha, ctl.beta, ctl.dt)
+        report = spectral_radius(lap, ctl.alpha, ctl.beta, ctl.dt,
+                                 ctl.delay_multiple)
         payload = report.as_dict()
         stable, sigma = report.stable, report.spectral_radius
     else:
@@ -191,8 +193,8 @@ def cmd_sweep(args) -> int:
                     cutoff=wc).validate_dt(scenario.controller.dt)
     except ValueError as exc:
         raise ConfigError(f"--omega-c-list: {exc}") from exc
-    out = _out_dir(args, scenario)
     rows = cutoff_sweep(scenario, omega_list)
+    out = _out_dir(args, scenario)
     sweep_csv = out / "sweep.csv"
     sweep_csv.write_text("omega_c,D_bar_cm,v_max_cmps\n" + "\n".join(
         f"{_fmt(r.omega_c)},{_fmt(r.max_deformation)},{_fmt(r.max_speed)}"
@@ -259,6 +261,9 @@ def main(argv=None) -> int:
     except DivergenceError as exc:
         print(f"simulation aborted: {exc}", file=sys.stderr)
         return 3
+    except MemoryError as exc:
+        print(f"out of memory: {exc}", file=sys.stderr)
+        return 5
     except CohesiveTransportError as exc:  # infeasible tuning, failed crosscheck
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -161,10 +161,11 @@ class SimulationTrace:
 
 def baseline_update_forms(positions, laplacian: PinnedLaplacian,
                           network: Network, gamma: float,
-                          y_d: float) -> tuple[np.ndarray, np.ndarray]:
-    """Next positions computed both ways: (stacked, per-robot)."""
+                          y_d) -> tuple[np.ndarray, np.ndarray]:
+    """Next positions computed both ways: (stacked, per-robot); a batch
+    of states (batch, n) takes one reference per row, ``y_d`` (batch, 1)."""
     y = np.asarray(positions, dtype=float)
-    stacked = y - gamma * (laplacian.matrix @ y) + gamma * laplacian.leader_vector * y_d
+    stacked = y - gamma * (y @ laplacian.matrix.T) + gamma * laplacian.leader_vector * y_d
     # Row k reads only robot k's position, force and leader spring.
     leaders = np.asarray(network.leader_stiffness)
     local = y - gamma * (measured_force(network, y) + leaders * (y - y_d))
@@ -173,20 +174,19 @@ def baseline_update_forms(positions, laplacian: PinnedLaplacian,
 
 def dsr_update_forms(positions, delayed_positions, laplacian: PinnedLaplacian,
                      network: Network, alpha: float, beta: float, dt: float,
-                     delay_multiple: int, y_d: float) -> tuple[np.ndarray, np.ndarray]:
+                     delay_multiple: int, y_d) -> tuple[np.ndarray, np.ndarray]:
     """Next positions via the stacked law and via local measurements.
 
     The per-robot route touches nothing global: each robot combines its
     own position and force, their N-step-old values, and (for leaders)
-    the reference.
-    """
+    the reference. Shapes as in ``baseline_update_forms``."""
     y = np.asarray(positions, dtype=float)
     y_old = np.asarray(delayed_positions, dtype=float)
-    k_mat = laplacian.matrix
+    k_t = laplacian.matrix.T
     rate = alpha * beta * dt
     delta = y - y_old
-    stacked = (y - rate * (k_mat @ y) + rate * laplacian.leader_vector * y_d
-               + (delta - beta * (k_mat @ delta)) / delay_multiple)
+    stacked = (y - rate * (y @ k_t) + rate * laplacian.leader_vector * y_d
+               + (delta - beta * (delta @ k_t)) / delay_multiple)
 
     # Row k reads only robot k's quantities, all robots evaluated at once.
     leaders = np.asarray(network.leader_stiffness)
@@ -199,18 +199,21 @@ def dsr_update_forms(positions, delayed_positions, laplacian: PinnedLaplacian,
 
 
 def _crosscheck(stacked: np.ndarray, local: np.ndarray) -> None:
-    scale = max(1.0, float(np.abs(stacked).max()))
-    residual = float(np.abs(stacked - local).max())
-    if not residual <= _CROSSCHECK_ATOL * scale:
+    # each row (one run) is bounded by its own scale; NaN fails the test
+    bound = _CROSSCHECK_ATOL * np.maximum(
+        1.0, np.abs(stacked).max(axis=-1, keepdims=True))
+    residual = np.abs(stacked - local)
+    if not (residual <= bound).all():
+        worst = np.flatnonzero(~(residual <= bound))[0]
         raise CrosscheckError(
-            f"per-robot and stacked updates disagree by {residual:.3g} "
-            f"(bound {_CROSSCHECK_ATOL * scale:.3g})")
+            f"per-robot and stacked updates disagree by {residual.flat[worst]:.3g} "
+            f"(bound {np.broadcast_to(bound, residual.shape).flat[worst]:.3g})")
 
 
 def step_baseline(state: NetworkState, laplacian: PinnedLaplacian,
                   network: Network, config: ControllerConfig,
-                  y_d: float) -> np.ndarray:
-    """One baseline update; returns the next position vector."""
+                  y_d) -> np.ndarray:
+    """One baseline update; returns the next positions, (n,) or (batch, n)."""
     stacked, local = baseline_update_forms(state.positions, laplacian, network,
                                            config.gamma, y_d)
     _crosscheck(stacked, local)
@@ -219,8 +222,8 @@ def step_baseline(state: NetworkState, laplacian: PinnedLaplacian,
 
 def step_dsr(state: NetworkState, laplacian: PinnedLaplacian,
              network: Network, config: ControllerConfig,
-             y_d: float) -> np.ndarray:
-    """One cohesive update; returns the next position vector."""
+             y_d) -> np.ndarray:
+    """One cohesive update; returns the next positions, (n,) or (batch, n)."""
     stacked, local = dsr_update_forms(state.positions, state.delayed_positions,
                                       laplacian, network, config.alpha,
                                       config.beta, config.dt,
@@ -236,20 +239,40 @@ def _warn_if_unstable(laplacian: PinnedLaplacian, config: ControllerConfig) -> N
             warnings.warn(
                 f"gamma = {config.gamma:.6g} is at or above the stable bound "
                 f"{bound:.6g}; simulating anyway", UnstableControllerWarning,
-                stacklevel=3)
+                stacklevel=4)
     else:
         if not stability.closed_form_stable(laplacian, config.alpha, config.beta,
-                                       config.dt):
+                                            config.dt, config.delay_multiple):
             warnings.warn(
                 f"(alpha, beta) = ({config.alpha:.6g}, {config.beta:.6g}) "
                 "violates the stability conditions; simulating anyway",
-                UnstableControllerWarning, stacklevel=3)
+                UnstableControllerWarning, stacklevel=4)
 
 
 def num_steps(duration: float, dt: float) -> int:
     """Samples after t=0 covering ``duration``: ceil with a guard against
     float noise in duration/dt ratios like 60/0.03."""
     return math.ceil(duration / dt - 1e-9)
+
+
+def _run(network: Network, config: ControllerConfig, references: np.ndarray):
+    """The one stepping core: from rest, yield the cross-checked positions
+    of samples 1..steps. References (steps + 1,) step a state (n,);
+    (steps + 1, batch) step ``batch`` runs at once as a state (batch, n).
+    Positions beyond DIVERGENCE_LIMIT_CM (or NaN) raise DivergenceError."""
+    laplacian = build_pinned_laplacian(network)
+    _warn_if_unstable(laplacian, config)
+    stepper = step_baseline if config.kind == "baseline" else step_dsr
+    # one run reads Python floats, made one at a time; a batch reads columns
+    y_ds = memoryview(references) if references.ndim == 1 else references[:, :, None]
+    state = NetworkState.at_rest(np.zeros(references.shape[1:] + (laplacian.n,)),
+                                 config.delay_multiple)
+    for m in range(len(references) - 1):
+        nxt = stepper(state, laplacian, network, config, y_ds[m])
+        if not np.abs(nxt).max() <= DIVERGENCE_LIMIT_CM:
+            raise DivergenceError(step=m + 1)
+        state = state.advanced(nxt)
+        yield nxt
 
 
 def simulate(scenario: "ScenarioConfig") -> SimulationTrace:
@@ -261,25 +284,15 @@ def simulate(scenario: "ScenarioConfig") -> SimulationTrace:
     positions beyond DIVERGENCE_LIMIT_CM (or non-finite) abort with
     DivergenceError.
     """
-    network = scenario.network
-    laplacian = build_pinned_laplacian(network)
-    config = scenario.controller
-    dt = config.dt
+    laplacian = build_pinned_laplacian(scenario.network)
+    dt = scenario.controller.dt
     steps = num_steps(scenario.duration, dt)
     reference = reference_series(scenario.trajectory, dt, steps)
 
-    _warn_if_unstable(laplacian, config)
-    stepper = step_baseline if config.kind == "baseline" else step_dsr
-
-    state = NetworkState.at_rest(np.zeros(laplacian.n), config.delay_multiple)
     positions = np.empty((steps + 1, laplacian.n))
-    positions[0] = state.positions
-    for m in range(steps):
-        nxt = stepper(state, laplacian, network, config, reference[m])
-        if not np.all(np.isfinite(nxt)) or np.max(np.abs(nxt)) > DIVERGENCE_LIMIT_CM:
-            raise DivergenceError(step=m + 1)
-        state = state.advanced(nxt)
-        positions[m + 1] = nxt
+    positions[0] = 0.0
+    for m, nxt in enumerate(_run(scenario.network, scenario.controller, reference), 1):
+        positions[m] = nxt
 
     forces = neighbor_forces(laplacian, positions)
     augmented = forces + laplacian.leader_vector * (positions - reference[:, None])

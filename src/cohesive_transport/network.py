@@ -238,10 +238,15 @@ def measured_force(network: StiffnessChain | CouplingNetwork,
     The virtual-source force on leaders is not included here; update
     laws add it separately. With ``robot`` given, returns that robot's
     reading as a float; without it, every robot's reading as an array,
-    from one pass over the spring list.
+    from one pass over the spring list (per row for (batch, n) positions).
     """
     y = np.asarray(positions, dtype=float)
     robots, neighbours, stiffness = network._springs
+    if y.ndim == 2:
+        pulls = stiffness * (y[:, robots] - y[:, neighbours])
+        bins = robots + network.n * np.arange(len(y))[:, None]
+        return np.bincount(bins.ravel(), weights=pulls.ravel(),
+                           minlength=y.size).reshape(y.shape)
     pulls = stiffness * (y[robots] - y[neighbours])
     if robot is None:
         return np.bincount(robots, weights=pulls, minlength=network.n)

@@ -16,6 +16,15 @@ magnitudes, the second-order Jury conditions (D(1) > 0, D(-1) > 0,
 
     a > 0   and   0 < b < 4 / (lam_max * (a*dt + 2)).
 
+With a delay of N > 1 samples each mode is a recursion of order N + 1,
+with characteristic polynomial
+
+    z^(N+1) - (1 - a*b*dt*lam + c/N) z^N + c/N,    c = 1 - b*lam,
+
+which is the quadratic above at N = 1. Its roots come from numpy, and
+the stability verdict from the largest of them; the Jury and closed
+form tests hold for N = 1 only.
+
 Root magnitudes within MARGINAL_TOL of 1 (and Jury quantities within
 MARGINAL_TOL of their boundaries) are treated as unstable: the closed
 form is an open set, and a marginal system is useless in practice.
@@ -24,6 +33,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .network import PinnedLaplacian
 
@@ -83,13 +94,33 @@ def jury_stable(lam: float, alpha: float, beta: float, dt: float) -> bool:
             and abs(c) < 1.0 - MARGINAL_TOL)
 
 
+def _delayed_mode_roots(lam: float, alpha: float, beta: float, dt: float,
+                       delay_multiple: int) -> tuple[complex, complex]:
+    """The two largest-magnitude roots of one mode's characteristic
+    polynomial under a delay of ``delay_multiple`` samples, largest
+    first; N = 1 is ``dsr_mode_roots``."""
+    if delay_multiple == 1:
+        return dsr_mode_roots(lam, alpha, beta, dt)
+    if lam <= 0:
+        raise ValueError("mode eigenvalue must be positive")
+    c = (1.0 - beta * lam) / delay_multiple
+    coefficients = np.zeros(delay_multiple + 2)
+    coefficients[:2] = 1.0, -(1.0 - alpha * beta * dt * lam + c)
+    coefficients[-1] = c
+    roots = sorted(np.roots(coefficients), key=abs, reverse=True)
+    return complex(roots[0]), complex(roots[1])
+
+
 def closed_form_stable(laplacian: PinnedLaplacian, alpha: float, beta: float,
-                  dt: float) -> bool:
+                  dt: float, delay_multiple: int = 1) -> bool:
     """Closed-form stability of the cohesive network.
 
     Equivalent to running the Jury test on every mode; only the largest
-    eigenvalue can bind.
+    eigenvalue can bind. For a delay N > 1 there is no closed form here,
+    and the verdict comes from the roots (``spectral_radius``).
     """
+    if delay_multiple != 1:
+        return spectral_radius(laplacian, alpha, beta, dt, delay_multiple).stable
     bound = 4.0 / (laplacian.lambda_max * (alpha * dt + 2.0))
     return alpha > 0.0 and 0.0 < beta < bound
 
@@ -139,12 +170,13 @@ class StabilityReport:
 
 
 def spectral_radius(laplacian: PinnedLaplacian, alpha: float, beta: float,
-                    dt: float) -> StabilityReport:
+                    dt: float, delay_multiple: int = 1) -> StabilityReport:
     """Exact spectral radius of the cohesive dynamics: max root magnitude
-    over all Laplacian modes."""
+    over all Laplacian modes. ``per_mode`` lists each mode's two largest
+    roots."""
     modes = []
     for lam in laplacian.eigenvalues:
-        z1, z2 = dsr_mode_roots(float(lam), alpha, beta, dt)
+        z1, z2 = _delayed_mode_roots(float(lam), alpha, beta, dt, delay_multiple)
         modes.append(ModeRoots(eigenvalue=float(lam), z1=z1, z2=z2,
                                magnitude1=abs(z1), magnitude2=abs(z2)))
     binding = max(range(len(modes)), key=lambda i: modes[i].magnitude1)

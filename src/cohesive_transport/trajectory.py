@@ -61,19 +61,23 @@ def _step_series(spec: TrajectorySpec, num_steps: int) -> np.ndarray:
     return y
 
 
+def _tustin(steps: np.ndarray, wd) -> np.ndarray:
+    """Filtered ``steps``; an array ``wd`` filters one column per value, as if alone."""
+    keep = (2.0 - wd) / (2.0 + wd)
+    feed = wd / (2.0 + wd)
+    y = np.zeros(steps.shape + np.shape(wd))
+    for m in range(1, len(steps)):
+        y[m] = keep * y[m - 1] + feed * (steps[m] + steps[m - 1])
+    return y
+
+
 def reference_series(spec: TrajectorySpec, dt: float, num_steps: int) -> np.ndarray:
     """Reference values y_d[0..num_steps] on the sampling grid."""
     spec.validate_dt(dt)
     steps = _step_series(spec, num_steps)
     if spec.kind == "step":
         return steps
-    wd = spec.cutoff * dt
-    keep = (2.0 - wd) / (2.0 + wd)
-    feed = wd / (2.0 + wd)
-    y = np.zeros(num_steps + 1)
-    for m in range(1, num_steps + 1):
-        y[m] = keep * y[m - 1] + feed * (steps[m] + steps[m - 1])
-    return y
+    return _tustin(steps, spec.cutoff * dt)
 
 
 @dataclass(frozen=True)
@@ -90,17 +94,25 @@ def cutoff_sweep(scenario: "ScenarioConfig",
     Each run keeps everything but the trajectory cutoff fixed and
     reports the peak object deformation and peak commanded speed, the
     two quantities that decide how fast a transport can be driven.
-    Rows come back ordered by cutoff.
+    Rows come back ordered by cutoff; all cutoffs step as one batch.
     """
-    from . import metrics
-    from .dynamics import simulate
+    from .dynamics import _run, num_steps
 
-    rows = []
-    for wc in sorted(float(w) for w in omega_c_values):
-        traj = replace(scenario.trajectory, kind="filtered_step", cutoff=wc)
-        trace = simulate(replace(scenario, trajectory=traj))
-        deformation = float(np.max(metrics.deformation_series(trace)))
-        rows.append(SweepRow(omega_c=wc,
-                             max_deformation=deformation,
-                             max_speed=metrics.max_speed(trace)))
-    return rows
+    cutoffs = sorted(float(w) for w in omega_c_values)
+    if not cutoffs:
+        return []
+    dt = scenario.controller.dt
+    for wc in cutoffs:
+        replace(scenario.trajectory, kind="filtered_step", cutoff=wc).validate_dt(dt)
+    steps = _step_series(scenario.trajectory, num_steps(scenario.duration, dt))
+    references = _tustin(steps, np.array(cutoffs) * dt)
+
+    spread = move = np.zeros(len(cutoffs))
+    previous = 0.0
+    for y in _run(scenario.network, scenario.controller, references):
+        spread = np.maximum(spread, y.max(axis=1) - y.min(axis=1))
+        move = np.maximum(move, np.abs(y - previous).max(axis=1))
+        previous = y
+    # dividing by dt > 0 is monotone, so it commutes with the maximum
+    return [SweepRow(omega_c=wc, max_deformation=float(d), max_speed=float(v / dt))
+            for wc, d, v in zip(cutoffs, spread, move)]

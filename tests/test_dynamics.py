@@ -12,7 +12,7 @@ from cohesive_transport import (ControllerConfig, CrosscheckError, DivergenceErr
                                 TrajectorySpec, UnstableControllerWarning,
                                 build_pinned_laplacian, measured_force,
                                 simulate, step_baseline, step_dsr)
-from cohesive_transport.dynamics import (baseline_update_forms,
+from cohesive_transport.dynamics import (_crosscheck, baseline_update_forms,
                                          dsr_update_forms, num_steps)
 
 from conftest import DT, unit_step_scenario
@@ -121,19 +121,66 @@ def test_crosscheck_rejects_springs_that_disagree_with_the_laplacian(chain4, lap
     step_baseline(state, lap4, chain4, ControllerConfig.baseline(1.93, DT), 1.0)
 
 
+def test_batched_steps_reject_springs_that_disagree_with_the_laplacian(chain4, lap4):
+    stiffer = StiffnessChain((0.05, 0.06, 0.05), chain4.leader_stiffness)
+    rows = np.array([[0.0, 0.0, 0.0, 0.0], [0.0, 1.0, 3.0, 6.0]])
+    y_d = np.ones((2, 1))
+    base = ControllerConfig.baseline(1.93, DT)
+    dsr = ControllerConfig.dsr(0.39, 10.92, DT, 2)
+    batch = NetworkState.at_rest(rows, delay_multiple=2)
+    with pytest.raises(CrosscheckError, match="disagree"):
+        step_baseline(batch, lap4, stiffer, base, y_d)
+    with pytest.raises(CrosscheckError, match="disagree"):
+        step_dsr(batch, lap4, stiffer, dsr, y_d)
+    # the undeformed row reads no spring, so on its own it passes
+    undeformed = NetworkState.at_rest(rows[:1], delay_multiple=2)
+    step_baseline(undeformed, lap4, stiffer, base, y_d[:1])
+    step_dsr(undeformed, lap4, stiffer, dsr, y_d[:1])
+
+
+def test_crosscheck_bounds_each_row_by_its_own_scale():
+    stacked = np.array([[1.0, 0.5, -0.25], [1e6, 2.0, 3.0]])
+    small_row_off = stacked.copy()
+    small_row_off[0, 1] += 1e-9   # bound 1e-12 at scale 1
+    with pytest.raises(CrosscheckError, match="disagree by 1e-09"):
+        _crosscheck(stacked, small_row_off)
+    large_row_off = stacked.copy()
+    large_row_off[1, 1] += 1e-9   # bound 1e-6 at scale 1e6
+    _crosscheck(stacked, large_row_off)
+    with pytest.raises(CrosscheckError):
+        _crosscheck(stacked, np.where(stacked == 2.0, np.nan, stacked))
+
+
+def test_batched_steps_match_single_runs_row_by_row(chain4, lap4, rng):
+    rows = rng.normal(0.0, 10.0, (6, 4))
+    delayed = rng.normal(0.0, 10.0, (6, 4))
+    y_d = rng.normal(0.0, 10.0, (6, 1))
+    for step, config in ((step_baseline, ControllerConfig.baseline(1.93, DT)),
+                         (step_dsr, ControllerConfig.dsr(0.39, 10.92, DT))):
+        batched = step(NetworkState(rows, (delayed,)), lap4, chain4, config, y_d)
+        assert batched.shape == rows.shape
+        for k in range(len(rows)):
+            single = step(NetworkState(rows[k], (delayed[k],)), lap4, chain4,
+                          config, float(y_d[k, 0]))
+            assert np.allclose(batched[k], single, rtol=1e-14, atol=1e-13)
+
+
 _OPTIMIZED_SCRIPT = """
 assert False, "asserts are still on"
+import numpy as np
 from cohesive_transport import *
 chain = StiffnessChain((0.05, 0.05, 0.05), (0.05, 0, 0, 0))
 stiffer = StiffnessChain((0.05, 0.06, 0.05), (0.05, 0, 0, 0))
 lap = build_pinned_laplacian(chain)
-state = NetworkState.at_rest([0.0, 1.0, 3.0, 6.0], delay_multiple=2)
-for step, config in ((step_baseline, ControllerConfig.baseline(1.93, 0.03)),
-                     (step_dsr, ControllerConfig.dsr(0.39, 10.92, 0.03, 2))):
-    try:
-        step(state, lap, stiffer, config, 1.0)
-    except CrosscheckError:
-        print(step.__name__, "raised")
+single = NetworkState.at_rest([0.0, 1.0, 3.0, 6.0], delay_multiple=2)
+batch = NetworkState.at_rest([[0.0] * 4, [0.0, 1.0, 3.0, 6.0]], delay_multiple=2)
+for label, state, y_d in (("", single, 1.0), ("batched ", batch, np.ones((2, 1)))):
+    for step, config in ((step_baseline, ControllerConfig.baseline(1.93, 0.03)),
+                         (step_dsr, ControllerConfig.dsr(0.39, 10.92, 0.03, 2))):
+        try:
+            step(state, lap, stiffer, config, y_d)
+        except CrosscheckError:
+            print(label + step.__name__, "raised")
 """
 
 
@@ -143,7 +190,9 @@ def test_crosscheck_survives_optimized_python():
                             capture_output=True, text=True, timeout=120,
                             env={**os.environ, "PYTHONPATH": str(src)})
     assert result.returncode == 0, result.stderr
-    assert result.stdout.splitlines() == ["step_baseline raised", "step_dsr raised"]
+    assert result.stdout.splitlines() == ["step_baseline raised", "step_dsr raised",
+                                          "batched step_baseline raised",
+                                          "batched step_dsr raised"]
 
 
 def test_multisample_delay_matches_manual_form(chain4, lap4, rng):

@@ -125,6 +125,18 @@ def test_eigendecomposition_bounds(chain):
     assert np.all(lap.eigenvalues > 0)
 
 
+@settings(max_examples=60, deadline=None)
+@given(coupling_networks(), st.integers(0, 4), st.data())
+def test_measured_force_on_a_batch_is_row_by_row(network, batch, data):
+    rows = np.array([data.draw(st.lists(position_values, min_size=network.n,
+                                        max_size=network.n))
+                     for _ in range(batch)]).reshape(batch, network.n)
+    forces = measured_force(network, rows)
+    assert forces.shape == rows.shape
+    for k in range(batch):
+        assert np.array_equal(forces[k], measured_force(network, rows[k]))
+
+
 def test_measured_force_undeformed(chain4):
     positions = [3.0, 3.0, 3.0, 3.0]
     for robot in range(4):

@@ -190,6 +190,17 @@ def test_cli_simulate_and_stability(tmp_path):
     assert "gamma_bound" in report
 
 
+def test_cli_stability_analyses_the_configured_delay(tmp_path, capsys):
+    config = tmp_path / "delay3.cfg"
+    config.write_text((CONFIG_DIR / "chain4_dsr.cfg").read_text()
+                      .replace("beta = 10.92", "beta = 15")
+                      .replace("delay_multiple = 1", "delay_multiple = 3"))
+    assert main(["stability", "--config", str(config), "--out", str(tmp_path)]) == 0
+    assert capsys.readouterr().out.startswith("stable (spectral radius 0.988469)")
+    report = json.loads((tmp_path / "stability.json").read_text())
+    assert report["stable"] is True and len(report["per_mode"]) == 4
+
+
 def test_cli_tune(tmp_path):
     out = tmp_path / "tuned"
     assert main(["tune", "--config", str(CONFIG_DIR / "chain4_baseline.cfg"),
@@ -373,6 +384,34 @@ def test_cli_exit_code_divergence(tmp_path):
     with pytest.warns(RuntimeWarning):
         assert main(["simulate", "--config", str(config),
                      "--out", str(tmp_path / "d")]) == 3
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+def test_cli_divergent_run_warns_once_and_leaves_no_output(tmp_path, capsys, command):
+    config = tmp_path / "gamma100.cfg"
+    config.write_text((CONFIG_DIR / "chain4_baseline.cfg").read_text().replace(
+        "gamma = 1.93", "gamma = 100"))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([command, "--config", str(config),
+                      "--out", str(tmp_path / "d")]) == 3
+    assert [w.category for w in caught] == [dynamics.UnstableControllerWarning]
+    assert capsys.readouterr().err.startswith("simulation aborted: diverged at step")
+    assert not (tmp_path / "d").exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+def test_cli_run_too_long_to_hold_is_exit_5(tmp_path, capsys, command):
+    # 3e16 samples: more bytes than any address space holds, so the
+    # allocation fails at once
+    config = tmp_path / "long.cfg"
+    config.write_text((CONFIG_DIR / "chain4_baseline.cfg").read_text().replace(
+        "duration = 60.0", "duration = 1e15"))
+    assert main([command, "--config", str(config),
+                 "--out", str(tmp_path / "m")]) == 5
+    err = capsys.readouterr().err
+    assert err.startswith("out of memory:") and err.count("\n") == 1
+    assert not (tmp_path / "m").exists()
 
 
 def test_cli_exit_code_failed_crosscheck(tmp_path, monkeypatch, capsys):

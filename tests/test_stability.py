@@ -1,14 +1,19 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cohesive_transport import (StiffnessChain, baseline_gamma_bound,
+from cohesive_transport import (ControllerConfig, StiffnessChain,
+                                UnstableControllerWarning, baseline_gamma_bound,
                                 baseline_spectral_radius,
                                 build_pinned_laplacian, dsr_mode_roots,
-                                jury_stable, closed_form_stable, spectral_radius)
+                                jury_stable, closed_form_stable, simulate,
+                                spectral_radius)
+
+from conftest import unit_step_scenario
 
 DT = 0.03
 
@@ -242,3 +247,61 @@ def test_random_unstable_gains_diverge(lap4, chain4, rng):
             if peak > 1e3:
                 break
         assert peak > 1e3, (alpha, beta, report.spectral_radius)
+
+
+def _stacked_delay_radius(lap, alpha, beta, delay):
+    """Spectral radius of the stacked cohesive law as one linear map on
+    the state (Y[m], Y[m-1], ..., Y[m-N]); independent of the per-mode
+    polynomial."""
+    n = lap.n
+    eye = np.eye(n)
+    reinforce = (eye - beta * lap.matrix) / delay
+    transition = np.zeros(((delay + 1) * n,) * 2)
+    transition[:n, :n] = eye - alpha * beta * DT * lap.matrix + reinforce
+    transition[:n, -n:] -= reinforce
+    transition[n:, :-n] = np.eye(delay * n)
+    return float(np.max(np.abs(np.linalg.eigvals(transition))))
+
+
+@pytest.mark.parametrize("beta, delay, radius", [
+    (15.0, 3, 0.988469),    # the N = 1 quadratic says 1.668, unstable
+    (10.92, 4, 0.988464),   # the N = 1 quadratic says 0.988366
+    (20.0, 2, 1.131744),
+])
+def test_spectral_radius_under_a_delay_of_several_samples(lap4, beta, delay, radius):
+    report = spectral_radius(lap4, 0.39, beta, DT, delay)
+    assert report.spectral_radius == pytest.approx(radius, abs=1e-6)
+    assert report.spectral_radius == pytest.approx(
+        _stacked_delay_radius(lap4, 0.39, beta, delay), rel=1e-9)
+    assert report.stable is (radius < 1.0)
+    assert closed_form_stable(lap4, 0.39, beta, DT, delay) is (radius < 1.0)
+    for mode in report.per_mode:
+        c = (1.0 - beta * mode.eigenvalue) / delay
+        lead = 1.0 - 0.39 * beta * DT * mode.eigenvalue + c
+        for z in (mode.z1, mode.z2):
+            assert abs(z ** (delay + 1) - lead * z ** delay + c) < 1e-12
+        assert mode.magnitude1 >= mode.magnitude2
+
+
+def test_spectral_radius_with_a_one_sample_delay_is_the_quadratic(lap4):
+    report = spectral_radius(lap4, 0.39, 10.92, DT, 1)
+    assert report == spectral_radius(lap4, 0.39, 10.92, DT)
+    for mode in report.per_mode:
+        assert (mode.z1, mode.z2) == dsr_mode_roots(mode.eigenvalue, 0.39, 10.92, DT)
+    assert report.spectral_radius == pytest.approx(
+        _stacked_delay_radius(lap4, 0.39, 10.92, 1), rel=1e-9)
+
+
+@pytest.mark.parametrize("beta, delay, stable", [(15.0, 3, True), (20.0, 2, False)])
+def test_simulate_warns_on_the_delayed_dynamics(chain4, beta, delay, stable):
+    scenario = unit_step_scenario(chain4, ControllerConfig.dsr(0.39, beta, DT, delay),
+                                  duration=300.0 if stable else 3.0)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        trace = simulate(scenario)
+    if stable:
+        assert caught == []
+        assert np.max(np.abs(trace.positions[-1] - 1.0)) < 1e-9
+    else:
+        assert [w.category for w in caught] == [UnstableControllerWarning]
+        assert np.max(np.abs(trace.positions[-1])) > 100.0

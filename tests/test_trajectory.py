@@ -1,8 +1,17 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cohesive_transport import TrajectorySpec, cutoff_sweep, reference_series
-from cohesive_transport.benchmark import baseline_scenario
+from cohesive_transport import (ControllerConfig, ScenarioConfig, TrajectorySpec,
+                                build_pinned_laplacian, cutoff_sweep,
+                                max_deformation, max_speed, reference_series,
+                                simulate)
+from cohesive_transport.benchmark import baseline_scenario, dsr_scenario
+
+from strategies import coupling_networks
 
 DT = 0.03
 
@@ -119,3 +128,41 @@ def test_cutoff_sweep_reference_point_and_monotonicity():
     deformations = [r.max_deformation for r in rows]
     assert deformations == sorted(deformations)  # slower reference, flatter object
     assert rows[0].max_deformation < 0.2  # quasi-static limit
+
+
+def _assert_matches_one_run_per_cutoff(scenario, cutoffs):
+    rows = cutoff_sweep(scenario, cutoffs)
+    assert [r.omega_c for r in rows] == sorted(cutoffs)
+    for row in rows:
+        trajectory = replace(scenario.trajectory, kind="filtered_step",
+                             cutoff=row.omega_c)
+        trace = simulate(replace(scenario, trajectory=trajectory))
+        assert row.max_deformation == pytest.approx(max_deformation(trace),
+                                                    rel=1e-12, abs=0.0)
+        assert row.max_speed == pytest.approx(max_speed(trace), rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("scenario_fn", [baseline_scenario, dsr_scenario])
+def test_batched_sweep_matches_one_run_per_cutoff(scenario_fn):
+    # unsorted, with a duplicate
+    _assert_matches_one_run_per_cutoff(scenario_fn(), [0.3, 0.05, 0.1, 0.05, 0.02])
+
+
+def test_sweep_of_no_cutoffs_is_empty():
+    assert cutoff_sweep(baseline_scenario(), []) == []
+
+
+@settings(max_examples=25, deadline=None)
+@given(coupling_networks(max_robots=6), st.sampled_from(["baseline", "dsr"]),
+       st.lists(st.floats(0.02, 1.0), max_size=4))
+def test_batched_sweep_matches_one_run_per_cutoff_on_random_networks(network, kind,
+                                                                     cutoffs):
+    lam_max = build_pinned_laplacian(network).lambda_max
+    if kind == "baseline":
+        controller = ControllerConfig.baseline(1.0 / lam_max, DT)
+    else:
+        controller = ControllerConfig.dsr(0.39, 2.0 / (lam_max * (0.39 * DT + 2.0)), DT)
+    scenario = ScenarioConfig(network=network, controller=controller,
+                              trajectory=TrajectorySpec(kind="step", amplitude=5.0),
+                              duration=6.0)
+    _assert_matches_one_run_per_cutoff(scenario, cutoffs)
