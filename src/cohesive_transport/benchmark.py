@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 from . import metrics
 from .dynamics import ControllerConfig, SimulationTrace, simulate
-from .network import StiffnessChain
+from .network import CouplingNetwork, StiffnessChain
 from .scenario import ScenarioConfig
 from .trajectory import TrajectorySpec
 
@@ -39,7 +39,7 @@ EXPECTED_IMPROVEMENT_PCT = 90.0
 DEFAULT_TOLERANCE = 0.05
 
 
-def reference_chain() -> StiffnessChain:
+def reference_chain() -> CouplingNetwork:
     return StiffnessChain(neighbor_stiffness=(0.05, 0.05, 0.05),
                           leader_stiffness=(0.05, 0.0, 0.0, 0.0))
 

@@ -204,6 +204,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_reproduce(args) -> int:
+    if not 0 <= args.tolerance < math.inf:
+        raise ConfigError(f"--tolerance: must be non-negative and finite, got {args.tolerance}")
     report = benchmark.run_reproduction(tolerance=args.tolerance)
     print(benchmark.format_report(report))
     if args.out:
@@ -255,7 +257,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, FileNotFoundError) as exc:
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except DivergenceError as exc:

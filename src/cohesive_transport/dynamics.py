@@ -35,14 +35,12 @@ import numpy as np
 
 from . import stability
 from .errors import CrosscheckError, DivergenceError
-from .network import (CouplingNetwork, PinnedLaplacian, StiffnessChain,
+from .network import (CouplingNetwork, PinnedLaplacian,
                       build_pinned_laplacian, measured_force, neighbor_forces)
 from .trajectory import reference_series
 
 if TYPE_CHECKING:
     from .scenario import ScenarioConfig
-
-Network = StiffnessChain | CouplingNetwork
 
 # Positions beyond this are treated as numerical blow-up, not physics.
 DIVERGENCE_LIMIT_CM = 1e9
@@ -160,7 +158,7 @@ class SimulationTrace:
 
 
 def baseline_update_forms(positions, laplacian: PinnedLaplacian,
-                          network: Network, gamma: float,
+                          network: CouplingNetwork, gamma: float,
                           y_d) -> tuple[np.ndarray, np.ndarray]:
     """Next positions computed both ways: (stacked, per-robot); a batch
     of states (batch, n) takes one reference per row, ``y_d`` (batch, 1)."""
@@ -173,7 +171,7 @@ def baseline_update_forms(positions, laplacian: PinnedLaplacian,
 
 
 def dsr_update_forms(positions, delayed_positions, laplacian: PinnedLaplacian,
-                     network: Network, alpha: float, beta: float, dt: float,
+                     network: CouplingNetwork, alpha: float, beta: float, dt: float,
                      delay_multiple: int, y_d) -> tuple[np.ndarray, np.ndarray]:
     """Next positions via the stacked law and via local measurements.
 
@@ -211,7 +209,7 @@ def _crosscheck(stacked: np.ndarray, local: np.ndarray) -> None:
 
 
 def step_baseline(state: NetworkState, laplacian: PinnedLaplacian,
-                  network: Network, config: ControllerConfig,
+                  network: CouplingNetwork, config: ControllerConfig,
                   y_d) -> np.ndarray:
     """One baseline update; returns the next positions, (n,) or (batch, n)."""
     stacked, local = baseline_update_forms(state.positions, laplacian, network,
@@ -221,7 +219,7 @@ def step_baseline(state: NetworkState, laplacian: PinnedLaplacian,
 
 
 def step_dsr(state: NetworkState, laplacian: PinnedLaplacian,
-             network: Network, config: ControllerConfig,
+             network: CouplingNetwork, config: ControllerConfig,
              y_d) -> np.ndarray:
     """One cohesive update; returns the next positions, (n,) or (batch, n)."""
     stacked, local = dsr_update_forms(state.positions, state.delayed_positions,
@@ -255,7 +253,7 @@ def num_steps(duration: float, dt: float) -> int:
     return math.ceil(duration / dt - 1e-9)
 
 
-def _run(network: Network, config: ControllerConfig, references: np.ndarray):
+def _run(network: CouplingNetwork, config: ControllerConfig, references: np.ndarray):
     """The one stepping core: from rest, yield the cross-checked positions
     of samples 1..steps. References (steps + 1,) step a state (n,);
     (steps + 1, batch) step ``batch`` runs at once as a state (batch, n).

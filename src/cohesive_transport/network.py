@@ -17,7 +17,7 @@ Units throughout: cm, N, s, N/cm. Robot indices are 0-based.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
 from typing import Mapping, Sequence
@@ -30,80 +30,17 @@ from .errors import CalibrationError, UnpinnedNetworkError
 _EIGEN_RECONSTRUCT_RTOL = 1e-10
 
 
-class _CachedNetwork:
-    """Derived data of an immutable network, each built once per object.
-
-    Both network classes are frozen, so the spring list and the pinned
-    Laplacian can never go stale; every caller of one network object
-    shares a single assembly and eigendecomposition.
-    """
-
-    @cached_property
-    def _springs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Directed spring list (robot, neighbour, stiffness): every
-        coupling appears once from each end, so robot k's reading sums
-        the rows where robot == k."""
-        couplings = self.coupling_map()
-        ends = np.array(list(couplings), dtype=np.intp).reshape(-1, 2)
-        stiffness = np.fromiter(couplings.values(), dtype=float, count=len(couplings))
-        springs = (np.concatenate((ends[:, 0], ends[:, 1])),
-                   np.concatenate((ends[:, 1], ends[:, 0])),
-                   np.concatenate((stiffness, stiffness)))
-        for arr in springs:
-            arr.flags.writeable = False
-        return springs
-
-    @cached_property
-    def _laplacian(self) -> PinnedLaplacian:
-        return _assemble(self.n, self.coupling_map(), self.leader_stiffness)
-
-
 @dataclass(frozen=True)
-class StiffnessChain(_CachedNetwork):
-    """Open chain of robots: robot i couples to robot i+1.
-
-    ``neighbor_stiffness[i]`` is the spring between robots i and i+1
-    (length n-1), ``leader_stiffness[k]`` the virtual-source spring of
-    robot k (zero for non-leaders, length n).
-    """
-
-    neighbor_stiffness: tuple[float, ...]
-    leader_stiffness: tuple[float, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "neighbor_stiffness",
-                           tuple(float(k) for k in self.neighbor_stiffness))
-        object.__setattr__(self, "leader_stiffness",
-                           tuple(float(k) for k in self.leader_stiffness))
-        if len(self.leader_stiffness) != len(self.neighbor_stiffness) + 1:
-            raise ValueError(
-                "leader_stiffness must have one entry per robot "
-                f"(got {len(self.leader_stiffness)} for "
-                f"{len(self.neighbor_stiffness) + 1} robots)")
-        if any(k <= 0 or not np.isfinite(k) for k in self.neighbor_stiffness):
-            raise ValueError("neighbor stiffnesses must be positive and finite")
-        if any(k < 0 or not np.isfinite(k) for k in self.leader_stiffness):
-            raise ValueError("leader stiffnesses must be non-negative and finite")
-
-    @property
-    def n(self) -> int:
-        return len(self.leader_stiffness)
-
-    def coupling_map(self) -> dict[tuple[int, int], float]:
-        """Chain topology as an explicit {(i, j): stiffness} map, i < j."""
-        return {(i, i + 1): k for i, k in enumerate(self.neighbor_stiffness)}
-
-    def with_leader_stiffness(self, leader_stiffness: Sequence[float]) -> "StiffnessChain":
-        return replace(self, leader_stiffness=tuple(leader_stiffness))
-
-
-@dataclass(frozen=True)
-class CouplingNetwork(_CachedNetwork):
-    """General undirected stiffness topology for non-chain objects.
+class CouplingNetwork:
+    """Undirected stiffness topology of the carried object.
 
     ``couplings`` maps unordered robot pairs (stored with i < j) to a
-    positive stiffness; it is a read-only view. Same invariants as the
-    chain otherwise.
+    positive stiffness; it is a read-only view. ``leader_stiffness[k]``
+    is the virtual-source spring of robot k (zero for non-leaders, one
+    entry per robot). The network is frozen, so its spring list and
+    pinned Laplacian are built once per object and can never go stale;
+    every caller of one network object shares a single assembly and
+    eigendecomposition.
     """
 
     n: int
@@ -119,22 +56,54 @@ class CouplingNetwork(_CachedNetwork):
             if key in normalized:
                 raise ValueError(f"duplicate coupling pair {key}")
             if k <= 0 or not np.isfinite(k):
-                raise ValueError(f"coupling stiffness for {key} must be positive")
+                raise ValueError(f"coupling stiffness for {key} must be positive and finite")
             normalized[key] = float(k)
         object.__setattr__(self, "couplings", MappingProxyType(normalized))
         object.__setattr__(self, "leader_stiffness",
                            tuple(float(k) for k in self.leader_stiffness))
         if len(self.leader_stiffness) != self.n:
-            raise ValueError("leader_stiffness must have one entry per robot")
+            raise ValueError(
+                "leader_stiffness must have one entry per robot "
+                f"(got {len(self.leader_stiffness)} for {self.n} robots)")
         if any(k < 0 or not np.isfinite(k) for k in self.leader_stiffness):
             raise ValueError("leader stiffnesses must be non-negative and finite")
-
-    def coupling_map(self) -> dict[tuple[int, int], float]:
-        return dict(self.couplings)
 
     def __reduce__(self):
         # the read-only view cannot be pickled; rebuild from a plain dict
         return CouplingNetwork, (self.n, dict(self.couplings), self.leader_stiffness)
+
+    @cached_property
+    def _springs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Directed spring list (robot, neighbour, stiffness): every
+        coupling appears once from each end, so robot k's reading sums
+        the rows where robot == k."""
+        ends = np.array(list(self.couplings), dtype=np.intp).reshape(-1, 2)
+        stiffness = np.fromiter(self.couplings.values(), dtype=float,
+                                count=len(self.couplings))
+        springs = (np.concatenate((ends[:, 0], ends[:, 1])),
+                   np.concatenate((ends[:, 1], ends[:, 0])),
+                   np.concatenate((stiffness, stiffness)))
+        for arr in springs:
+            arr.flags.writeable = False
+        return springs
+
+    @cached_property
+    def _laplacian(self) -> PinnedLaplacian:
+        return _assemble(self.n, self.couplings, self.leader_stiffness)
+
+
+def StiffnessChain(neighbor_stiffness: Sequence[float],
+                   leader_stiffness: Sequence[float]) -> CouplingNetwork:
+    """Open chain of robots: robot i couples to robot i+1.
+
+    ``neighbor_stiffness[i]`` is the spring between robots i and i+1
+    (length n-1), ``leader_stiffness[k]`` the virtual-source spring of
+    robot k (length n). The couplings are inserted in chain order, which
+    fixes the order of the spring list and of the Laplacian assembly.
+    """
+    return CouplingNetwork(len(neighbor_stiffness) + 1,
+                           {(i, i + 1): k for i, k in enumerate(neighbor_stiffness)},
+                           leader_stiffness)
 
 
 @dataclass(frozen=True)
@@ -224,13 +193,13 @@ def _assemble(n: int, couplings: Mapping[tuple[int, int], float],
                            eigenvalues=eigenvalues, eigenvectors=eigenvectors)
 
 
-def build_pinned_laplacian(network: StiffnessChain | CouplingNetwork) -> PinnedLaplacian:
-    """K and B of a chain or a general stiffness map, assembled and
-    decomposed on the first call for a network object and shared after."""
+def build_pinned_laplacian(network: CouplingNetwork) -> PinnedLaplacian:
+    """K and B of a network, assembled and decomposed on the first call
+    for a network object and shared after."""
     return network._laplacian
 
 
-def measured_force(network: StiffnessChain | CouplingNetwork,
+def measured_force(network: CouplingNetwork,
                    positions: Sequence[float], robot: int | None = None):
     """Local object force on a robot: sum of its neighbor spring forces.
 
@@ -265,7 +234,7 @@ def neighbor_forces(laplacian: PinnedLaplacian, positions: np.ndarray) -> np.nda
 
 
 def calibrate_stiffness(records: Sequence[CalibrationRecord],
-                        leader_stiffness: Sequence[float] | None = None) -> StiffnessChain:
+                        leader_stiffness: Sequence[float] | None = None) -> CouplingNetwork:
     """Recover chain stiffnesses from move-one-robot force measurements.
 
     Records must be in chain order starting at robot 0. Moving robot i
@@ -293,6 +262,5 @@ def calibrate_stiffness(records: Sequence[CalibrationRecord],
                 f"stiffness {value:.6g} N/cm")
         stiffnesses.append(value)
     n = len(stiffnesses) + 1
-    leaders = tuple(leader_stiffness) if leader_stiffness is not None else (0.0,) * n
-    return StiffnessChain(neighbor_stiffness=tuple(stiffnesses),
-                          leader_stiffness=leaders)
+    leaders = leader_stiffness if leader_stiffness is not None else (0.0,) * n
+    return StiffnessChain(neighbor_stiffness=stiffnesses, leader_stiffness=leaders)

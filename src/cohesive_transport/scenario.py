@@ -2,13 +2,15 @@
 
 Flat INI-style files with four sections. Robot numbering in files is
 1-based because that is how the lab talks about them; everything
-in-memory is 0-based.
+in-memory is 0-based. Both network forms are read; ``write_config``
+writes every network in the ``couplings`` form.
 
     [network]
     robots = 4
-    neighbor_stiffness = 0.05, 0.05, 0.05    # chain springs, N/cm
-    leader_stiffness = 0.05, 0, 0, 0         # virtual source, N/cm
-    # or, for non-chain objects:  couplings = 1-2: 0.05, 2-3: 0.05, ...
+    couplings = 1-2: 0.05, 2-3: 0.05, 3-4: 0.05   # springs, N/cm
+    leader_stiffness = 0.05, 0, 0, 0              # virtual source, N/cm
+    # a chain may instead list its springs in order:
+    # neighbor_stiffness = 0.05, 0.05, 0.05
 
     [controller]
     kind = baseline          # or dsr
@@ -43,7 +45,7 @@ from .trajectory import TrajectorySpec
 class ScenarioConfig:
     """Everything one run needs: network, controller, reference, length."""
 
-    network: StiffnessChain | CouplingNetwork
+    network: CouplingNetwork
     controller: ControllerConfig
     trajectory: TrajectorySpec
     duration: float
@@ -64,6 +66,8 @@ def _parse_couplings(raw: str) -> dict[tuple[int, int], float]:
         pair, _, value = item.partition(":")
         i_str, _, j_str = pair.partition("-")
         i, j = int(i_str) - 1, int(j_str) - 1  # file is 1-based
+        if (i, j) in couplings or (j, i) in couplings:
+            raise ValueError(f"duplicate coupling pair {i + 1}-{j + 1}")
         couplings[(i, j)] = float(value)
     return couplings
 
@@ -100,7 +104,10 @@ def load_config(path) -> ScenarioConfig:
     each prefixed with its section.key path.
     """
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from exc
     try:
         parser.read_string(text, source=str(path))
     except configparser.Error as exc:
@@ -118,14 +125,12 @@ def load_config(path) -> ScenarioConfig:
     if net.present and robots is not None and leaders is not None:
         try:
             if "couplings" in net.raw:
-                network = CouplingNetwork(n=robots,
-                                          couplings=_parse_couplings(net.raw["couplings"]),
-                                          leader_stiffness=tuple(leaders))
+                network = CouplingNetwork(robots, _parse_couplings(net.raw["couplings"]),
+                                          leaders)
             else:
                 neighbor = net.get("neighbor_stiffness", _parse_floats)
                 if neighbor is not None:
-                    network = StiffnessChain(neighbor_stiffness=tuple(neighbor),
-                                             leader_stiffness=tuple(leaders))
+                    network = StiffnessChain(neighbor, leaders)
                     if network.n != robots:
                         problems.append(
                             f"network.robots: {robots} does not match the "
@@ -201,18 +206,11 @@ def write_config(scenario: ScenarioConfig, path) -> None:
 
     Floats are written with repr, which round-trips exactly.
     """
-    lines = ["[network]"]
-    if isinstance(scenario.network, StiffnessChain):
-        lines.append(f"robots = {scenario.network.n}")
-        lines.append("neighbor_stiffness = "
-                     + ", ".join(repr(k) for k in scenario.network.neighbor_stiffness))
-    else:
-        lines.append(f"robots = {scenario.network.n}")
-        pairs = ", ".join(f"{i + 1}-{j + 1}: {k!r}"
-                          for (i, j), k in sorted(scenario.network.couplings.items()))
-        lines.append(f"couplings = {pairs}")
-    lines.append("leader_stiffness = "
-                 + ", ".join(repr(k) for k in scenario.network.leader_stiffness))
+    net = scenario.network
+    # insertion order is kept, so the file reassembles K in the same order
+    pairs = ", ".join(f"{i + 1}-{j + 1}: {k!r}" for (i, j), k in net.couplings.items())
+    lines = ["[network]", f"robots = {net.n}", f"couplings = {pairs}",
+             "leader_stiffness = " + ", ".join(repr(k) for k in net.leader_stiffness)]
 
     ctl = scenario.controller
     lines += ["", "[controller]", f"kind = {ctl.kind}"]

@@ -51,8 +51,7 @@ from . import metrics
 from .dynamics import ControllerConfig, simulate
 from .errors import TuningInfeasibleError, UnstableGainError
 from .metrics import SETTLING_BAND
-from .network import (CouplingNetwork, PinnedLaplacian, StiffnessChain,
-                      build_pinned_laplacian)
+from .network import CouplingNetwork, PinnedLaplacian, build_pinned_laplacian
 from .scenario import ScenarioConfig
 from .stability import (StabilityReport, baseline_gamma_bound,
                         baseline_spectral_radius, closed_form_stable,
@@ -128,7 +127,7 @@ def dsr_settling_estimate(laplacian: PinnedLaplacian, alpha: float,
         spectral_radius(laplacian, alpha, beta, dt).spectral_radius, dt, band)
 
 
-def _measure_step_response(network: StiffnessChain | CouplingNetwork,
+def _measure_step_response(network: CouplingNetwork,
                            controller: ControllerConfig,
                            spec: TuningSpec) -> tuple[float, float]:
     """Simulate the tuning reference and return (settling, max speed)."""
@@ -145,7 +144,7 @@ def _measure_step_response(network: StiffnessChain | CouplingNetwork,
     return math.inf, metrics.max_speed(trace)
 
 
-def tune_gamma(network: StiffnessChain | CouplingNetwork,
+def tune_gamma(network: CouplingNetwork,
                spec: TuningSpec) -> TuningResult:
     """Baseline gain for a target settling time.
 
@@ -213,7 +212,7 @@ def _dsr_gains(laplacian: PinnedLaplacian,
     return alpha, beta, report
 
 
-def tune_dsr(network: StiffnessChain | CouplingNetwork, spec: TuningSpec,
+def tune_dsr(network: CouplingNetwork, spec: TuningSpec,
              v_nodsr: float,
              gains: tuple[float, float, StabilityReport] | None = None) -> TuningResult:
     """Cohesive gains for a target settling time under a speed cap.

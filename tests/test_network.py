@@ -55,9 +55,16 @@ def test_arrays_are_read_only(lap4):
 
 
 def test_coupling_map_equivalent_to_chain(chain4, lap4):
-    lap = build_pinned_laplacian(CouplingNetwork(4, chain4.coupling_map(),
-                                                 chain4.leader_stiffness))
-    assert np.array_equal(lap.matrix, lap4.matrix)
+    explicit = CouplingNetwork(4, {(0, 1): 0.05, (1, 2): 0.05, (2, 3): 0.05},
+                               (0.05, 0.0, 0.0, 0.0))
+    assert type(chain4) is CouplingNetwork and chain4 == explicit
+    assert list(chain4.couplings) == [(0, 1), (1, 2), (2, 3)]
+    assert pickle.loads(pickle.dumps(chain4)) == explicit
+    for ours, theirs in zip(chain4._springs, explicit._springs, strict=True):
+        assert ours.tobytes() == theirs.tobytes()
+    lap = build_pinned_laplacian(explicit)
+    for field in ("matrix", "leader_vector", "eigenvalues", "eigenvectors"):
+        assert getattr(lap, field).tobytes() == getattr(lap4, field).tobytes()
 
 
 def test_coupling_network_caches_its_laplacian_and_pickles():
@@ -98,6 +105,8 @@ def test_disconnected_component_rejected():
 def test_chain_validation():
     with pytest.raises(ValueError, match="one entry per robot"):
         StiffnessChain((0.05,), (0.05,))
+    with pytest.raises(ValueError, match="one entry per robot"):
+        StiffnessChain((0.05,), (0.05, 0.0, 0.0))
     with pytest.raises(ValueError, match="positive"):
         StiffnessChain((0.0,), (0.05, 0.0))
     with pytest.raises(ValueError, match="non-negative"):
@@ -202,13 +211,13 @@ def test_calibration_reference_procedure():
                CalibrationRecord(1, 10.0, 1.0),
                CalibrationRecord(2, 10.0, 1.0)]
     chain = calibrate_stiffness(records, leader_stiffness=(0.05, 0, 0, 0))
-    assert chain.neighbor_stiffness == pytest.approx((0.05, 0.05, 0.05))
+    assert tuple(chain.couplings.values()) == pytest.approx((0.05, 0.05, 0.05))
     assert chain.leader_stiffness == (0.05, 0.0, 0.0, 0.0)
 
 
 def test_calibration_single_record():
     chain = calibrate_stiffness([CalibrationRecord(0, 4.0, 0.6)])
-    assert chain.neighbor_stiffness == pytest.approx((0.15,))
+    assert tuple(chain.couplings.values()) == pytest.approx((0.15,))
     assert chain.n == 2
 
 
@@ -236,9 +245,9 @@ def test_calibration_roundtrip(chain):
     """Synthesizing the move-one-robot records from a chain and
     calibrating recovers the chain."""
     records = []
-    springs = chain.neighbor_stiffness
+    springs = tuple(chain.couplings.values())
     for robot in range(chain.n - 1):
         loaded = springs[robot] + (springs[robot - 1] if robot > 0 else 0.0)
         records.append(CalibrationRecord(robot, 2.5, loaded * 2.5))
     recovered = calibrate_stiffness(records)
-    assert np.allclose(recovered.neighbor_stiffness, springs, rtol=1e-9)
+    assert np.allclose(tuple(recovered.couplings.values()), springs, rtol=1e-9)

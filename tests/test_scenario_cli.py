@@ -343,6 +343,33 @@ def test_cli_exit_code_config_error(tmp_path):
     assert main(["simulate", "--config", str(bad)]) == 2
 
 
+def _non_utf8_config(tmp_path):
+    path = tmp_path / "utf16.cfg"
+    path.write_bytes(b"\xff\xfe" + (CONFIG_DIR / "chain4_baseline.cfg").read_bytes())
+    return path
+
+
+@pytest.mark.parametrize("make_config", [lambda tmp_path: tmp_path, _non_utf8_config],
+                         ids=["directory", "non-utf8"])
+def test_cli_unreadable_config_is_a_config_error(tmp_path, capsys, make_config):
+    assert main(["simulate", "--config", str(make_config(tmp_path)),
+                 "--out", str(tmp_path / "r")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: cannot read") and err.count("\n") == 1
+    assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize("repeat", ["1-2", "2-1"])
+def test_cli_repeated_coupling_pair_is_a_config_error(tmp_path, capsys, repeat):
+    config = tmp_path / "repeat.cfg"
+    config.write_text((CONFIG_DIR / "chain4_baseline.cfg").read_text().replace(
+        "neighbor_stiffness = 0.05, 0.05, 0.05",
+        f"couplings = 1-2: 0.05, 2-3: 0.05, 3-4: 0.05, {repeat}: 5.0"))
+    assert main(["simulate", "--config", str(config),
+                 "--out", str(tmp_path / "r")]) == 2
+    assert f"network: duplicate coupling pair {repeat}" in capsys.readouterr().err
+
+
 def _chain_config(path, neighbor, leaders):
     write_config(ScenarioConfig(
         network=StiffnessChain(neighbor, leaders),
@@ -427,3 +454,9 @@ def test_cli_exit_code_failed_crosscheck(tmp_path, monkeypatch, capsys):
 def test_cli_exit_code_reproduce_tolerance(capsys):
     assert main(["reproduce", "--tolerance", "1e-6"]) == 4
     assert "FAIL" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("tolerance", ["nan", "-0.05", "inf", "-inf"])
+def test_cli_bad_reproduce_tolerance_is_a_config_error(capsys, tolerance):
+    assert main(["reproduce", f"--tolerance={tolerance}"]) == 2
+    assert capsys.readouterr().err.startswith("config error: --tolerance")
