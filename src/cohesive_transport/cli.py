@@ -9,10 +9,10 @@ Subcommands
                the expected results (nonzero exit on mismatch)
 
 Exit codes: 0 success, 1 other package error (infeasible tuning, failed
-per-robot crosscheck), 2 config problem, 3 simulation divergence,
-4 reproduce mismatch, 5 out of memory (a run too long or too wide to
-hold). A failed run creates no output directory. Set
-COHESIVE_TRANSPORT_LOG=debug|info|warning for log verbosity.
+per-robot crosscheck), 2 config problem (also an --out directory that
+cannot be created), 3 simulation divergence, 4 reproduce mismatch, 5 out
+of memory (a run too long or too wide to hold). A failed run creates no
+output directory. COHESIVE_TRANSPORT_LOG=debug|info|warning sets logging.
 
 The trace CSV schema is one row per sample:
     t,y_1..y_n,f_1..f_n,yd,D,vmax_step
@@ -79,9 +79,11 @@ def write_summary_json(summary: metrics.RunSummary, path: Path) -> None:
 
 
 def _out_dir(args, scenario: ScenarioConfig | None = None) -> Path:
-    out = args.out or (scenario.out_dir if scenario else None) or "results"
-    path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
+    path = Path(args.out or (scenario.out_dir if scenario else None) or "results")
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:   # a file in the way, no permission, ...
+        raise ConfigError(f"--out: cannot create directory {path}: {exc.strerror}") from exc
     return path
 
 

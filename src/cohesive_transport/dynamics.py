@@ -13,14 +13,14 @@ ideal all-leader first-order response without any communication:
     Y[m+1] = Y[m] - a*b*dt K Y[m] + a*b*dt B y_d[m]
              + (I - b K)(Y[m] - Y[m-N]) / N,
 
-with rate gain ``a`` (1/s), reinforcement gain ``b`` (cm/N), and delay
-of N samples. Every robot can evaluate its own row of this update from
-local measurements only: the row needs y_k, f_k, their N-step-old
-values, and y_d if the robot is a leader. Both update laws are
-implemented twice, per-robot from local quantities and stacked via K,
-and the two are cross-checked on every step of every run; that check
-is what certifies the laws as decentralized. A disagreement raises
-CrosscheckError, also under ``python -O``.
+with rate gain ``a`` (1/s), reinforcement gain ``b`` (cm/N), and delay of
+N samples. Every robot can evaluate its own row of this update from local
+measurements only: the row needs y_k, f_k, their N-step-old values, and
+y_d if the robot is a leader. Both laws are implemented twice, per-robot
+from local quantities and stacked via K, and cross-checked on every step
+of every run; that check certifies the laws as decentralized. The step
+functions raise CrosscheckError on a disagreement, also under
+``python -O``, and DivergenceError past DIVERGENCE_LIMIT_CM.
 
 Positions are cm, forces N, time s.
 """
@@ -157,6 +157,25 @@ class SimulationTrace:
         return self.positions.shape[0]
 
 
+def _local_coefficients(network: CouplingNetwork, gains: tuple) -> tuple[np.ndarray, ...]:
+    """Per-robot law coefficients for ("baseline", gamma) or ("dsr", alpha, beta,
+    dt, N), cached per network object; robot k's use its own leader spring."""
+    cache = network._law_coefficients
+    if gains not in cache:
+        leaders = np.asarray(network.leader_stiffness)
+        if gains[0] == "baseline":   # multiply y, f, y_d
+            gamma = gains[1]
+            cache[gains] = (1.0 - gamma * leaders, np.full_like(leaders, -gamma),
+                            gamma * leaders)
+        else:                        # multiply y, f, y_old, f_old, y_d
+            _, alpha, beta, dt, delay = gains
+            rate, reinforcement = alpha * beta * dt, (1.0 - beta * leaders) / delay
+            cache[gains] = (1.0 - rate * leaders + reinforcement,
+                            np.full_like(leaders, -rate - beta / delay), -reinforcement,
+                            np.full_like(leaders, beta / delay), rate * leaders)
+    return cache[gains]
+
+
 def baseline_update_forms(positions, laplacian: PinnedLaplacian,
                           network: CouplingNetwork, gamma: float,
                           y_d) -> tuple[np.ndarray, np.ndarray]:
@@ -165,8 +184,8 @@ def baseline_update_forms(positions, laplacian: PinnedLaplacian,
     y = np.asarray(positions, dtype=float)
     stacked = y - gamma * (y @ laplacian.matrix.T) + gamma * laplacian.leader_vector * y_d
     # Row k reads only robot k's position, force and leader spring.
-    leaders = np.asarray(network.leader_stiffness)
-    local = y - gamma * (measured_force(network, y) + leaders * (y - y_d))
+    c_y, c_f, c_yd = _local_coefficients(network, ("baseline", gamma))
+    local = c_y * y + c_f * measured_force(network, y) + c_yd * y_d
     return stacked, local
 
 
@@ -187,46 +206,54 @@ def dsr_update_forms(positions, delayed_positions, laplacian: PinnedLaplacian,
                + (delta - beta * (delta @ k_t)) / delay_multiple)
 
     # Row k reads only robot k's quantities, all robots evaluated at once.
-    leaders = np.asarray(network.leader_stiffness)
-    f_now = measured_force(network, y)
-    f_old = measured_force(network, y_old)
-    reinforcement = ((1.0 - beta * leaders) * delta
-                     - beta * (f_now - f_old)) / delay_multiple
-    local = y - rate * f_now + rate * leaders * (y_d - y) + reinforcement
+    c_y, c_f, c_old, c_fold, c_yd = _local_coefficients(
+        network, ("dsr", alpha, beta, dt, delay_multiple))
+    local = (c_y * y + c_f * measured_force(network, y) + c_old * y_old
+             + c_fold * measured_force(network, y_old) + c_yd * y_d)
     return stacked, local
 
 
-def _crosscheck(stacked: np.ndarray, local: np.ndarray) -> None:
-    # each row (one run) is bounded by its own scale; NaN fails the test
-    bound = _CROSSCHECK_ATOL * np.maximum(
-        1.0, np.abs(stacked).max(axis=-1, keepdims=True))
+def _crosscheck(stacked: np.ndarray, local: np.ndarray) -> float:
+    """Each row (one run) of ``local`` must be within 1e-12 * max(1, largest
+    |stacked| of the row) of ``stacked``, NaN failing; returns the largest |stacked|."""
+    if stacked.ndim == 1:
+        scale = np.maximum.reduce(np.abs(stacked))
+        if np.maximum.reduce(np.abs(stacked - local)) <= _CROSSCHECK_ATOL * max(1.0, scale):
+            return scale
+    # row by row; also names the worst entry of a failed 1-D state
+    row_scale = np.abs(stacked).max(axis=-1, keepdims=True)
+    bound = _CROSSCHECK_ATOL * np.maximum(1.0, row_scale)
     residual = np.abs(stacked - local)
     if not (residual <= bound).all():
         worst = np.flatnonzero(~(residual <= bound))[0]
         raise CrosscheckError(
             f"per-robot and stacked updates disagree by {residual.flat[worst]:.3g} "
             f"(bound {np.broadcast_to(bound, residual.shape).flat[worst]:.3g})")
+    return row_scale.max()
 
 
 def step_baseline(state: NetworkState, laplacian: PinnedLaplacian,
                   network: CouplingNetwork, config: ControllerConfig,
                   y_d) -> np.ndarray:
-    """One baseline update; returns the next positions, (n,) or (batch, n)."""
+    """One baseline update; returns the next positions, (n,) or (batch, n).
+    Any beyond DIVERGENCE_LIMIT_CM raises DivergenceError."""
     stacked, local = baseline_update_forms(state.positions, laplacian, network,
                                            config.gamma, y_d)
-    _crosscheck(stacked, local)
+    if not _crosscheck(stacked, local) <= DIVERGENCE_LIMIT_CM:
+        raise DivergenceError(step=state.step + 1)
     return stacked
 
 
 def step_dsr(state: NetworkState, laplacian: PinnedLaplacian,
              network: CouplingNetwork, config: ControllerConfig,
              y_d) -> np.ndarray:
-    """One cohesive update; returns the next positions, (n,) or (batch, n)."""
+    """One cohesive update; returns and raises as ``step_baseline``."""
     stacked, local = dsr_update_forms(state.positions, state.delayed_positions,
                                       laplacian, network, config.alpha,
                                       config.beta, config.dt,
                                       config.delay_multiple, y_d)
-    _crosscheck(stacked, local)
+    if not _crosscheck(stacked, local) <= DIVERGENCE_LIMIT_CM:
+        raise DivergenceError(step=state.step + 1)
     return stacked
 
 
@@ -256,8 +283,7 @@ def num_steps(duration: float, dt: float) -> int:
 def _run(network: CouplingNetwork, config: ControllerConfig, references: np.ndarray):
     """The one stepping core: from rest, yield the cross-checked positions
     of samples 1..steps. References (steps + 1,) step a state (n,);
-    (steps + 1, batch) step ``batch`` runs at once as a state (batch, n).
-    Positions beyond DIVERGENCE_LIMIT_CM (or NaN) raise DivergenceError."""
+    (steps + 1, batch) step ``batch`` runs at once as a state (batch, n)."""
     laplacian = build_pinned_laplacian(network)
     _warn_if_unstable(laplacian, config)
     stepper = step_baseline if config.kind == "baseline" else step_dsr
@@ -267,8 +293,6 @@ def _run(network: CouplingNetwork, config: ControllerConfig, references: np.ndar
                                  config.delay_multiple)
     for m in range(len(references) - 1):
         nxt = stepper(state, laplacian, network, config, y_ds[m])
-        if not np.abs(nxt).max() <= DIVERGENCE_LIMIT_CM:
-            raise DivergenceError(step=m + 1)
         state = state.advanced(nxt)
         yield nxt
 
@@ -279,8 +303,8 @@ def simulate(scenario: "ScenarioConfig") -> SimulationTrace:
     The trace covers samples m = 0 .. ceil(duration/dt) and is a pure
     function of the scenario: identical inputs give bitwise identical
     traces. Unstable gains only raise UnstableControllerWarning;
-    positions beyond DIVERGENCE_LIMIT_CM (or non-finite) abort with
-    DivergenceError.
+    positions beyond DIVERGENCE_LIMIT_CM abort with DivergenceError
+    (non-finite ones fail the crosscheck first).
     """
     laplacian = build_pinned_laplacian(scenario.network)
     dt = scenario.controller.dt

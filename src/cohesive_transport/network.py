@@ -37,10 +37,10 @@ class CouplingNetwork:
     ``couplings`` maps unordered robot pairs (stored with i < j) to a
     positive stiffness; it is a read-only view. ``leader_stiffness[k]``
     is the virtual-source spring of robot k (zero for non-leaders, one
-    entry per robot). The network is frozen, so its spring list and
-    pinned Laplacian are built once per object and can never go stale;
-    every caller of one network object shares a single assembly and
-    eigendecomposition.
+    entry per robot). The network is frozen, so its spring list, pinned
+    Laplacian and per-robot law coefficients (by gains, set by dynamics)
+    are built once per object and can never go stale; every caller of one
+    network object shares a single assembly and eigendecomposition.
     """
 
     n: int
@@ -90,6 +90,10 @@ class CouplingNetwork:
     @cached_property
     def _laplacian(self) -> PinnedLaplacian:
         return _assemble(self.n, self.couplings, self.leader_stiffness)
+
+    @cached_property
+    def _law_coefficients(self) -> dict[tuple, tuple[np.ndarray, ...]]:
+        return {}
 
 
 def StiffnessChain(neighbor_stiffness: Sequence[float],
@@ -211,15 +215,15 @@ def measured_force(network: CouplingNetwork,
     """
     y = np.asarray(positions, dtype=float)
     robots, neighbours, stiffness = network._springs
-    if y.ndim == 2:
-        pulls = stiffness * (y[:, robots] - y[:, neighbours])
-        bins = robots + network.n * np.arange(len(y))[:, None]
-        return np.bincount(bins.ravel(), weights=pulls.ravel(),
-                           minlength=y.size).reshape(y.shape)
-    pulls = stiffness * (y[robots] - y[neighbours])
-    if robot is None:
-        return np.bincount(robots, weights=pulls, minlength=network.n)
-    return float(np.sum(pulls[robots == robot]))
+    if y.ndim == 1:
+        pulls = stiffness * (y[robots] - y[neighbours])
+        if robot is None:
+            return np.bincount(robots, weights=pulls, minlength=network.n)
+        return float(np.sum(pulls[robots == robot]))
+    pulls = stiffness * (y[:, robots] - y[:, neighbours])
+    bins = robots + network.n * np.arange(len(y))[:, None]
+    return np.bincount(bins.ravel(), weights=pulls.ravel(),
+                       minlength=y.size).reshape(y.shape)
 
 
 def neighbor_forces(laplacian: PinnedLaplacian, positions: np.ndarray) -> np.ndarray:

@@ -1,15 +1,15 @@
 """Scenario configs: one file fully describes one run.
 
-Flat INI-style files with four sections. Robot numbering in files is
-1-based because that is how the lab talks about them; everything
-in-memory is 0-based. Both network forms are read; ``write_config``
-writes every network in the ``couplings`` form.
+Flat INI-style files with four sections. Robots are numbered from 1 in
+files and in config errors, as the lab numbers them, and from 0 in memory.
+A network gives ``couplings`` or ``neighbor_stiffness``, one or the other;
+``write_config`` writes every network in the ``couplings`` form.
 
     [network]
     robots = 4
     couplings = 1-2: 0.05, 2-3: 0.05, 3-4: 0.05   # springs, N/cm
     leader_stiffness = 0.05, 0, 0, 0              # virtual source, N/cm
-    # a chain may instead list its springs in order:
+    # or, for a chain, its springs in order instead of couplings:
     # neighbor_stiffness = 0.05, 0.05, 0.05
 
     [controller]
@@ -37,7 +37,7 @@ from pathlib import Path
 
 from .dynamics import ControllerConfig
 from .errors import ConfigError, UnpinnedNetworkError
-from .network import CouplingNetwork, StiffnessChain, build_pinned_laplacian
+from .network import CouplingNetwork, build_pinned_laplacian
 from .trajectory import TrajectorySpec
 
 
@@ -57,17 +57,19 @@ def _parse_floats(raw: str) -> list[float]:
     return [float(part) for part in raw.split(",") if part.strip()]
 
 
-def _parse_couplings(raw: str) -> dict[tuple[int, int], float]:
-    couplings = {}
+def _parse_couplings(raw: str, robots: int) -> dict[tuple[int, int], float]:
+    couplings = {}   # keyed by the file's 1-based pairs
     for item in raw.split(","):
         item = item.strip()
         if not item:
             continue
         pair, _, value = item.partition(":")
         i_str, _, j_str = pair.partition("-")
-        i, j = int(i_str) - 1, int(j_str) - 1  # file is 1-based
+        i, j = int(i_str), int(j_str)
+        if i == j or not (1 <= i <= robots and 1 <= j <= robots):
+            raise ValueError(f"invalid coupling pair {i}-{j} for {robots} robots")
         if (i, j) in couplings or (j, i) in couplings:
-            raise ValueError(f"duplicate coupling pair {i + 1}-{j + 1}")
+            raise ValueError(f"duplicate coupling pair {i}-{j}")
         couplings[(i, j)] = float(value)
     return couplings
 
@@ -125,16 +127,24 @@ def load_config(path) -> ScenarioConfig:
     if net.present and robots is not None and leaders is not None:
         try:
             if "couplings" in net.raw:
-                network = CouplingNetwork(robots, _parse_couplings(net.raw["couplings"]),
-                                          leaders)
-            else:
-                neighbor = net.get("neighbor_stiffness", _parse_floats)
-                if neighbor is not None:
-                    network = StiffnessChain(neighbor, leaders)
-                    if network.n != robots:
-                        problems.append(
-                            f"network.robots: {robots} does not match the "
-                            f"{network.n} robots implied by the stiffness lists")
+                if "neighbor_stiffness" in net.raw:
+                    raise ValueError("give couplings or neighbor_stiffness, not both")
+                pairs = _parse_couplings(net.raw["couplings"], robots)
+            else:   # a chain: robot i couples to robot i + 1
+                chain = net.get("neighbor_stiffness", _parse_floats)
+                pairs = None if chain is None else {
+                    (i, i + 1): k for i, k in enumerate(chain, 1)}
+                if chain is not None and len(chain) + 1 != robots:
+                    problems.append(f"network.robots: {robots} does not match the "
+                                    f"{len(chain) + 1} robots of neighbor_stiffness")
+                    pairs = None
+            if pairs is not None:
+                bad = [f"{i}-{j}" for (i, j), k in pairs.items() if not 0 < k < math.inf]
+                if bad:
+                    raise ValueError(f"coupling stiffness for {bad[0]} "
+                                     "must be positive and finite")
+                network = CouplingNetwork(
+                    robots, {(i - 1, j - 1): k for (i, j), k in pairs.items()}, leaders)
         except ValueError as exc:
             problems.append(f"network: {exc}")
 

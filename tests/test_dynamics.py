@@ -151,6 +151,67 @@ def test_crosscheck_bounds_each_row_by_its_own_scale():
         _crosscheck(stacked, np.where(stacked == 2.0, np.nan, stacked))
 
 
+@pytest.mark.parametrize("row_scale", [250.0, 0.5])
+@pytest.mark.parametrize("offset, fails", [(0.99, False), (1.01, True), (np.nan, True)])
+def test_crosscheck_decides_a_state_as_the_same_row_in_a_batch(row_scale, offset, fails):
+    stacked = np.array([3e-3, -row_scale, 0.25, 0.0])
+    local = stacked.copy()
+    local[2] += offset * 1e-12 * max(1.0, row_scale)   # just inside / outside the bound
+    outcomes = []
+    for args in ((stacked, local), (stacked[None], local[None])):
+        try:
+            outcomes.append(("passed", float(_crosscheck(*args))))
+        except CrosscheckError as exc:
+            outcomes.append(("raised", str(exc)))
+    verdict, detail = outcomes[0]
+    assert outcomes[1] == (verdict, detail)
+    assert verdict == ("raised" if fails else "passed")
+    assert fails or detail == row_scale
+
+
+def _update_forms(state, lap, network, config, y_d):
+    if config.kind == "baseline":
+        return baseline_update_forms(state.positions, lap, network, config.gamma, y_d)
+    return dsr_update_forms(state.positions, state.delayed_positions, lap, network,
+                            config.alpha, config.beta, config.dt,
+                            config.delay_multiple, y_d)
+
+
+def test_controllers_sharing_a_network_each_get_their_own_coefficients(rng):
+    def build():
+        return StiffnessChain((0.05, 0.07, 0.04), (0.05, 0.0, 0.02, 0.0))
+    shared = build()
+    lap = build_pinned_laplacian(shared)
+    configs = (ControllerConfig.baseline(1.93, DT), ControllerConfig.baseline(0.8, DT),
+               ControllerConfig.dsr(0.39, 10.92, DT), ControllerConfig.dsr(0.2, 5.0, DT, 2))
+    for _ in range(3):
+        for config in configs:   # interleaved: all four entries share one cache
+            state = NetworkState(rng.normal(0.0, 10.0, 4), (rng.normal(0.0, 10.0, 4),) * 2)
+            y_d = float(rng.normal(0.0, 10.0))
+            step = step_baseline if config.kind == "baseline" else step_dsr
+            fresh = build()
+            fresh_lap = build_pinned_laplacian(fresh)
+            assert np.array_equal(step(state, lap, shared, config, y_d),
+                                  step(state, fresh_lap, fresh, config, y_d))
+            assert np.array_equal(_update_forms(state, lap, shared, config, y_d),
+                                  _update_forms(state, fresh_lap, fresh, config, y_d))
+    assert len(shared._law_coefficients) == len(configs)
+
+
+@pytest.mark.parametrize("step, config", [
+    (step_baseline, ControllerConfig.baseline(1.93, DT)),
+    (step_dsr, ControllerConfig.dsr(0.39, 10.92, DT)),
+])
+def test_direct_step_past_the_divergence_limit_raises(chain4, lap4, step, config):
+    # the leader is pulled toward 1.5e9, the others follow their own motion
+    below = NetworkState(np.full(4, 0.5e9), (np.full(4, 0.45e9),), step=41)
+    assert np.abs(step(below, lap4, chain4, config, 0.6e9)).max() < 1e9
+    past = NetworkState(np.full(4, 0.99e9), (np.full(4, 0.9e9),), step=41)
+    with pytest.raises(DivergenceError) as exc:
+        step(past, lap4, chain4, config, 1.5e9)
+    assert exc.value.step == 42
+
+
 def test_batched_steps_match_single_runs_row_by_row(chain4, lap4, rng):
     rows = rng.normal(0.0, 10.0, (6, 4))
     delayed = rng.normal(0.0, 10.0, (6, 4))

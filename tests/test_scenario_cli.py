@@ -370,6 +370,40 @@ def test_cli_repeated_coupling_pair_is_a_config_error(tmp_path, capsys, repeat):
     assert f"network: duplicate coupling pair {repeat}" in capsys.readouterr().err
 
 
+_CHAIN4_NETWORK = ("robots = 4\nneighbor_stiffness = 0.05, 0.05, 0.05\n"
+                   "leader_stiffness = 0.05, 0, 0, 0")
+
+
+@pytest.mark.parametrize("network, message", [
+    ("robots = 4\nneighbor_stiffness = 0, 0.05, 0.05\nleader_stiffness = 0.05, 0, 0, 0",
+     "network: coupling stiffness for 1-2 must be positive and finite"),
+    ("robots = 3\ncouplings = 1-4: 0.1\nleader_stiffness = 0.05, 0, 0",
+     "network: invalid coupling pair 1-4 for 3 robots"),
+    (_CHAIN4_NETWORK + "\ncouplings = 1-2: 0.05, 2-3: 0.05, 3-4: 0.05",
+     "network: give couplings or neighbor_stiffness, not both"),
+], ids=["zero-chain-spring", "pair-out-of-range", "both-forms"])
+def test_cli_network_errors_name_pairs_as_the_file_does(tmp_path, capsys, network, message):
+    text = (CONFIG_DIR / "chain4_dsr.cfg").read_text()
+    assert _CHAIN4_NETWORK in text
+    config = tmp_path / "net.cfg"
+    config.write_text(text.replace(_CHAIN4_NETWORK, network))
+    assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "r")]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize("out", ["afile/x", "afile"], ids=["file-in-path", "existing-file"])
+def test_cli_out_that_cannot_be_a_directory_is_a_config_error(tmp_path, capsys, out):
+    (tmp_path / "afile").write_text("kept\n")
+    assert main(["simulate", "--config", str(CONFIG_DIR / "chain4_dsr.cfg"),
+                 "--out", str(tmp_path / out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: --out: cannot create directory")
+    assert err.count("\n") == 1
+    assert [p.name for p in tmp_path.iterdir()] == ["afile"]
+    assert (tmp_path / "afile").read_text() == "kept\n"
+
+
 def _chain_config(path, neighbor, leaders):
     write_config(ScenarioConfig(
         network=StiffnessChain(neighbor, leaders),
