@@ -18,9 +18,10 @@ N samples. Every robot can evaluate its own row of this update from local
 measurements only: the row needs y_k, f_k, their N-step-old values, and
 y_d if the robot is a leader. Both laws are implemented twice, per-robot
 from local quantities and stacked via K, and cross-checked on every step
-of every run; that check certifies the laws as decentralized. The step
-functions raise CrosscheckError on a disagreement, also under
-``python -O``, and DivergenceError past DIVERGENCE_LIMIT_CM.
+of every run (``_run``, which hands samples out in blocks that the sweep
+and the tuner reduce as they come); that check certifies the laws as
+decentralized. The step functions raise CrosscheckError on a disagreement,
+also under ``python -O``, and DivergenceError past DIVERGENCE_LIMIT_CM.
 
 Positions are cm, forces N, time s.
 """
@@ -46,6 +47,7 @@ if TYPE_CHECKING:
 DIVERGENCE_LIMIT_CM = 1e9
 
 _CROSSCHECK_ATOL = 1e-12
+_BLOCK_VALUES = 4096   # positions per block of _run's samples
 
 
 class UnstableControllerWarning(RuntimeWarning):
@@ -129,23 +131,20 @@ class NetworkState:
 class SimulationTrace:
     """Sampled history of one run; row m is time m*dt.
 
-    ``forces`` are the object forces f_k, ``augmented_forces`` add the
-    leaders' virtual-source force, ``speeds`` are the commanded speeds
-    (y_k[m+1] - y_k[m])/dt with zeros in the final row. Arrays are
-    read-only.
+    ``forces`` are the object forces f_k, ``speeds`` are the commanded
+    speeds (y_k[m+1] - y_k[m])/dt with zeros in the final row. Arrays
+    are read-only.
     """
 
     dt: float
     times: np.ndarray
     positions: np.ndarray
     forces: np.ndarray
-    augmented_forces: np.ndarray
     reference: np.ndarray
     speeds: np.ndarray
 
     def __post_init__(self):
-        for field in ("times", "positions", "forces", "augmented_forces",
-                      "reference", "speeds"):
+        for field in ("times", "positions", "forces", "reference", "speeds"):
             getattr(self, field).flags.writeable = False
 
     @property
@@ -276,14 +275,22 @@ def _warn_if_unstable(laplacian: PinnedLaplacian, config: ControllerConfig) -> N
 
 def num_steps(duration: float, dt: float) -> int:
     """Samples after t=0 covering ``duration``: ceil with a guard against
-    float noise in duration/dt ratios like 60/0.03."""
-    return math.ceil(duration / dt - 1e-9)
+    float noise in duration/dt ratios like 60/0.03. MemoryError if they
+    are more than one float64 array can index."""
+    samples = duration / dt - 1e-9
+    if not samples < np.iinfo(np.intp).max // 8:
+        raise MemoryError(f"{duration:g} s at dt = {dt:g} s is {samples:.3g} samples, "
+                          "more than one array can index")
+    return math.ceil(samples)
 
 
-def _run(network: CouplingNetwork, config: ControllerConfig, references: np.ndarray):
-    """The one stepping core: from rest, yield the cross-checked positions
-    of samples 1..steps. References (steps + 1,) step a state (n,);
-    (steps + 1, batch) step ``batch`` runs at once as a state (batch, n)."""
+def _run(network: CouplingNetwork, config: ControllerConfig, references: np.ndarray,
+         ends=()):
+    """The one stepping core: from rest, step samples 1..steps, each cross-checked.
+    References (steps + 1,) step a state (n,); (steps + 1, batch) step ``batch``
+    runs at once as a state (batch, n). Yields (m, block): samples m.. in block[1:],
+    sample m - 1 in block[0]. A block holds about _BLOCK_VALUES positions, at least
+    one sample, ends at each sample in ``ends``, and is overwritten by the next."""
     laplacian = build_pinned_laplacian(network)
     _warn_if_unstable(laplacian, config)
     stepper = step_baseline if config.kind == "baseline" else step_dsr
@@ -291,10 +298,18 @@ def _run(network: CouplingNetwork, config: ControllerConfig, references: np.ndar
     y_ds = memoryview(references) if references.ndim == 1 else references[:, :, None]
     state = NetworkState.at_rest(np.zeros(references.shape[1:] + (laplacian.n,)),
                                  config.delay_multiple)
-    for m in range(len(references) - 1):
-        nxt = stepper(state, laplacian, network, config, y_ds[m])
+    steps = len(references) - 1
+    rows = max(1, _BLOCK_VALUES // state.positions.size)
+    block = np.zeros((rows + 1,) + state.positions.shape)
+    first = 1
+    for m in range(1, steps + 1):
+        nxt = stepper(state, laplacian, network, config, y_ds[m - 1])
         state = state.advanced(nxt)
-        yield nxt
+        block[m - first + 1] = nxt
+        if m - first + 1 == rows or m == steps or m in ends:
+            yield first, block[:m - first + 2]
+            block[0] = nxt
+            first = m + 1
 
 
 def simulate(scenario: "ScenarioConfig") -> SimulationTrace:
@@ -313,14 +328,12 @@ def simulate(scenario: "ScenarioConfig") -> SimulationTrace:
 
     positions = np.empty((steps + 1, laplacian.n))
     positions[0] = 0.0
-    for m, nxt in enumerate(_run(scenario.network, scenario.controller, reference), 1):
-        positions[m] = nxt
+    for m, block in _run(scenario.network, scenario.controller, reference):
+        positions[m:m + len(block) - 1] = block[1:]
 
     forces = neighbor_forces(laplacian, positions)
-    augmented = forces + laplacian.leader_vector * (positions - reference[:, None])
     speeds = np.zeros_like(positions)
     speeds[:-1] = np.diff(positions, axis=0) / dt
     times = np.arange(steps + 1) * dt
-    return SimulationTrace(dt=dt, times=times, positions=positions,
-                           forces=forces, augmented_forces=augmented,
+    return SimulationTrace(dt=dt, times=times, positions=positions, forces=forces,
                            reference=reference, speeds=speeds)

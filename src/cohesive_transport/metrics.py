@@ -19,13 +19,12 @@ SETTLING_BAND = 0.02
 
 @dataclass(frozen=True)
 class RunSummary:
-    """Headline metrics of one run; deformation_series keeps D[m]."""
+    """Headline metrics of one run."""
 
     max_deformation: float
     max_force: float
     max_speed: float
     settling_time: float
-    deformation_series: np.ndarray
 
     def as_dict(self) -> dict:
         return {
@@ -88,12 +87,10 @@ def summarize(trace: SimulationTrace, final_value: float | None = None,
         settling = measured_settling_time(trace, final_value, band)
     else:
         settling = math.nan
-    series = deformation_series(trace)
-    return RunSummary(max_deformation=float(np.max(series)),
+    return RunSummary(max_deformation=max_deformation(trace),
                       max_force=max_force(trace),
                       max_speed=max_speed(trace),
-                      settling_time=settling,
-                      deformation_series=series)
+                      settling_time=settling)
 
 
 @dataclass(frozen=True)

@@ -94,7 +94,8 @@ def cutoff_sweep(scenario: "ScenarioConfig",
     Each run keeps everything but the trajectory cutoff fixed and
     reports the peak object deformation and peak commanded speed, the
     two quantities that decide how fast a transport can be driven.
-    Rows come back ordered by cutoff; all cutoffs step as one batch.
+    Rows come back ordered by cutoff; all cutoffs step as one batch,
+    whose peaks are reduced block by block as it streams.
     """
     from .dynamics import _run, num_steps
 
@@ -108,11 +109,10 @@ def cutoff_sweep(scenario: "ScenarioConfig",
     references = _tustin(steps, np.array(cutoffs) * dt)
 
     spread = move = np.zeros(len(cutoffs))
-    previous = 0.0
-    for y in _run(scenario.network, scenario.controller, references):
-        spread = np.maximum(spread, y.max(axis=1) - y.min(axis=1))
-        move = np.maximum(move, np.abs(y - previous).max(axis=1))
-        previous = y
+    # blocks are (samples, cutoffs, robots); block[0] is the sample before
+    for _, block in _run(scenario.network, scenario.controller, references):
+        spread = np.maximum(spread, np.ptp(block, axis=2).max(axis=0))
+        move = np.maximum(move, np.abs(np.diff(block, axis=0)).max(axis=(0, 2)))
     # dividing by dt > 0 is monotone, so it commutes with the maximum
     return [SweepRow(omega_c=wc, max_deformation=float(d), max_speed=float(v / dt))
             for wc, d, v in zip(cutoffs, spread, move)]

@@ -38,55 +38,47 @@ alpha_{lam_max}(r) is the smallest gain that can reach the target, and
 one spectral radius there decides whether it does. The result is also
 checked against the closed-form stability condition and a unit-step
 simulation for the commanded-speed constraint.
+
+The unit step is stepped once, up to 16 T, keeping only its last sample
+outside the band and its largest move per sample. It is judged at the first
+horizon 2*T*2**k (k = 0..3) that ends inside the band.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
-from . import metrics
-from .dynamics import ControllerConfig, simulate
+from .dynamics import ControllerConfig, _run, num_steps
+# not called here: perfbench's test_tracer_restores_every_rebound_name reads this copy
+from .dynamics import simulate  # noqa: F401
 from .errors import TuningInfeasibleError, UnstableGainError
 from .metrics import SETTLING_BAND
 from .network import CouplingNetwork, PinnedLaplacian, build_pinned_laplacian
-from .scenario import ScenarioConfig
 from .stability import (StabilityReport, baseline_gamma_bound,
                         baseline_spectral_radius, closed_form_stable,
                         spectral_radius)
-from .trajectory import TrajectorySpec
 
 # rounding allowed between the target decay and the root that meets it
 _ROOT_RTOL = 8 * 2.0 ** -52
+SPEED_LIMIT = 5.0          # cm/s, the baseline's commanded-speed cap
 
 
 @dataclass(frozen=True)
 class TuningSpec:
-    """Tuning problem: hit ``target_settling`` without commanding more
-    than ``speed_limit``, judged on ``reference`` (default: unit step).
-
-    ``gamma_points`` sets the rows of the baseline gain table.
-    """
+    """Tuning problem: settle a unit step to SETTLING_BAND within
+    ``target_settling`` (s), sampled every ``dt`` (s)."""
 
     target_settling: float
     dt: float
-    speed_limit: float = 5.0
-    band: float = SETTLING_BAND
-    reference: TrajectorySpec = field(
-        default_factory=lambda: TrajectorySpec(kind="step", amplitude=1.0))
-    gamma_points: int = 1024
 
     def __post_init__(self):
         if not 0 < self.target_settling < math.inf:
             raise ValueError("target settling time must be positive and finite")
         if not 0 < self.dt < math.inf:
             raise ValueError("dt must be positive and finite")
-        if not self.speed_limit > 0:
-            raise ValueError("speed limit must be positive")
-        if not 0 < self.band < 1:
-            raise ValueError("band must be a fraction in (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -101,7 +93,7 @@ class TuningResult:
     feasible: bool
 
 
-def _decay_to_settling(decay: float, dt: float, band: float) -> float:
+def _decay_to_settling(decay: float, dt: float, band: float = SETTLING_BAND) -> float:
     if decay >= 1.0:
         return math.inf
     if decay <= 0.0:
@@ -130,18 +122,23 @@ def dsr_settling_estimate(laplacian: PinnedLaplacian, alpha: float,
 def _measure_step_response(network: CouplingNetwork,
                            controller: ControllerConfig,
                            spec: TuningSpec) -> tuple[float, float]:
-    """Simulate the tuning reference and return (settling, max speed)."""
-    duration = 2.0 * max(spec.target_settling, spec.dt)
-    for _ in range(4):
-        scenario = ScenarioConfig(network=network, controller=controller,
-                                  trajectory=spec.reference, duration=duration)
-        trace = simulate(scenario)
-        settled = metrics.measured_settling_time(trace, spec.reference.amplitude,
-                                                 spec.band)
-        if math.isfinite(settled):
-            return settled, metrics.max_speed(trace)
-        duration *= 2.0
-    return math.inf, metrics.max_speed(trace)
+    """(settling, max speed) of the unit step up to the first horizon that ends
+    inside the band, else (inf, max speed) up to the last. Dividing by dt > 0 is
+    monotone, so max speed is the largest move divided by dt."""
+    horizons = [num_steps(2.0 * max(spec.target_settling, spec.dt) * 2.0 ** k, spec.dt)
+                for k in range(4)]
+    reference = np.ones(horizons[-1] + 1)   # the unit step, switched on at sample 1
+    reference[0] = 0.0
+    last, move = 0, 0.0   # sample 0, at rest, is a unit away from the step
+    for m, block in _run(network, controller, reference, ends=horizons):
+        outside = np.flatnonzero((np.abs(block[1:] - 1.0) > SETTLING_BAND).any(axis=1))
+        if outside.size:
+            last = m + int(outside[-1])
+        move = max(move, float(np.abs(np.diff(block, axis=0)).max()))
+        end = m + len(block) - 2
+        if end in horizons and last < end:
+            return last * spec.dt, move / spec.dt
+    return math.inf, move / spec.dt
 
 
 def tune_gamma(network: CouplingNetwork,
@@ -153,10 +150,10 @@ def tune_gamma(network: CouplingNetwork,
     """
     laplacian = build_pinned_laplacian(network)
     gamma_star = 2.0 / (laplacian.lambda_min + laplacian.lambda_max)
-    gamma = -math.expm1(spec.dt * math.log(spec.band)
+    gamma = -math.expm1(spec.dt * math.log(SETTLING_BAND)
                         / spec.target_settling) / laplacian.lambda_min
     if gamma > gamma_star:
-        fastest = settling_time_estimate(laplacian, gamma_star, spec.dt, spec.band)
+        fastest = settling_time_estimate(laplacian, gamma_star, spec.dt)
         raise TuningInfeasibleError(
             f"target {spec.target_settling:.9g} s is outside the achievable "
             f"settling range [{fastest:.9g}, inf) s for gains in "
@@ -165,12 +162,11 @@ def tune_gamma(network: CouplingNetwork,
     measured, vmax = _measure_step_response(network, controller, spec)
     return TuningResult(
         controller=controller,
-        predicted_settling=settling_time_estimate(laplacian, gamma, spec.dt,
-                                                  spec.band),
+        predicted_settling=settling_time_estimate(laplacian, gamma, spec.dt),
         measured_settling=measured,
         max_speed=vmax,
         spectral_radius=baseline_spectral_radius(laplacian, gamma),
-        feasible=vmax <= spec.speed_limit,
+        feasible=vmax <= SPEED_LIMIT,
     )
 
 
@@ -182,7 +178,7 @@ def _balance_mode_envelopes(laplacian: PinnedLaplacian, spec: TuningSpec) -> flo
     stability bound for a first-order guess of the rate gain, keeping
     it usable downstream.
     """
-    alpha_guess = math.log(1.0 / spec.band) / spec.target_settling
+    alpha_guess = math.log(1.0 / SETTLING_BAND) / spec.target_settling
     cap = 4.0 / (laplacian.lambda_max * (alpha_guess * spec.dt + 2.0))
     return min(2.0 / (laplacian.lambda_min + laplacian.lambda_max),
                cap * (1.0 - 1e-9))
@@ -193,13 +189,16 @@ def _dsr_gains(laplacian: PinnedLaplacian,
     """(alpha, beta) matching the settling estimate, with the stability
     report that verified them."""
     beta = _balance_mode_envelopes(laplacian, spec)
-    log_decay = spec.dt * math.log(spec.band) / spec.target_settling
+    log_decay = spec.dt * math.log(SETTLING_BAND) / spec.target_settling
     decay, shortfall = math.exp(log_decay), -math.expm1(log_decay)  # r, 1 - r
+    if decay == 0.0:
+        raise TuningInfeasibleError(f"target {spec.target_settling:.6g} s is shorter "
+                                    "than a sample can settle: its decay underflows")
     alpha = (shortfall / (spec.dt * decay)
              * (1.0 - shortfall / (beta * laplacian.lambda_max)))
     report = spectral_radius(laplacian, alpha, beta, spec.dt)
     if not report.spectral_radius <= decay * (1.0 + _ROOT_RTOL):
-        reached = _decay_to_settling(report.spectral_radius, spec.dt, spec.band)
+        reached = _decay_to_settling(report.spectral_radius, spec.dt)
         raise TuningInfeasibleError(
             f"no feasible rate gain: target {spec.target_settling:.6g} s not "
             f"reachable with beta = {beta:.6g}; at alpha = {alpha:.6g}, where "
@@ -234,8 +233,7 @@ def tune_dsr(network: CouplingNetwork, spec: TuningSpec,
             f"the baseline's {v_nodsr:.6g} cm/s")
     return TuningResult(
         controller=controller,
-        predicted_settling=_decay_to_settling(report.spectral_radius, spec.dt,
-                                              spec.band),
+        predicted_settling=_decay_to_settling(report.spectral_radius, spec.dt),
         measured_settling=measured,
         max_speed=vmax,
         spectral_radius=report.spectral_radius,
@@ -251,11 +249,11 @@ def ts_vs_gamma_table(laplacian: PinnedLaplacian,
     # rounding gamma*lam_max moves the settling estimate in its 5th digit.
     # On fractions the binding mode's multiplier is exactly 1 - 2s, so
     # the table does not depend on the last ulps of the spectrum.
-    fractions = np.linspace(1.0 / spec.gamma_points, 1.0 - 1e-12, spec.gamma_points)
+    fractions = np.linspace(1.0 / 1024, 1.0 - 1e-12, 1024)   # 1,024 rows
     ratios = laplacian.eigenvalues / laplacian.lambda_max
     decay = np.max(np.abs(1.0 - 2.0 * fractions[:, None] * ratios), axis=1)
     gammas = baseline_gamma_bound(laplacian) * fractions
-    return [(float(g), _decay_to_settling(float(r), spec.dt, spec.band))
+    return [(float(g), _decay_to_settling(float(r), spec.dt))
             for g, r in zip(gammas, decay)]
 
 

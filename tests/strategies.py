@@ -56,3 +56,66 @@ def coupling_networks(draw, min_robots=1, max_robots=8):
         if leaders[k] == 0.0 and draw(st.booleans()):
             leaders[k] = draw(stiffness_values)
     return CouplingNetwork(n=n, couplings=couplings, leader_stiffness=tuple(leaders))
+
+
+# values a config or argv may carry in place of a valid number
+broken_numbers = st.sampled_from(["nan", "inf", "-1", "0", "1e300", "1e-300", "1e15"])
+
+
+@st.composite
+def cli_cases(draw):
+    """(scenario file text, argv without --config and --out).
+
+    The scenario is valid apart from at most one key, which is broken
+    (not a number, NaN, negative, extreme) or missing. Valid runs take at
+    most 2,000 samples, and so does each of tune's horizons; a broken dt
+    or duration may ask for far more, which must fail before any step.
+    """
+    network = draw(coupling_networks(max_robots=5))
+    dt = draw(st.sampled_from([0.03, 0.1, 0.5]))
+
+    def number(strategy):
+        return repr(draw(strategy))
+
+    values = {
+        ("network", "robots"): str(network.n),
+        ("network", "couplings"): ", ".join(
+            f"{i + 1}-{j + 1}: {k!r}" for (i, j), k in network.couplings.items()),
+        ("network", "leader_stiffness"): ", ".join(map(repr, network.leader_stiffness)),
+        ("controller", "kind"): draw(st.sampled_from(["baseline", "dsr"])),
+        ("controller", "gamma"): number(st.floats(0.01, 50.0)),
+        ("controller", "alpha"): number(st.floats(0.01, 5.0)),
+        ("controller", "beta"): number(st.floats(0.1, 50.0)),
+        ("controller", "delay_multiple"): number(st.integers(1, 3)),
+        ("controller", "dt"): repr(dt),
+        ("trajectory", "kind"): draw(st.sampled_from(["step", "filtered_step"])),
+        ("trajectory", "amplitude"): number(st.floats(-100.0, 100.0)),
+        ("trajectory", "cutoff"): number(st.floats(0.05, 2.0)),
+        ("trajectory", "start_index"): number(st.integers(0, 5)),
+        ("run", "duration"): repr(draw(st.integers(1, 2000)) * dt),
+    }
+    broken = draw(st.one_of(st.none(), st.sampled_from(sorted(values))))
+    if broken is not None:
+        replacement = draw(st.one_of(st.none(), broken_numbers, st.just("x")))
+        if replacement is None:
+            del values[broken]
+        else:
+            values[broken] = replacement
+    sections = {}
+    for (section, key), text in values.items():
+        sections.setdefault(section, []).append(f"{key} = {text}")
+    config = "\n\n".join(f"[{name}]\n" + "\n".join(lines) for name, lines in sections.items())
+
+    def option(name, valid):
+        return [name, draw(st.one_of(valid, valid, valid, broken_numbers))]
+
+    command = draw(st.sampled_from(["simulate", "stability", "tune", "sweep", "reproduce"]))
+    extra = []
+    if command == "tune":
+        extra = option("--target-ts", st.floats(0.5, 120.0).map(lambda k: repr(k * dt)))
+    elif command == "sweep" and draw(st.booleans()):
+        cutoffs = st.lists(st.floats(0.01, 1.0).map(repr), min_size=1, max_size=3)
+        extra = option("--omega-c-list", cutoffs.map(",".join) | st.just("x"))
+    elif command == "reproduce" and draw(st.booleans()):
+        extra = option("--tolerance", st.floats(0.0, 0.2).map(repr))
+    return config + "\n", [command] + extra

@@ -12,8 +12,9 @@ from cohesive_transport import (ControllerConfig, CrosscheckError, DivergenceErr
                                 TrajectorySpec, UnstableControllerWarning,
                                 build_pinned_laplacian, measured_force,
                                 simulate, step_baseline, step_dsr)
-from cohesive_transport.dynamics import (_crosscheck, baseline_update_forms,
-                                         dsr_update_forms, num_steps)
+from cohesive_transport.dynamics import (_BLOCK_VALUES, _crosscheck, _run,
+                                         baseline_update_forms, dsr_update_forms,
+                                         num_steps)
 
 from conftest import DT, unit_step_scenario
 
@@ -226,6 +227,55 @@ def test_batched_steps_match_single_runs_row_by_row(chain4, lap4, rng):
             assert np.allclose(batched[k], single, rtol=1e-14, atol=1e-13)
 
 
+def _stepped_one_at_a_time(network, config, references):
+    """Samples 0..steps of ``references`` from rest, one public step call each."""
+    lap = build_pinned_laplacian(network)
+    step = step_baseline if config.kind == "baseline" else step_dsr
+    state = NetworkState.at_rest(np.zeros(references.shape[1:] + (network.n,)),
+                                 config.delay_multiple)
+    samples = [state.positions]
+    for y_d in references[:-1]:
+        y_d = float(y_d) if references.ndim == 1 else y_d[:, None]
+        state = state.advanced(step(state, lap, network, config, y_d))
+        samples.append(state.positions)
+    return np.array(samples)
+
+
+def _joined_blocks(network, config, references, ends=()):
+    """_run's blocks end to end, and their lengths; each block must start
+    on the sample before its first."""
+    samples, lengths = [np.zeros(references.shape[1:] + (network.n,))], []
+    for m, block in _run(network, config, references, ends):
+        assert m == len(samples)
+        assert np.array_equal(block[0], samples[-1])
+        samples.extend(block[1:].copy())
+        lengths.append(len(block) - 1)
+    return np.array(samples), lengths
+
+
+_CONFIGS = [ControllerConfig.baseline(1.93, DT), ControllerConfig.dsr(0.39, 10.92, DT, 2)]
+
+
+@pytest.mark.parametrize("config", _CONFIGS, ids=["baseline", "dsr"])
+def test_run_blocks_equal_single_sample_stepping(chain4, rng, config):
+    rows = _BLOCK_VALUES // 4               # samples per full block of 4 robots
+    references = rng.normal(0.0, 10.0, 2 * rows + 30)
+    joined, lengths = _joined_blocks(chain4, config, references, ends=(5, 6, rows + 7))
+    assert np.array_equal(joined, _stepped_one_at_a_time(chain4, config, references))
+    assert lengths == [5, 1, rows, 1, rows, 22]
+
+
+@pytest.mark.parametrize("config", _CONFIGS, ids=["baseline", "dsr"])
+@pytest.mark.parametrize("batch, steps", [(3, 600), (_BLOCK_VALUES // 4 + 1, 4)],
+                         ids=["narrow", "wider-than-a-block"])
+def test_batched_run_blocks_equal_single_sample_stepping(chain4, rng, config, batch, steps):
+    references = rng.normal(0.0, 10.0, (steps + 1, batch))
+    joined, lengths = _joined_blocks(chain4, config, references, ends=(2,))
+    assert np.array_equal(joined, _stepped_one_at_a_time(chain4, config, references))
+    rows = max(1, _BLOCK_VALUES // (4 * batch))
+    assert lengths == ([2, rows, steps - 2 - rows] if batch == 3 else [1] * steps)
+
+
 _OPTIMIZED_SCRIPT = """
 assert False, "asserts are still on"
 import numpy as np
@@ -359,7 +409,7 @@ def test_simulate_converges_to_constant_reference(chain4, lap4):
     assert np.max(np.abs(trace.positions[-1] - 3.0)) < 1e-6
 
 
-def test_trace_fields_consistent(chain4, lap4):
+def test_trace_fields_consistent(chain4):
     scenario = unit_step_scenario(chain4, ControllerConfig.baseline(1.93, DT),
                                   duration=2.0)
     trace = simulate(scenario)
@@ -368,10 +418,6 @@ def test_trace_fields_consistent(chain4, lap4):
     assert np.all(trace.speeds[-1] == 0.0)
     recomputed = np.diff(trace.positions, axis=0) / DT
     assert np.allclose(trace.speeds[:-1], recomputed, atol=1e-12)
-    # augmented forces add the leaders' virtual spring
-    virtual = trace.augmented_forces - trace.forces
-    expected = lap4.leader_vector * (trace.positions - trace.reference[:, None])
-    assert np.allclose(virtual, expected, atol=1e-14)
     # spot-check recorded forces against the per-robot sums
     for m in (0, 17, trace.num_samples - 1):
         for robot in range(4):

@@ -27,7 +27,6 @@ def make_trace(positions, reference=None, forces=None, dt=DT):
     speeds[:-1] = np.diff(positions, axis=0) / dt
     return SimulationTrace(dt=dt, times=np.arange(samples) * dt,
                            positions=positions, forces=np.asarray(forces, float),
-                           augmented_forces=np.asarray(forces, float).copy(),
                            reference=np.asarray(reference, float), speeds=speeds)
 
 
@@ -127,8 +126,6 @@ def test_summary_fields(baseline_step_trace):
     assert summary.max_force == max_force(baseline_step_trace)
     assert summary.max_speed == max_speed(baseline_step_trace)
     assert summary.settling_time == measured_settling_time(baseline_step_trace, 1.0)
-    assert np.array_equal(summary.deformation_series,
-                          deformation_series(baseline_step_trace))
     assert math.isnan(summarize(baseline_step_trace).settling_time)
 
 

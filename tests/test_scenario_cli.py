@@ -153,7 +153,7 @@ def test_trace_csv_matches_per_value_formatting(tmp_path, rng):
     speeds = np.zeros((samples, n))
     speeds[:-1] = np.diff(positions, axis=0) / DT
     trace = SimulationTrace(dt=DT, times=np.arange(samples) * DT, positions=positions,
-                            forces=forces, augmented_forces=forces,
+                            forces=forces,
                             reference=rng.permutation(np.resize(specials, samples)),
                             speeds=speeds)
     path = tmp_path / "trace.csv"
@@ -254,10 +254,10 @@ def test_cli_tune_without_a_stable_rate_gain_is_infeasible(tmp_path, capsys,
         trajectory=TrajectorySpec(kind="step", amplitude=1.0),
         duration=10.0), config)
 
-    def no_simulation(scenario):
+    def no_simulation(*args, **kwargs):
         raise AssertionError("an infeasible cohesive target was simulated")
 
-    monkeypatch.setattr(tuning, "simulate", no_simulation)
+    monkeypatch.setattr(tuning, "_run", no_simulation)
     assert main(["tune", "--config", str(config), "--target-ts", "200",
                  "--out", str(tmp_path / "t")]) == 1
     err = capsys.readouterr().err
@@ -472,6 +472,27 @@ def test_cli_run_too_long_to_hold_is_exit_5(tmp_path, capsys, command):
                  "--out", str(tmp_path / "m")]) == 5
     err = capsys.readouterr().err
     assert err.startswith("out of memory:") and err.count("\n") == 1
+    assert not (tmp_path / "m").exists()
+
+
+@pytest.mark.parametrize("config_name, key, value, command", [
+    ("chain4_baseline.cfg", "dt", "1e-300", ["simulate"]),
+    ("chain4_baseline.cfg", "dt", "1e-300", ["sweep"]),
+    ("chain4_baseline.cfg", "dt", "1e-300", ["tune", "--target-ts", "10"]),
+    ("chain4_dsr.cfg", "duration", "1e300", ["simulate"]),
+])
+def test_cli_run_too_long_to_index_is_exit_5(tmp_path, capsys, config_name, key, value,
+                                             command):
+    # about 1e302 samples: more than one float64 array can index at all
+    config = tmp_path / "long.cfg"
+    text, count = re.subn(rf"^{key} = .*$", f"{key} = {value}",
+                          (CONFIG_DIR / config_name).read_text(), flags=re.M)
+    assert count == 1
+    config.write_text(text)
+    assert main(command + ["--config", str(config), "--out", str(tmp_path / "m")]) == 5
+    err = capsys.readouterr().err
+    assert err.startswith("out of memory:") and err.count("\n") == 1
+    assert "more than one array can index" in err
     assert not (tmp_path / "m").exists()
 
 

@@ -1,15 +1,17 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cohesive_transport import (ControllerConfig, PinnedLaplacian,
+from cohesive_transport import (ControllerConfig, DivergenceError, PinnedLaplacian,
                                 StiffnessChain, TuningInfeasibleError, TuningSpec,
-                                UnstableGainError, build_pinned_laplacian,
-                                dsr_settling_estimate, closed_form_stable,
+                                UnstableGainError, baseline_gamma_bound,
+                                build_pinned_laplacian, dsr_settling_estimate,
+                                closed_form_stable, max_speed,
                                 measured_settling_time, settling_time_estimate,
                                 simulate, tune_dsr, tune_gamma)
 from cohesive_transport import tuning
@@ -21,8 +23,8 @@ from strategies import coupling_networks
 BAND_LOG = math.log(1.0 / 0.02)  # 2% band needs ln 50 decades of decay
 
 
-def spec_for(target, **kwargs):
-    return TuningSpec(target_settling=target, dt=DT, **kwargs)
+def spec_for(target):
+    return TuningSpec(target_settling=target, dt=DT)
 
 
 def single_mode_chain(stiffness=1.0):
@@ -43,7 +45,7 @@ def _grid_rate_gain(lap, spec, alpha_range=(0.05, 2.0), alpha_step=0.01):
     a_lo, a_hi = alpha_range
     count = int(round((a_hi - a_lo) / alpha_step)) + 1
     xs = a_lo + alpha_step * np.arange(count)
-    est = np.array([dsr_settling_estimate(lap, a, beta, spec.dt, spec.band)
+    est = np.array([dsr_settling_estimate(lap, a, beta, spec.dt, 0.02)
                     for a in xs])
     for i in range(int(np.argmin(est))):
         if est[i] >= spec.target_settling >= est[i + 1]:
@@ -53,8 +55,7 @@ def _grid_rate_gain(lap, spec, alpha_range=(0.05, 2.0), alpha_step=0.01):
         return None
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if dsr_settling_estimate(lap, mid, beta, spec.dt,
-                                 spec.band) > spec.target_settling:
+        if dsr_settling_estimate(lap, mid, beta, spec.dt, 0.02) > spec.target_settling:
             lo = mid
         else:
             hi = mid
@@ -176,6 +177,90 @@ def test_estimate_tracks_measurement_on_slow_branch(chain4, lap4):
         assert estimate == pytest.approx(measured, rel=0.10), gamma
 
 
+def _retry_loop(network, controller, spec):
+    """Oracle: the loop the streamed step response replaced. It simulates
+    the unit step over 2*max(T, dt), from rest each time, and doubles the
+    horizon up to three times until the step ends inside the band."""
+    duration = 2.0 * max(spec.target_settling, spec.dt)
+    for _ in range(4):
+        trace = simulate(unit_step_scenario(network, controller, duration))
+        settled = measured_settling_time(trace, 1.0)
+        if math.isfinite(settled):
+            return settled, max_speed(trace)
+        duration *= 2.0
+    return math.inf, max_speed(trace)
+
+
+def _stream_and_oracle(network, controller, spec):
+    """(settling, max speed) or ("diverged", step), streamed and by the oracle."""
+    outcomes = []
+    for measure in (tuning._measure_step_response, _retry_loop):
+        try:
+            outcomes.append(measure(network, controller, spec))
+        except DivergenceError as exc:
+            outcomes.append(("diverged", exc.step))
+    return outcomes
+
+
+_B, _D = ControllerConfig.baseline, ControllerConfig.dsr
+
+
+@pytest.mark.filterwarnings("ignore::cohesive_transport.UnstableControllerWarning")
+@pytest.mark.parametrize("controller, target, expected", [
+    (_B(1.93, DT), 10.0, 10.59),        # inside the first horizon, 20 s
+    (_B(1.93, DT), 3.0, 10.59),         # second, 12 s
+    (_B(1.93, DT), 2.0, 10.59),         # third, 16 s
+    (_B(0.25, DT), 10.0, 82.08),        # fourth, 160 s
+    (_B(1.93, DT), 0.5, math.inf),      # not inside the fourth, 8 s
+    (_B(15.0, DT), 1.0, "diverged"),    # at step 48, in the first horizon
+    (_B(15.0, DT), 0.3, "diverged"),    # at step 48, in the third
+    (_D(0.39, 10.92, DT), 10.0, 9.36),
+    (_D(0.39, 10.92, DT), 3.0, 9.36),
+    (_D(0.05, 10.92, DT), 10.0, 77.64),
+    (_D(0.39, 10.92, DT), 0.5, math.inf),
+    (_D(0.39, 10.92, DT, 2), 10.0, 8.91),
+    (_D(0.39, 10.92, DT, 3), 3.0, 8.28),
+    (_D(0.39, 15.0, DT, 3), 2.0, 9.03),
+    (_D(0.39, 30.0, DT), 1.0, "diverged"),
+    (_D(0.39, 30.0, DT, 2), 0.3, "diverged"),
+])
+def test_streamed_step_response_matches_the_retry_loop(chain4, controller, target,
+                                                        expected):
+    stream, oracle = _stream_and_oracle(chain4, controller, spec_for(target))
+    assert stream == oracle
+    assert stream[0] == expected
+
+
+@pytest.mark.filterwarnings("ignore::cohesive_transport.UnstableControllerWarning")
+@settings(max_examples=40, deadline=None)
+@given(coupling_networks(max_robots=5), st.sampled_from(["baseline", "dsr"]),
+       st.integers(1, 3), st.floats(0.05, 1.3), st.floats(0.05, 2.0),
+       st.floats(0.1, 3.0))
+def test_streamed_step_response_matches_the_retry_loop_on_any_network(
+        network, kind, delay, gain, alpha, target):
+    # gain is a fraction of 2/lam_max, the bound on gamma and about that on beta
+    bound = baseline_gamma_bound(build_pinned_laplacian(network))
+    controller = (_B(gain * bound, DT) if kind == "baseline"
+                  else _D(alpha, gain * bound, DT, delay))
+    stream, oracle = _stream_and_oracle(network, controller, spec_for(target))
+    assert stream == oracle
+
+
+def test_tune_gamma_holds_no_trace():
+    # 16 robots at 4*T(gamma*) = 103 s: a trace of the first horizon alone
+    # is four (6,868, 16) float64 arrays, 3.5 MB
+    chain = StiffnessChain((0.05,) * 15, (0.05,) + (0.0,) * 15)
+    spec = spec_for(4.0 * fastest_baseline_settling(build_pinned_laplacian(chain)))
+    tracemalloc.start()
+    try:
+        result = tune_gamma(chain, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert math.isfinite(result.measured_settling)
+    assert peak < 1.5e6
+
+
 def test_tune_dsr_reference_target(chain4, lap4):
     base = tune_gamma(chain4, spec_for(10.0))
     result = tune_dsr(chain4, spec_for(10.0), v_nodsr=base.max_speed)
@@ -213,6 +298,9 @@ def test_tune_dsr_speed_constraint_binds(chain4):
 def test_tune_dsr_unreachable_target(chain4):
     with pytest.raises(TuningInfeasibleError, match="settling"):
         tune_dsr(chain4, spec_for(0.5), v_nodsr=5.0)
+    # the target decay per sample, 0.02**(dt/T), underflows to 0
+    with pytest.raises(TuningInfeasibleError, match="underflows"):
+        tune_dsr(chain4, spec_for(1e-300), v_nodsr=5.0)
 
 
 def test_rate_gain_matches_the_grid_oracle_on_chain4(lap4):
@@ -264,9 +352,8 @@ def test_dsr_estimate_matches_spectral_radius(lap4):
 
 
 def test_gamma_table_shape(lap4):
-    spec = spec_for(10.0, gamma_points=64)
-    rows = ts_vs_gamma_table(lap4, spec)
-    assert len(rows) == 64
+    rows = ts_vs_gamma_table(lap4, spec_for(10.0))
+    assert len(rows) == 1024
     gammas = [g for g, _ in rows]
     assert gammas == sorted(gammas)
     assert all(t > 0 for _, t in rows)
@@ -298,10 +385,10 @@ def test_dsr_table_alpha_decreases_with_target(lap4):
 
 
 def test_dsr_table_runs_no_simulation(lap4, monkeypatch):
-    def no_simulation(scenario):
+    def no_simulation(*args, **kwargs):
         raise AssertionError("the gain table simulated a step")
 
-    monkeypatch.setattr(tuning, "simulate", no_simulation)
+    monkeypatch.setattr(tuning, "_run", no_simulation)
     rows = dsr_gains_vs_ts_table(lap4, spec_for(10.0), targets=[8.0, 10.0, 12.0])
     assert len(rows) == 3
 
@@ -311,7 +398,3 @@ def test_tuning_spec_validation():
         TuningSpec(target_settling=0.0, dt=DT)
     with pytest.raises(ValueError):
         TuningSpec(target_settling=10.0, dt=0.0)
-    with pytest.raises(ValueError):
-        TuningSpec(target_settling=10.0, dt=DT, band=1.5)
-    with pytest.raises(ValueError):
-        TuningSpec(target_settling=10.0, dt=DT, speed_limit=0.0)
