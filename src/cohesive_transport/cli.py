@@ -12,22 +12,21 @@ Exit codes: 0 success, 1 other package error (infeasible tuning, failed
 per-robot crosscheck), 2 config problem (also an --out directory that
 cannot be created), 3 simulation divergence, 4 reproduce mismatch, 5 out
 of memory (a run too long or too wide to hold). A failed run creates no
-output directory. COHESIVE_TRANSPORT_LOG=debug|info|warning sets logging.
+output directory.
 
 The trace CSV schema is one row per sample:
     t,y_1..y_n,f_1..f_n,yd,D,vmax_step
 with positions y in cm, object forces f in N, reference yd in cm,
 deformation D in cm, and vmax_step the largest commanded speed (cm/s)
 issued at that sample (0 in the final row). Floats carry 9 significant
-digits; identical configs produce byte-identical files.
+digits; identical configs produce byte-identical files. The JSON files
+write every non-finite number as null.
 """
 from __future__ import annotations
 
 import argparse
 import json
-import logging
 import math
-import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -42,40 +41,40 @@ from .scenario import ScenarioConfig, load_config
 from .stability import baseline_gamma_bound, baseline_spectral_radius, spectral_radius
 from .trajectory import cutoff_sweep
 
-log = logging.getLogger("cohesive_transport")
-
 _DEFAULT_SWEEP = [round(0.02 * i, 10) for i in range(1, 26)]  # 0.02 .. 0.5 rad/s
 
 
-def _fmt(value: float) -> str:
-    return f"{value:.9g}"
+def _write_csv(path: Path, header: list[str], rows) -> None:
+    """A header line, then one line per row with 9 significant digits per
+    value. Rows are formatted one at a time, so a trace never exists as
+    Python floats all at once."""
+    row_format = ",".join(["%.9g"] * len(header)) + "\n"
+    with path.open("w") as out:
+        out.write(",".join(header) + "\n")
+        out.writelines(row_format % tuple(row) for row in rows)
+
+
+def _write_json(path: Path, payload: dict) -> None:
+    """Indented JSON with every non-finite number, at any depth, as null:
+    Infinity and NaN are not JSON."""
+    def finite(value):
+        if isinstance(value, dict):
+            return {key: finite(item) for key, item in value.items()}
+        if isinstance(value, (list, tuple)):
+            return [finite(item) for item in value]
+        if isinstance(value, float) and not math.isfinite(value):
+            return None
+        return value
+    path.write_text(json.dumps(finite(payload), indent=2, allow_nan=False) + "\n")
 
 
 def write_trace_csv(trace: SimulationTrace, path: Path) -> None:
-    n = trace.n
-    deformation = metrics.deformation_series(trace)
-    step_speed = np.max(np.abs(trace.speeds), axis=1)
-    header = ("t," + ",".join(f"y_{k + 1}" for k in range(n)) + ","
-              + ",".join(f"f_{k + 1}" for k in range(n)) + ",yd,D,vmax_step")
+    header = (["t"] + [f"y_{k + 1}" for k in range(trace.n)]
+              + [f"f_{k + 1}" for k in range(trace.n)] + ["yd", "D", "vmax_step"])
     table = np.column_stack((trace.times, trace.positions, trace.forces,
-                             trace.reference, deformation, step_speed))
-    # "%.9g" % x matches _fmt(x) byte for byte; rows are formatted one at
-    # a time so the whole table never exists as Python floats at once
-    row_format = ",".join(["%.9g"] * table.shape[1]) + "\n"
-    with path.open("w") as out:
-        out.write(header + "\n")
-        out.writelines(row_format % tuple(row.tolist()) for row in table)
-
-
-def _json_safe(value):
-    if isinstance(value, float) and not math.isfinite(value):
-        return None
-    return value
-
-
-def write_summary_json(summary: metrics.RunSummary, path: Path) -> None:
-    payload = {k: _json_safe(v) for k, v in summary.as_dict().items()}
-    path.write_text(json.dumps(payload, indent=2) + "\n")
+                             trace.reference, metrics.deformation_series(trace),
+                             np.max(np.abs(trace.speeds), axis=1)))
+    _write_csv(path, header, map(np.ndarray.tolist, table))
 
 
 def _out_dir(args, scenario: ScenarioConfig | None = None) -> Path:
@@ -93,7 +92,7 @@ def cmd_simulate(args) -> int:
     summary = metrics.summarize(trace, final_value=scenario.trajectory.amplitude or None)
     out = _out_dir(args, scenario)
     write_trace_csv(trace, out / "trace.csv")
-    write_summary_json(summary, out / "summary.json")
+    _write_json(out / "summary.json", summary.as_dict())
     print(f"wrote {out / 'trace.csv'} ({trace.num_samples} samples)")
     for key, value in summary.as_dict().items():
         print(f"  {key}: {value}")
@@ -102,7 +101,6 @@ def cmd_simulate(args) -> int:
 
 def cmd_stability(args) -> int:
     scenario = load_config(args.config)
-    out = _out_dir(args, scenario)
     lap = build_pinned_laplacian(scenario.network)
     ctl = scenario.controller
     if ctl.kind == "dsr":
@@ -111,17 +109,19 @@ def cmd_stability(args) -> int:
         payload = report.as_dict()
         stable, sigma = report.stable, report.spectral_radius
     else:
+        bound = baseline_gamma_bound(lap)
         sigma = baseline_spectral_radius(lap, ctl.gamma)
-        stable = 0 < ctl.gamma < baseline_gamma_bound(lap)
+        stable = ctl.gamma < bound
         payload = {
             "stable": stable,
             "spectral_radius": sigma,
-            "gamma_bound": baseline_gamma_bound(lap),
+            "gamma_bound": bound,
             "per_mode": [{"eigenvalue": float(lam),
                           "multiplier": 1.0 - ctl.gamma * float(lam)}
                          for lam in lap.eigenvalues],
         }
-    (out / "stability.json").write_text(json.dumps(payload, indent=2) + "\n")
+    out = _out_dir(args, scenario)
+    _write_json(out / "stability.json", payload)
     print(f"{'stable' if stable else 'UNSTABLE'} (spectral radius {sigma:.6f}); "
           f"report in {out / 'stability.json'}")
     return 0
@@ -141,18 +141,12 @@ def cmd_tune(args) -> int:
     base = tuning.tune_gamma(scenario.network, spec)
     dsr = tuning.tune_dsr(scenario.network, spec, v_nodsr=base.max_speed,
                           gains=gains)
+    gamma_rows = tuning.ts_vs_gamma_table(lap, spec)
+    dsr_rows = tuning.dsr_gains_vs_ts_table(lap, spec, [float(t) for t in range(4, 21)])
     out = _out_dir(args, scenario)
-
-    rows = tuning.ts_vs_gamma_table(lap, spec)
-    gamma_csv = out / "ts_vs_gamma.csv"
-    gamma_csv.write_text("gamma,ts_estimate_s\n" + "\n".join(
-        f"{_fmt(g)},{_fmt(t)}" for g, t in rows) + "\n")
-
-    targets = [float(t) for t in range(4, 21)]
-    dsr_rows = tuning.dsr_gains_vs_ts_table(lap, spec, targets)
-    dsr_csv = out / "dsr_gains_vs_ts.csv"
-    dsr_csv.write_text("target_ts_s,alpha,beta,sigma\n" + "\n".join(
-        f"{_fmt(t)},{_fmt(a)},{_fmt(b)},{_fmt(s)}" for t, a, b, s in dsr_rows) + "\n")
+    gamma_csv, dsr_csv = out / "ts_vs_gamma.csv", out / "dsr_gains_vs_ts.csv"
+    _write_csv(gamma_csv, ["gamma", "ts_estimate_s"], gamma_rows)
+    _write_csv(dsr_csv, ["target_ts_s", "alpha", "beta", "sigma"], dsr_rows)
 
     payload = {
         "target_settling_s": args.target_ts,
@@ -174,7 +168,7 @@ def cmd_tune(args) -> int:
             "feasible": dsr.feasible,
         },
     }
-    (out / "tuning.json").write_text(json.dumps(payload, indent=2) + "\n")
+    _write_json(out / "tuning.json", payload)
     print(f"gamma = {base.controller.gamma:.6g} "
           f"(measured settling {base.measured_settling:.3g} s, "
           f"max speed {base.max_speed:.3g} cm/s)")
@@ -198,9 +192,8 @@ def cmd_sweep(args) -> int:
     rows = cutoff_sweep(scenario, omega_list)
     out = _out_dir(args, scenario)
     sweep_csv = out / "sweep.csv"
-    sweep_csv.write_text("omega_c,D_bar_cm,v_max_cmps\n" + "\n".join(
-        f"{_fmt(r.omega_c)},{_fmt(r.max_deformation)},{_fmt(r.max_speed)}"
-        for r in rows) + "\n")
+    _write_csv(sweep_csv, ["omega_c", "D_bar_cm", "v_max_cmps"],
+               ((r.omega_c, r.max_deformation, r.max_speed) for r in rows))
     print(f"wrote {sweep_csv} ({len(rows)} cutoffs)")
     return 0
 
@@ -254,8 +247,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    level = os.environ.get("COHESIVE_TRANSPORT_LOG", "warning").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING))
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

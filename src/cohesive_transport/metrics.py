@@ -45,12 +45,8 @@ def max_deformation(trace: SimulationTrace) -> float:
 
 
 def max_force(trace: SimulationTrace) -> float:
-    """Largest object force magnitude over robots and time.
-
-    Uses the sensor-measured neighbor forces, not the leaders'
-    augmented forces: the virtual spring is a control construct, the
-    object never feels it.
-    """
+    """Largest object force magnitude over robots and time, from the
+    sensor-measured forces each robot feels."""
     return float(np.max(np.abs(trace.forces)))
 
 
@@ -59,16 +55,15 @@ def max_speed(trace: SimulationTrace) -> float:
     return float(np.max(np.abs(trace.speeds)))
 
 
-def measured_settling_time(trace: SimulationTrace, final_value: float,
-                           band: float = SETTLING_BAND) -> float:
-    """Last time any robot sits outside final_value*(1 +/- band).
+def measured_settling_time(trace: SimulationTrace, final_value: float) -> float:
+    """Last time any robot sits outside final_value*(1 +/- SETTLING_BAND).
 
     0.0 if the whole trace is inside the band; inf if the trace ends
     outside it (never settles within the simulated horizon).
     """
     if final_value == 0:
         raise ValueError("settling band is relative: final_value must be nonzero")
-    tolerance = band * abs(final_value)
+    tolerance = SETTLING_BAND * abs(final_value)
     outside = np.any(np.abs(trace.positions - final_value) > tolerance, axis=1)
     indices = np.nonzero(outside)[0]
     if indices.size == 0:
@@ -79,12 +74,11 @@ def measured_settling_time(trace: SimulationTrace, final_value: float,
     return float(trace.times[last])
 
 
-def summarize(trace: SimulationTrace, final_value: float | None = None,
-              band: float = SETTLING_BAND) -> RunSummary:
+def summarize(trace: SimulationTrace, final_value: float | None = None) -> RunSummary:
     """Bundle the run metrics; settling time is NaN when no nonzero
     final value is available to define the band."""
     if final_value:
-        settling = measured_settling_time(trace, final_value, band)
+        settling = measured_settling_time(trace, final_value)
     else:
         settling = math.nan
     return RunSummary(max_deformation=max_deformation(trace),

@@ -98,7 +98,8 @@ def _delayed_mode_roots(lam: float, alpha: float, beta: float, dt: float,
                        delay_multiple: int) -> tuple[complex, complex]:
     """The two largest-magnitude roots of one mode's characteristic
     polynomial under a delay of ``delay_multiple`` samples, largest
-    first; N = 1 is ``dsr_mode_roots``."""
+    first; N = 1 is ``dsr_mode_roots``. Gains so large that a
+    coefficient overflows give an infinite root, as at N = 1."""
     if delay_multiple == 1:
         return dsr_mode_roots(lam, alpha, beta, dt)
     if lam <= 0:
@@ -107,6 +108,8 @@ def _delayed_mode_roots(lam: float, alpha: float, beta: float, dt: float,
     coefficients = np.zeros(delay_multiple + 2)
     coefficients[:2] = 1.0, -(1.0 - alpha * beta * dt * lam + c)
     coefficients[-1] = c
+    if not np.isfinite(coefficients).all():
+        return complex(math.inf), 0j
     roots = sorted(np.roots(coefficients), key=abs, reverse=True)
     return complex(roots[0]), complex(roots[1])
 

@@ -93,30 +93,29 @@ class TuningResult:
     feasible: bool
 
 
-def _decay_to_settling(decay: float, dt: float, band: float = SETTLING_BAND) -> float:
+def _decay_to_settling(decay: float, dt: float) -> float:
     if decay >= 1.0:
         return math.inf
     if decay <= 0.0:
         return 0.0
-    return dt * math.log(band) / math.log(decay)
+    return dt * math.log(SETTLING_BAND) / math.log(decay)
 
 
 def settling_time_estimate(laplacian: PinnedLaplacian, gamma: float,
-                           dt: float, band: float = SETTLING_BAND) -> float:
+                           dt: float) -> float:
     """Dominant-mode settling estimate for the baseline controller."""
     if not 0 < gamma < baseline_gamma_bound(laplacian):
         raise UnstableGainError(
             f"unstable gain: gamma must lie in (0, "
             f"{baseline_gamma_bound(laplacian):.6g}), got {gamma:.6g}")
-    return _decay_to_settling(baseline_spectral_radius(laplacian, gamma), dt, band)
+    return _decay_to_settling(baseline_spectral_radius(laplacian, gamma), dt)
 
 
 def dsr_settling_estimate(laplacian: PinnedLaplacian, alpha: float,
-                          beta: float, dt: float,
-                          band: float = SETTLING_BAND) -> float:
+                          beta: float, dt: float) -> float:
     """Dominant-root settling estimate for the cohesive controller."""
     return _decay_to_settling(
-        spectral_radius(laplacian, alpha, beta, dt).spectral_radius, dt, band)
+        spectral_radius(laplacian, alpha, beta, dt).spectral_radius, dt)
 
 
 def _measure_step_response(network: CouplingNetwork,
@@ -160,12 +159,13 @@ def tune_gamma(network: CouplingNetwork,
             f"(0, {baseline_gamma_bound(laplacian):.6g})")
     controller = ControllerConfig.baseline(gamma, spec.dt)
     measured, vmax = _measure_step_response(network, controller, spec)
+    radius = baseline_spectral_radius(laplacian, gamma)
     return TuningResult(
         controller=controller,
-        predicted_settling=settling_time_estimate(laplacian, gamma, spec.dt),
+        predicted_settling=_decay_to_settling(radius, spec.dt),
         measured_settling=measured,
         max_speed=vmax,
-        spectral_radius=baseline_spectral_radius(laplacian, gamma),
+        spectral_radius=radius,
         feasible=vmax <= SPEED_LIMIT,
     )
 
@@ -237,7 +237,7 @@ def tune_dsr(network: CouplingNetwork, spec: TuningSpec,
         measured_settling=measured,
         max_speed=vmax,
         spectral_radius=report.spectral_radius,
-        feasible=report.stable and vmax <= v_nodsr,
+        feasible=report.stable,
     )
 
 

@@ -128,15 +128,15 @@ def test_criterion_5_settling_window(chain4, lap4):
     their simulated 25 s unit steps settle inside the horizon within
     one sample of an independent stacked-law recursion."""
     band = 0.02
-    base_est = settling_time_estimate(lap4, 1.93, DT, band=band)
-    dsr_est = dsr_settling_estimate(lap4, 0.39, 10.92, DT, band=band)
+    base_est = settling_time_estimate(lap4, 1.93, DT)
+    dsr_est = dsr_settling_estimate(lap4, 0.39, 10.92, DT)
 
     base_trace = simulate(unit_step_scenario(
         chain4, ControllerConfig.baseline(1.93, DT), duration=25.0))
     dsr_trace = simulate(unit_step_scenario(
         chain4, ControllerConfig.dsr(0.39, 10.92, DT), duration=25.0))
-    base_ts = measured_settling_time(base_trace, 1.0, band=band)
-    dsr_ts = measured_settling_time(dsr_trace, 1.0, band=band)
+    base_ts = measured_settling_time(base_trace, 1.0)
+    dsr_ts = measured_settling_time(dsr_trace, 1.0)
 
     # Unit step switched on at sample index 1, as the simulator's step.
     step = np.ones(base_trace.num_samples - 1)

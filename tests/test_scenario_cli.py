@@ -1,4 +1,5 @@
 import json
+import math
 import re
 import warnings
 from pathlib import Path
@@ -9,8 +10,8 @@ import pytest
 from cohesive_transport import benchmark, cli, dynamics, network, tuning
 from cohesive_transport import (ConfigError, ControllerConfig, CouplingNetwork,
                                 ScenarioConfig, SimulationTrace, StiffnessChain,
-                                TrajectorySpec, deformation_series, load_config,
-                                simulate, write_config)
+                                TrajectorySpec, UnstableGainError, deformation_series,
+                                load_config, simulate, write_config)
 from cohesive_transport.benchmark import baseline_scenario, dsr_scenario
 from cohesive_transport.cli import main, write_trace_csv
 
@@ -199,6 +200,79 @@ def test_cli_stability_analyses_the_configured_delay(tmp_path, capsys):
     assert capsys.readouterr().out.startswith("stable (spectral radius 0.988469)")
     report = json.loads((tmp_path / "stability.json").read_text())
     assert report["stable"] is True and len(report["per_mode"]) == 4
+
+
+def _strict_json(path):
+    """Parse ``path`` as JSON that holds no NaN or Infinity."""
+    def reject(constant):
+        raise ValueError(f"{path.name} holds {constant}, which is not JSON")
+    return json.loads(path.read_text(), parse_constant=reject)
+
+
+def test_cli_json_files_are_strict_json(tmp_path):
+    overflowing = tmp_path / "overflow.cfg"
+    overflowing.write_text((CONFIG_DIR / "chain4_dsr.cfg").read_text()
+                           .replace("alpha = 0.39", "alpha = 1e300")
+                           .replace("beta = 10.92", "beta = 1e300"))
+    runs = [["simulate", "--config", str(CONFIG_DIR / "chain4_dsr.cfg")],
+            ["stability", "--config", str(CONFIG_DIR / "chain4_dsr.cfg")],
+            ["stability", "--config", str(CONFIG_DIR / "chain4_baseline.cfg")],
+            ["stability", "--config", str(overflowing)],
+            ["tune", "--config", str(CONFIG_DIR / "chain4_baseline.cfg"), "--target-ts", "10"]]
+    for k, argv in enumerate(runs):
+        assert main(argv + ["--out", str(tmp_path / str(k))]) == 0
+    written = sorted(tmp_path.glob("*/*.json"))
+    assert len(written) == 5
+    for path in written:
+        _strict_json(path)
+    report = _strict_json(tmp_path / "3" / "stability.json")
+    assert report["stable"] is False and report["spectral_radius"] is None
+
+
+def test_write_json_nulls_non_finite_numbers_at_any_depth(tmp_path):
+    cli._write_json(tmp_path / "x.json", {"a": math.inf, "b": [1.5, (-math.inf, math.nan)],
+                                          "c": {"d": [{"e": math.nan}], "f": True}})
+    assert _strict_json(tmp_path / "x.json") == {
+        "a": None, "b": [1.5, [None, None]], "c": {"d": [{"e": None}], "f": True}}
+
+
+def test_cli_stability_that_fails_leaves_no_output(tmp_path, monkeypatch, capsys):
+    def failing(*args, **kwargs):
+        raise UnstableGainError("analysis failed")
+
+    monkeypatch.setattr(cli, "spectral_radius", failing)
+    assert main(["stability", "--config", str(CONFIG_DIR / "chain4_dsr.cfg"),
+                 "--out", str(tmp_path / "s")]) == 1
+    assert capsys.readouterr().err == "error: analysis failed\n"
+    assert not (tmp_path / "s").exists()
+
+
+def test_cli_tune_with_no_reachable_cohesive_target_writes_a_header_only_table(tmp_path):
+    # a 16-robot chain: its fastest cohesive settling estimate is above
+    # 20 s, the longest target of the cohesive table
+    config = tmp_path / "chain16.cfg"
+    write_config(ScenarioConfig(
+        network=StiffnessChain((0.05,) * 15, (0.05,) + (0.0,) * 15),
+        controller=ControllerConfig.baseline(1.0, DT),
+        trajectory=TrajectorySpec(kind="step", amplitude=1.0), duration=10.0), config)
+    assert main(["tune", "--config", str(config), "--target-ts", "120",
+                 "--out", str(tmp_path / "t")]) == 0
+    assert ((tmp_path / "t" / "dsr_gains_vs_ts.csv").read_text()
+            == "target_ts_s,alpha,beta,sigma\n")
+
+
+@pytest.mark.parametrize("command, code", [("stability", 0), ("simulate", 1), ("sweep", 1)])
+def test_cli_overflowing_delayed_gains_end_in_an_exit_code(tmp_path, command, code):
+    # alpha*beta overflows every coefficient of the delay-2 polynomial
+    config = tmp_path / "overflow.cfg"
+    config.write_text((CONFIG_DIR / "chain4_dsr.cfg").read_text()
+                      .replace("alpha = 0.39", "alpha = 1e300")
+                      .replace("beta = 10.92", "beta = 1e300")
+                      .replace("delay_multiple = 1", "delay_multiple = 2"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert main([command, "--config", str(config), "--out", str(tmp_path / "o")]) == code
+    assert (tmp_path / "o").exists() is (code == 0)
 
 
 def test_cli_tune(tmp_path):

@@ -292,6 +292,16 @@ def test_spectral_radius_with_a_one_sample_delay_is_the_quadratic(lap4):
         _stacked_delay_radius(lap4, 0.39, 10.92, 1), rel=1e-9)
 
 
+def test_spectral_radius_with_overflowing_delayed_gains_is_infinite(lap4):
+    # a*b*dt*lam overflows a coefficient of every mode's polynomial, as the
+    # quadratic's does at one sample of delay
+    for delay in (1, 2):
+        report = spectral_radius(lap4, 1e300, 1e300, DT, delay)
+        assert report.spectral_radius == math.inf
+        assert not report.stable and not report.marginal
+    assert closed_form_stable(lap4, 1e300, 1e300, DT, 2) is False
+
+
 @pytest.mark.parametrize("beta, delay, stable", [(15.0, 3, True), (20.0, 2, False)])
 def test_simulate_warns_on_the_delayed_dynamics(chain4, beta, delay, stable):
     scenario = unit_step_scenario(chain4, ControllerConfig.dsr(0.39, beta, DT, delay),

@@ -45,7 +45,7 @@ def _grid_rate_gain(lap, spec, alpha_range=(0.05, 2.0), alpha_step=0.01):
     a_lo, a_hi = alpha_range
     count = int(round((a_hi - a_lo) / alpha_step)) + 1
     xs = a_lo + alpha_step * np.arange(count)
-    est = np.array([dsr_settling_estimate(lap, a, beta, spec.dt, 0.02)
+    est = np.array([dsr_settling_estimate(lap, a, beta, spec.dt)
                     for a in xs])
     for i in range(int(np.argmin(est))):
         if est[i] >= spec.target_settling >= est[i + 1]:
@@ -55,7 +55,7 @@ def _grid_rate_gain(lap, spec, alpha_range=(0.05, 2.0), alpha_step=0.01):
         return None
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if dsr_settling_estimate(lap, mid, beta, spec.dt, 0.02) > spec.target_settling:
+        if dsr_settling_estimate(lap, mid, beta, spec.dt) > spec.target_settling:
             lo = mid
         else:
             hi = mid
