@@ -17,9 +17,7 @@ from .eigensolve import eigen_decompose
 from .errors import (CalibrationError, CohesiveTransportError, ConfigError,
                      CrosscheckError, DivergenceError, TuningInfeasibleError,
                      UnpinnedNetworkError, UnstableGainError)
-from .metrics import (Improvement, RunSummary, deformation_series, improvement,
-                      max_deformation, max_force, max_speed,
-                      measured_settling_time, summarize)
+from .metrics import Improvement, RunSummary, improvement, summarize
 from .network import (CalibrationRecord, CouplingNetwork, PinnedLaplacian,
                       StiffnessChain, build_pinned_laplacian,
                       calibrate_stiffness, measured_force, neighbor_forces)
@@ -43,10 +41,9 @@ __all__ = [
     "baseline_gamma_bound", "baseline_spectral_radius",
     "build_pinned_laplacian",
     "calibrate_stiffness", "closed_form_stable", "cutoff_sweep",
-    "deformation_series", "dsr_mode_roots", "dsr_settling_estimate",
+    "dsr_mode_roots", "dsr_settling_estimate",
     "eigen_decompose", "improvement", "jury_stable",
-    "load_config", "max_deformation", "max_force", "max_speed",
-    "measured_force", "measured_settling_time", "neighbor_forces",
+    "load_config", "measured_force", "neighbor_forces",
     "reference_series", "run_reproduction", "settling_time_estimate",
     "simulate", "spectral_radius", "step_baseline", "step_dsr", "summarize",
     "tune_dsr", "tune_gamma", "write_config",

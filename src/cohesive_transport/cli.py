@@ -71,9 +71,9 @@ def _write_json(path: Path, payload: dict) -> None:
 def write_trace_csv(trace: SimulationTrace, path: Path) -> None:
     header = (["t"] + [f"y_{k + 1}" for k in range(trace.n)]
               + [f"f_{k + 1}" for k in range(trace.n)] + ["yd", "D", "vmax_step"])
-    table = np.column_stack((trace.times, trace.positions, trace.forces,
-                             trace.reference, metrics.deformation_series(trace),
-                             np.max(np.abs(trace.speeds), axis=1)))
+    table = np.column_stack((trace.times, trace.positions, trace.forces, trace.reference,
+                             metrics.spread(trace.positions),
+                             np.append(metrics.step_moves(trace.positions), 0.0) / trace.dt))
     _write_csv(path, header, map(np.ndarray.tolist, table))
 
 

@@ -35,7 +35,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import stability
-from .errors import CrosscheckError, DivergenceError
+from .errors import CrosscheckError, DivergenceError, UnstableGainError
 from .network import (CouplingNetwork, PinnedLaplacian,
                       build_pinned_laplacian, measured_force, neighbor_forces)
 from .trajectory import reference_series
@@ -131,9 +131,7 @@ class NetworkState:
 class SimulationTrace:
     """Sampled history of one run; row m is time m*dt.
 
-    ``forces`` are the object forces f_k, ``speeds`` are the commanded
-    speeds (y_k[m+1] - y_k[m])/dt with zeros in the final row. Arrays
-    are read-only.
+    ``forces`` are the object forces f_k. Arrays are read-only.
     """
 
     dt: float
@@ -141,10 +139,9 @@ class SimulationTrace:
     positions: np.ndarray
     forces: np.ndarray
     reference: np.ndarray
-    speeds: np.ndarray
 
     def __post_init__(self):
-        for field in ("times", "positions", "forces", "reference", "speeds"):
+        for field in ("times", "positions", "forces", "reference"):
             getattr(self, field).flags.writeable = False
 
     @property
@@ -158,20 +155,28 @@ class SimulationTrace:
 
 def _local_coefficients(network: CouplingNetwork, gains: tuple) -> tuple[np.ndarray, ...]:
     """Per-robot law coefficients for ("baseline", gamma) or ("dsr", alpha, beta,
-    dt, N), cached per network object; robot k's use its own leader spring."""
+    dt, N), cached per network object; robot k's use its own leader spring.
+    Gains that overflow any of them raise UnstableGainError, which the update
+    forms, fetching them first, raise before any arithmetic on those gains."""
     cache = network._law_coefficients
     if gains not in cache:
         leaders = np.asarray(network.leader_stiffness)
-        if gains[0] == "baseline":   # multiply y, f, y_d
-            gamma = gains[1]
-            cache[gains] = (1.0 - gamma * leaders, np.full_like(leaders, -gamma),
-                            gamma * leaders)
-        else:                        # multiply y, f, y_old, f_old, y_d
-            _, alpha, beta, dt, delay = gains
-            rate, reinforcement = alpha * beta * dt, (1.0 - beta * leaders) / delay
-            cache[gains] = (1.0 - rate * leaders + reinforcement,
-                            np.full_like(leaders, -rate - beta / delay), -reinforcement,
-                            np.full_like(leaders, beta / delay), rate * leaders)
+        with np.errstate(over="ignore", invalid="ignore"):
+            if gains[0] == "baseline":   # multiply y, f, y_d
+                gamma = gains[1]
+                law = (1.0 - gamma * leaders, np.full_like(leaders, -gamma),
+                       gamma * leaders)
+                named = f"gamma = {gamma:.6g} (gamma*k_leader = {gamma * leaders.max():.6g})"
+            else:                        # multiply y, f, y_old, f_old, y_d
+                _, alpha, beta, dt, delay = gains
+                rate, reinforcement = alpha * beta * dt, (1.0 - beta * leaders) / delay
+                law = (1.0 - rate * leaders + reinforcement,
+                       np.full_like(leaders, -rate - beta / delay), -reinforcement,
+                       np.full_like(leaders, beta / delay), rate * leaders)
+                named = f"(alpha, beta) = ({alpha:.6g}, {beta:.6g}) (alpha*beta*dt = {rate:.6g})"
+        if not all(np.isfinite(c).all() for c in law):
+            raise UnstableGainError(f"{named} overflow the per-robot law coefficients")
+        cache[gains] = law
     return cache[gains]
 
 
@@ -180,10 +185,10 @@ def baseline_update_forms(positions, laplacian: PinnedLaplacian,
                           y_d) -> tuple[np.ndarray, np.ndarray]:
     """Next positions computed both ways: (stacked, per-robot); a batch
     of states (batch, n) takes one reference per row, ``y_d`` (batch, 1)."""
+    c_y, c_f, c_yd = _local_coefficients(network, ("baseline", gamma))
     y = np.asarray(positions, dtype=float)
     stacked = y - gamma * (y @ laplacian.matrix.T) + gamma * laplacian.leader_vector * y_d
     # Row k reads only robot k's position, force and leader spring.
-    c_y, c_f, c_yd = _local_coefficients(network, ("baseline", gamma))
     local = c_y * y + c_f * measured_force(network, y) + c_yd * y_d
     return stacked, local
 
@@ -196,6 +201,8 @@ def dsr_update_forms(positions, delayed_positions, laplacian: PinnedLaplacian,
     The per-robot route touches nothing global: each robot combines its
     own position and force, their N-step-old values, and (for leaders)
     the reference. Shapes as in ``baseline_update_forms``."""
+    c_y, c_f, c_old, c_fold, c_yd = _local_coefficients(
+        network, ("dsr", alpha, beta, dt, delay_multiple))
     y = np.asarray(positions, dtype=float)
     y_old = np.asarray(delayed_positions, dtype=float)
     k_t = laplacian.matrix.T
@@ -205,8 +212,6 @@ def dsr_update_forms(positions, delayed_positions, laplacian: PinnedLaplacian,
                + (delta - beta * (delta @ k_t)) / delay_multiple)
 
     # Row k reads only robot k's quantities, all robots evaluated at once.
-    c_y, c_f, c_old, c_fold, c_yd = _local_coefficients(
-        network, ("dsr", alpha, beta, dt, delay_multiple))
     local = (c_y * y + c_f * measured_force(network, y) + c_old * y_old
              + c_fold * measured_force(network, y_old) + c_yd * y_d)
     return stacked, local
@@ -332,8 +337,6 @@ def simulate(scenario: "ScenarioConfig") -> SimulationTrace:
         positions[m:m + len(block) - 1] = block[1:]
 
     forces = neighbor_forces(laplacian, positions)
-    speeds = np.zeros_like(positions)
-    speeds[:-1] = np.diff(positions, axis=0) / dt
     times = np.arange(steps + 1) * dt
     return SimulationTrace(dt=dt, times=times, positions=positions, forces=forces,
-                           reference=reference, speeds=speeds)
+                           reference=reference)

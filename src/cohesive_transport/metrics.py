@@ -3,7 +3,8 @@
 Deformation at a sample is the largest pairwise spread of robot
 positions (single axis, so max - min). A transport run is summarized by
 peak deformation, peak object force, peak commanded speed, and the
-measured 2% settling time of the network.
+measured 2% settling time of the network, all defined once by ``Peaks``,
+which reduces a whole trace or a run's blocks as they are stepped.
 """
 from __future__ import annotations
 
@@ -35,56 +36,58 @@ class RunSummary:
         }
 
 
-def deformation_series(trace: SimulationTrace) -> np.ndarray:
-    """D[m] = spread of robot positions at each sample."""
-    return trace.positions.max(axis=1) - trace.positions.min(axis=1)
+def spread(positions: np.ndarray) -> np.ndarray:
+    """Deformation: the spread of robot positions (last axis) at each sample."""
+    return np.ptp(positions, axis=-1)
 
 
-def max_deformation(trace: SimulationTrace) -> float:
-    return float(np.max(deformation_series(trace)))
+def step_moves(positions: np.ndarray) -> np.ndarray:
+    """Largest move of any robot from each sample to the next; over dt, the
+    peak commanded speed of the step (dt > 0 commutes with the maximum)."""
+    return np.abs(np.diff(positions, axis=0)).max(axis=-1)
 
 
-def max_force(trace: SimulationTrace) -> float:
-    """Largest object force magnitude over robots and time, from the
-    sensor-measured forces each robot feels."""
-    return float(np.max(np.abs(trace.forces)))
+class Peaks:
+    """Running peaks of consecutive blocks of samples, fed as ``dynamics._run``
+    yields them: in ``add(m, block)`` block[0] is sample m - 1 (a whole trace is
+    ``add(1, positions)``), and each run of a (samples, batch, n) block reduces
+    on its own. Kept: the peak spread and move, the last sample judged (``end``)
+    and, given a nonzero final value, the last sample with a robot outside
+    final_value*(1 +/- SETTLING_BAND) (-1 if none)."""
 
+    def __init__(self, final_value: float | None = None):
+        self.final_value = final_value
+        self.peak_spread = self.peak_move = 0.0
+        self.last_outside = self.end = -1
 
-def max_speed(trace: SimulationTrace) -> float:
-    """Largest commanded speed magnitude over robots and time."""
-    return float(np.max(np.abs(trace.speeds)))
+    def add(self, m: int, block: np.ndarray) -> None:
+        self.peak_spread = np.maximum(self.peak_spread, spread(block).max(axis=0))
+        self.peak_move = np.maximum(self.peak_move, step_moves(block).max(axis=0, initial=0.0))
+        self.end = m + len(block) - 2
+        if self.final_value:
+            outside = (np.abs(block - self.final_value)
+                       > SETTLING_BAND * abs(self.final_value)).any(axis=-1)
+            outside_at = np.where(outside.T, np.arange(m - 1, self.end + 1), -1)
+            self.last_outside = np.maximum(self.last_outside, outside_at.max(axis=-1))
 
-
-def measured_settling_time(trace: SimulationTrace, final_value: float) -> float:
-    """Last time any robot sits outside final_value*(1 +/- SETTLING_BAND).
-
-    0.0 if the whole trace is inside the band; inf if the trace ends
-    outside it (never settles within the simulated horizon).
-    """
-    if final_value == 0:
-        raise ValueError("settling band is relative: final_value must be nonzero")
-    tolerance = SETTLING_BAND * abs(final_value)
-    outside = np.any(np.abs(trace.positions - final_value) > tolerance, axis=1)
-    indices = np.nonzero(outside)[0]
-    if indices.size == 0:
-        return 0.0
-    last = int(indices[-1])
-    if last == trace.num_samples - 1:
-        return math.inf
-    return float(trace.times[last])
+    def settling_time(self, dt: float):
+        """Time of the last sample outside the band: 0 if none, inf if it is
+        the last sample judged (not settled within the run), NaN without a band."""
+        if not self.final_value:
+            return math.nan
+        return np.where(self.last_outside == self.end, math.inf,
+                        np.maximum(self.last_outside, 0) * dt)
 
 
 def summarize(trace: SimulationTrace, final_value: float | None = None) -> RunSummary:
     """Bundle the run metrics; settling time is NaN when no nonzero
     final value is available to define the band."""
-    if final_value:
-        settling = measured_settling_time(trace, final_value)
-    else:
-        settling = math.nan
-    return RunSummary(max_deformation=max_deformation(trace),
-                      max_force=max_force(trace),
-                      max_speed=max_speed(trace),
-                      settling_time=settling)
+    peaks = Peaks(final_value)
+    peaks.add(1, trace.positions)
+    return RunSummary(max_deformation=float(peaks.peak_spread),
+                      max_force=float(np.max(np.abs(trace.forces))),
+                      max_speed=float(peaks.peak_move / trace.dt),
+                      settling_time=float(peaks.settling_time(trace.dt)))
 
 
 @dataclass(frozen=True)

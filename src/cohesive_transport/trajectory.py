@@ -98,6 +98,7 @@ def cutoff_sweep(scenario: "ScenarioConfig",
     whose peaks are reduced block by block as it streams.
     """
     from .dynamics import _run, num_steps
+    from .metrics import Peaks
 
     cutoffs = sorted(float(w) for w in omega_c_values)
     if not cutoffs:
@@ -108,11 +109,8 @@ def cutoff_sweep(scenario: "ScenarioConfig",
     steps = _step_series(scenario.trajectory, num_steps(scenario.duration, dt))
     references = _tustin(steps, np.array(cutoffs) * dt)
 
-    spread = move = np.zeros(len(cutoffs))
-    # blocks are (samples, cutoffs, robots); block[0] is the sample before
-    for _, block in _run(scenario.network, scenario.controller, references):
-        spread = np.maximum(spread, np.ptp(block, axis=2).max(axis=0))
-        move = np.maximum(move, np.abs(np.diff(block, axis=0)).max(axis=(0, 2)))
-    # dividing by dt > 0 is monotone, so it commutes with the maximum
+    peaks = Peaks()   # blocks are (samples, cutoffs, robots): one peak per cutoff
+    for m, block in _run(scenario.network, scenario.controller, references):
+        peaks.add(m, block)
     return [SweepRow(omega_c=wc, max_deformation=float(d), max_speed=float(v / dt))
-            for wc, d, v in zip(cutoffs, spread, move)]
+            for wc, d, v in zip(cutoffs, peaks.peak_spread, peaks.peak_move)]

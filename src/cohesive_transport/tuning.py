@@ -55,7 +55,7 @@ from .dynamics import ControllerConfig, _run, num_steps
 # not called here: perfbench's test_tracer_restores_every_rebound_name reads this copy
 from .dynamics import simulate  # noqa: F401
 from .errors import TuningInfeasibleError, UnstableGainError
-from .metrics import SETTLING_BAND
+from .metrics import SETTLING_BAND, Peaks
 from .network import CouplingNetwork, PinnedLaplacian, build_pinned_laplacian
 from .stability import (StabilityReport, baseline_gamma_bound,
                         baseline_spectral_radius, closed_form_stable,
@@ -122,22 +122,17 @@ def _measure_step_response(network: CouplingNetwork,
                            controller: ControllerConfig,
                            spec: TuningSpec) -> tuple[float, float]:
     """(settling, max speed) of the unit step up to the first horizon that ends
-    inside the band, else (inf, max speed) up to the last. Dividing by dt > 0 is
-    monotone, so max speed is the largest move divided by dt."""
+    inside the band, else (inf, max speed) up to the last."""
     horizons = [num_steps(2.0 * max(spec.target_settling, spec.dt) * 2.0 ** k, spec.dt)
                 for k in range(4)]
     reference = np.ones(horizons[-1] + 1)   # the unit step, switched on at sample 1
     reference[0] = 0.0
-    last, move = 0, 0.0   # sample 0, at rest, is a unit away from the step
+    peaks = Peaks(final_value=1.0)
     for m, block in _run(network, controller, reference, ends=horizons):
-        outside = np.flatnonzero((np.abs(block[1:] - 1.0) > SETTLING_BAND).any(axis=1))
-        if outside.size:
-            last = m + int(outside[-1])
-        move = max(move, float(np.abs(np.diff(block, axis=0)).max()))
-        end = m + len(block) - 2
-        if end in horizons and last < end:
-            return last * spec.dt, move / spec.dt
-    return math.inf, move / spec.dt
+        peaks.add(m, block)
+        if peaks.end in horizons and peaks.last_outside < peaks.end:
+            break
+    return float(peaks.settling_time(spec.dt)), float(peaks.peak_move / spec.dt)
 
 
 def tune_gamma(network: CouplingNetwork,
@@ -151,6 +146,9 @@ def tune_gamma(network: CouplingNetwork,
     gamma_star = 2.0 / (laplacian.lambda_min + laplacian.lambda_max)
     gamma = -math.expm1(spec.dt * math.log(SETTLING_BAND)
                         / spec.target_settling) / laplacian.lambda_min
+    if not gamma > 0.0:
+        raise TuningInfeasibleError(f"target {spec.target_settling:.9g} s is too long: "
+                                    "the baseline gain for it underflows to 0")
     if gamma > gamma_star:
         fastest = settling_time_estimate(laplacian, gamma_star, spec.dt)
         raise TuningInfeasibleError(

@@ -23,12 +23,11 @@ import pytest
 from cohesive_transport import (ControllerConfig, TuningSpec,
                                 build_pinned_laplacian, dsr_mode_roots,
                                 jury_stable, closed_form_stable,
-                                measured_settling_time, simulate,
-                                spectral_radius, tune_dsr, tune_gamma)
+                                simulate, spectral_radius, summarize,
+                                tune_dsr, tune_gamma)
 from cohesive_transport.benchmark import (baseline_scenario, dsr_scenario,
                                           run_reproduction)
 from cohesive_transport.dynamics import baseline_update_forms, dsr_update_forms
-from cohesive_transport.metrics import max_speed
 from cohesive_transport.tuning import dsr_settling_estimate, settling_time_estimate
 
 from conftest import DT, unit_step_scenario
@@ -135,8 +134,8 @@ def test_criterion_5_settling_window(chain4, lap4):
         chain4, ControllerConfig.baseline(1.93, DT), duration=25.0))
     dsr_trace = simulate(unit_step_scenario(
         chain4, ControllerConfig.dsr(0.39, 10.92, DT), duration=25.0))
-    base_ts = measured_settling_time(base_trace, 1.0)
-    dsr_ts = measured_settling_time(dsr_trace, 1.0)
+    base_ts = summarize(base_trace, final_value=1.0).settling_time
+    dsr_ts = summarize(dsr_trace, final_value=1.0).settling_time
 
     # Unit step switched on at sample index 1, as the simulator's step.
     step = np.ones(base_trace.num_samples - 1)
@@ -260,8 +259,8 @@ def test_criterion_8_decentralized_crosscheck(chain4, lap4, rng):
 def test_criterion_9_speed_constraint():
     """In the reference transport, the cohesive controller never
     commands more speed than the baseline, which stays under 5 cm/s."""
-    v_base = max_speed(simulate(baseline_scenario()))
-    v_dsr = max_speed(simulate(dsr_scenario()))
+    v_base = summarize(simulate(baseline_scenario())).max_speed
+    v_dsr = summarize(simulate(dsr_scenario())).max_speed
     ok = v_dsr <= v_base <= 5.0
     assert _verdict("9 (speed constraint)", ok,
                     f"cohesive {v_dsr:.3f} <= baseline {v_base:.3f} <= 5 cm/s")

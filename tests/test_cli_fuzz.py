@@ -37,6 +37,11 @@ _OVERFLOWING_DELAYED = _bundled_with("chain4_dsr.cfg", alpha="1e300", beta="1e30
 @example((_bundled_with("chain4_dsr.cfg", duration="1e300"), ["simulate"]))
 # a target whose decay per sample underflows to 0
 @example(((CONFIG_DIR / "chain4_baseline.cfg").read_text(), ["tune", "--target-ts", "1e-300"]))
+# a target so long on stiff springs that the baseline gain underflows to 0
+@example(("[network]\nrobots = 2\nneighbor_stiffness = 1e20\nleader_stiffness = 1e20, 1e20\n"
+          "[controller]\nkind = baseline\ngamma = 1e-21\ndt = 0.03\n"
+          "[trajectory]\nkind = step\namplitude = 1.0\n[run]\nduration = 1.0\n",
+          ["tune", "--target-ts", "1e308"]))
 # delayed gains whose characteristic coefficients overflow
 @example((_OVERFLOWING_DELAYED, ["stability"]))
 @example((_OVERFLOWING_DELAYED, ["simulate"]))

@@ -10,8 +10,8 @@ import pytest
 from cohesive_transport import benchmark, cli, dynamics, network, tuning
 from cohesive_transport import (ConfigError, ControllerConfig, CouplingNetwork,
                                 ScenarioConfig, SimulationTrace, StiffnessChain,
-                                TrajectorySpec, UnstableGainError, deformation_series,
-                                load_config, simulate, write_config)
+                                TrajectorySpec, UnstableGainError, load_config,
+                                simulate, write_config)
 from cohesive_transport.benchmark import baseline_scenario, dsr_scenario
 from cohesive_transport.cli import main, write_trace_csv
 
@@ -151,16 +151,16 @@ def test_trace_csv_matches_per_value_formatting(tmp_path, rng):
     forces.flat[:len(specials)] = specials
     positions = rng.normal(0.0, 50.0, (samples, n))
     positions[1] = [0.0, -0.0, 5e-324]
-    speeds = np.zeros((samples, n))
-    speeds[:-1] = np.diff(positions, axis=0) / DT
     trace = SimulationTrace(dt=DT, times=np.arange(samples) * DT, positions=positions,
                             forces=forces,
-                            reference=rng.permutation(np.resize(specials, samples)),
-                            speeds=speeds)
+                            reference=rng.permutation(np.resize(specials, samples)))
     path = tmp_path / "trace.csv"
     write_trace_csv(trace, path)
 
-    deformation = deformation_series(trace)
+    # D and vmax_step by plain numpy: each speed divided by dt before the maximum
+    deformation = positions.max(axis=1) - positions.min(axis=1)
+    speeds = np.zeros((samples, n))
+    speeds[:-1] = np.diff(positions, axis=0) / DT
     step_speed = np.max(np.abs(speeds), axis=1)
     expected = ["t,y_1,y_2,y_3,f_1,f_2,f_3,yd,D,vmax_step"]
     for m in range(samples):
@@ -273,6 +273,30 @@ def test_cli_overflowing_delayed_gains_end_in_an_exit_code(tmp_path, command, co
         warnings.simplefilter("ignore")
         assert main([command, "--config", str(config), "--out", str(tmp_path / "o")]) == code
     assert (tmp_path / "o").exists() is (code == 0)
+
+
+@pytest.mark.parametrize("delay", [1, 2])
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+def test_cli_overflowing_gains_stop_before_the_first_step(tmp_path, capsys, command, delay):
+    """alpha*beta*dt overflows the per-robot law: the run stops with an error
+    naming the gains and the product, and the unstable-gain warning is the
+    only warning (no numpy RuntimeWarning from stepping NaN coefficients)."""
+    config = tmp_path / "overflow.cfg"
+    config.write_text((CONFIG_DIR / "chain4_dsr.cfg").read_text()
+                      .replace("alpha = 0.39", "alpha = 1e300")
+                      .replace("beta = 10.92", "beta = 1e300")
+                      .replace("delay_multiple = 1", f"delay_multiple = {delay}"))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([command, "--config", str(config), "--out", str(tmp_path / "o")]) == 1
+    assert [w.category for w in caught] == [dynamics.UnstableControllerWarning]
+    assert capsys.readouterr().err == (
+        "error: (alpha, beta) = (1e+300, 1e+300) (alpha*beta*dt = inf) "
+        "overflow the per-robot law coefficients\n")
+    assert not (tmp_path / "o").exists()
+    assert main(["stability", "--config", str(config), "--out", str(tmp_path / "s")]) == 0
+    assert json.loads((tmp_path / "s" / "stability.json").read_text())[
+        "spectral_radius"] is None
 
 
 def test_cli_tune(tmp_path):
