@@ -27,7 +27,7 @@ from .stability import (ModeRoots, StabilityReport, baseline_gamma_bound,
                         dsr_mode_roots, jury_stable, spectral_radius)
 from .trajectory import SweepRow, TrajectorySpec, cutoff_sweep, reference_series
 from .tuning import (TuningResult, TuningSpec, dsr_settling_estimate,
-                     settling_time_estimate, tune_dsr, tune_gamma)
+                     settling_time_estimate, tune, tune_gamma)
 
 __all__ = [
     "CalibrationError", "CalibrationRecord", "CohesiveTransportError",
@@ -46,5 +46,5 @@ __all__ = [
     "load_config", "measured_force", "neighbor_forces",
     "reference_series", "run_reproduction", "settling_time_estimate",
     "simulate", "spectral_radius", "step_baseline", "step_dsr", "summarize",
-    "tune_dsr", "tune_gamma", "write_config",
+    "tune", "tune_gamma", "write_config",
 ]

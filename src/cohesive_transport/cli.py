@@ -134,41 +134,16 @@ def cmd_tune(args) -> int:
                                  dt=scenario.controller.dt)
     except ValueError as exc:
         raise ConfigError(f"--target-ts: {exc}") from exc
+    base, dsr = tuning.tune(scenario.network, spec)
     lap = build_pinned_laplacian(scenario.network)
-    # the cohesive gains are purely spectral: a target they cannot reach
-    # fails here, before any step is simulated
-    gains = tuning._dsr_gains(lap, spec)
-    base = tuning.tune_gamma(scenario.network, spec)
-    dsr = tuning.tune_dsr(scenario.network, spec, v_nodsr=base.max_speed,
-                          gains=gains)
     gamma_rows = tuning.ts_vs_gamma_table(lap, spec)
     dsr_rows = tuning.dsr_gains_vs_ts_table(lap, spec, [float(t) for t in range(4, 21)])
     out = _out_dir(args, scenario)
     gamma_csv, dsr_csv = out / "ts_vs_gamma.csv", out / "dsr_gains_vs_ts.csv"
     _write_csv(gamma_csv, ["gamma", "ts_estimate_s"], gamma_rows)
     _write_csv(dsr_csv, ["target_ts_s", "alpha", "beta", "sigma"], dsr_rows)
-
-    payload = {
-        "target_settling_s": args.target_ts,
-        "baseline": {
-            "gamma": base.controller.gamma,
-            "predicted_settling_s": base.predicted_settling,
-            "measured_settling_s": base.measured_settling,
-            "max_speed_cmps": base.max_speed,
-            "spectral_radius": base.spectral_radius,
-            "feasible": base.feasible,
-        },
-        "dsr": {
-            "alpha": dsr.controller.alpha,
-            "beta": dsr.controller.beta,
-            "predicted_settling_s": dsr.predicted_settling,
-            "measured_settling_s": dsr.measured_settling,
-            "max_speed_cmps": dsr.max_speed,
-            "spectral_radius": dsr.spectral_radius,
-            "feasible": dsr.feasible,
-        },
-    }
-    _write_json(out / "tuning.json", payload)
+    _write_json(out / "tuning.json", {"target_settling_s": args.target_ts,
+                                      "baseline": base.as_dict(), "dsr": dsr.as_dict()})
     print(f"gamma = {base.controller.gamma:.6g} "
           f"(measured settling {base.measured_settling:.3g} s, "
           f"max speed {base.max_speed:.3g} cm/s)")

@@ -203,23 +203,19 @@ def build_pinned_laplacian(network: CouplingNetwork) -> PinnedLaplacian:
     return network._laplacian
 
 
-def measured_force(network: CouplingNetwork,
-                   positions: Sequence[float], robot: int | None = None):
-    """Local object force on a robot: sum of its neighbor spring forces.
+def measured_force(network: CouplingNetwork, positions: Sequence[float]) -> np.ndarray:
+    """Local object force on each robot: the sum of its neighbor spring forces.
 
     This is the quantity a force sensor between robot and object reads.
     The virtual-source force on leaders is not included here; update
-    laws add it separately. With ``robot`` given, returns that robot's
-    reading as a float; without it, every robot's reading as an array,
-    from one pass over the spring list (per row for (batch, n) positions).
+    laws add it separately. Every robot's reading comes from one pass over
+    the spring list (per row for (batch, n) positions).
     """
     y = np.asarray(positions, dtype=float)
     robots, neighbours, stiffness = network._springs
     if y.ndim == 1:
         pulls = stiffness * (y[robots] - y[neighbours])
-        if robot is None:
-            return np.bincount(robots, weights=pulls, minlength=network.n)
-        return float(np.sum(pulls[robots == robot]))
+        return np.bincount(robots, weights=pulls, minlength=network.n)
     pulls = stiffness * (y[:, robots] - y[:, neighbours])
     bins = robots + network.n * np.arange(len(y))[:, None]
     return np.bincount(bins.ravel(), weights=pulls.ravel(),

@@ -1,7 +1,8 @@
 """Scenario configs: one file fully describes one run.
 
-Flat INI-style files with four sections. Robots are numbered from 1 in
-files and in config errors, as the lab numbers them, and from 0 in memory.
+Flat INI-style files with four sections and only the keys below.
+Robots are numbered from 1 in files and in config errors, as the lab
+numbers them, and from 0 in memory.
 A network gives ``couplings`` or ``neighbor_stiffness``, one or the other;
 ``write_config`` writes every network in the ``couplings`` form.
 
@@ -27,6 +28,7 @@ A network gives ``couplings`` or ``neighbor_stiffness``, one or the other;
     [run]
     duration = 60.0          # s
     label = chain4-baseline
+    # out_dir = results/run  # optional: the output directory without --out
 """
 from __future__ import annotations
 
@@ -74,6 +76,12 @@ def _parse_couplings(raw: str, robots: int) -> dict[tuple[int, int], float]:
     return couplings
 
 
+_KEYS = {"network": ("robots", "couplings", "neighbor_stiffness", "leader_stiffness"),
+         "controller": ("kind", "gamma", "alpha", "beta", "delay_multiple", "dt"),
+         "trajectory": ("kind", "amplitude", "cutoff", "start_index"),
+         "run": ("duration", "label", "out_dir")}   # any other key is a problem
+
+
 class _SectionReader:
     """Pulls typed values out of one section, recording every problem
     with its section.key path instead of stopping at the first."""
@@ -86,6 +94,8 @@ class _SectionReader:
         self.raw = dict(parser[section]) if self.present else {}
         if not self.present:
             problems.append(f"{section}: missing section")
+        problems.extend(f"{section}.{key}: unknown key"
+                        for key in self.raw if key not in _KEYS[section])
 
     def get(self, key: str, convert, required: bool = True, default=None):
         if key not in self.raw:

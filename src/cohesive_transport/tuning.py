@@ -39,6 +39,13 @@ one spectral radius there decides whether it does. The result is also
 checked against the closed-form stability condition and a unit-step
 simulation for the commanded-speed constraint.
 
+The cohesive floor: D_k's roots multiply to c_k, so for c_k > 0 one has
+magnitude >= sqrt(c_k) whatever alpha. The lam_min mode, with the largest
+c_k, puts every target below F = dt*ln(eps) / (1/2 * ln(1 - beta*lam_min))
+out of reach (there is no floor if 1 - beta*lam_min <= 0). At the balanced
+beta, 1 - beta*lam_min is the baseline's decay at gamma*, so
+F = 2*T(gamma*); a capped beta raises F.
+
 The unit step is stepped once, up to 16 T, keeping only its last sample
 outside the band and its largest move per sample. It is judged at the first
 horizon 2*T*2**k (k = 0..3) that ends inside the band.
@@ -54,7 +61,7 @@ import numpy as np
 from .dynamics import ControllerConfig, _run, num_steps
 # not called here: perfbench's test_tracer_restores_every_rebound_name reads this copy
 from .dynamics import simulate  # noqa: F401
-from .errors import TuningInfeasibleError, UnstableGainError
+from .errors import DivergenceError, TuningInfeasibleError, UnstableGainError
 from .metrics import SETTLING_BAND, Peaks
 from .network import CouplingNetwork, PinnedLaplacian, build_pinned_laplacian
 from .stability import (StabilityReport, baseline_gamma_bound,
@@ -92,6 +99,16 @@ class TuningResult:
     spectral_radius: float
     feasible: bool
 
+    def as_dict(self) -> dict:
+        """tuning.json's block: the controller's gains, then its checks."""
+        ctl = self.controller
+        gains = ({"gamma": ctl.gamma} if ctl.kind == "baseline"
+                 else {"alpha": ctl.alpha, "beta": ctl.beta})
+        return {**gains, "predicted_settling_s": self.predicted_settling,
+                "measured_settling_s": self.measured_settling,
+                "max_speed_cmps": self.max_speed,
+                "spectral_radius": self.spectral_radius, "feasible": self.feasible}
+
 
 def _decay_to_settling(decay: float, dt: float) -> float:
     if decay >= 1.0:
@@ -125,13 +142,17 @@ def _measure_step_response(network: CouplingNetwork,
     inside the band, else (inf, max speed) up to the last."""
     horizons = [num_steps(2.0 * max(spec.target_settling, spec.dt) * 2.0 ** k, spec.dt)
                 for k in range(4)]
-    reference = np.ones(horizons[-1] + 1)   # the unit step, switched on at sample 1
-    reference[0] = 0.0
+    # samples 0 and 1 are at rest: step from sample 1 on a constant 1, stride 0
+    reference = np.broadcast_to(1.0, (horizons[-1],))
     peaks = Peaks(final_value=1.0)
-    for m, block in _run(network, controller, reference, ends=horizons):
-        peaks.add(m, block)
-        if peaks.end in horizons and peaks.last_outside < peaks.end:
-            break
+    try:
+        for m, block in _run(network, controller, reference,
+                             ends=[h - 1 for h in horizons]):
+            peaks.add(m + 1, block)
+            if peaks.end in horizons and peaks.last_outside < peaks.end:
+                break
+    except DivergenceError as exc:   # count steps from sample 0
+        raise DivergenceError(exc.step + 1) from None
     return float(peaks.settling_time(spec.dt)), float(peaks.peak_move / spec.dt)
 
 
@@ -197,11 +218,15 @@ def _dsr_gains(laplacian: PinnedLaplacian,
     report = spectral_radius(laplacian, alpha, beta, spec.dt)
     if not report.spectral_radius <= decay * (1.0 + _ROOT_RTOL):
         reached = _decay_to_settling(report.spectral_radius, spec.dt)
+        c_min = 1.0 - beta * laplacian.lambda_min
+        floor = _decay_to_settling(math.sqrt(c_min), spec.dt) if c_min > 0.0 else 0.0
         raise TuningInfeasibleError(
             f"no feasible rate gain: target {spec.target_settling:.6g} s not "
             f"reachable with beta = {beta:.6g}; at alpha = {alpha:.6g}, where "
             "the lambda_max mode decays at the target rate, the settling "
-            f"estimate is {reached:.6g} s")
+            f"estimate is {reached:.6g} s"
+            + (f"; no rate gain settles faster than the cohesive floor {floor:.6g} s "
+               "at this beta" if spec.target_settling < floor else ""))
     if not closed_form_stable(laplacian, alpha, beta, spec.dt):
         raise TuningInfeasibleError(
             f"tuned gains (alpha={alpha:.6g}, beta={beta:.6g}) violate the "
@@ -209,34 +234,27 @@ def _dsr_gains(laplacian: PinnedLaplacian,
     return alpha, beta, report
 
 
-def tune_dsr(network: CouplingNetwork, spec: TuningSpec,
-             v_nodsr: float,
-             gains: tuple[float, float, StabilityReport] | None = None) -> TuningResult:
-    """Cohesive gains for a target settling time under a speed cap.
+def tune(network: CouplingNetwork,
+         spec: TuningSpec) -> tuple[TuningResult, TuningResult]:
+    """(baseline, cohesive) tuned to one settling target.
 
-    ``v_nodsr`` is the peak commanded speed of the tuned baseline on
-    the same reference; the cohesive controller must not exceed it.
-    The reinforcement gain balances the mode envelopes, the rate gain
-    matches the settling estimate, and the pair is then checked against
-    the closed-form stability condition and the simulated speed.
-    ``gains`` reuses an earlier ``_dsr_gains`` result for this network
-    and spec.
+    The cohesive gains are found first, before any step is simulated;
+    then the baseline is tuned, and the cohesive unit step must not
+    command more speed than the baseline's.
     """
-    alpha, beta, report = gains or _dsr_gains(build_pinned_laplacian(network), spec)
+    alpha, beta, report = _dsr_gains(build_pinned_laplacian(network), spec)
+    base = tune_gamma(network, spec)
     controller = ControllerConfig.dsr(alpha, beta, spec.dt)
     measured, vmax = _measure_step_response(network, controller, spec)
-    if vmax > v_nodsr:
+    if vmax > base.max_speed:
         raise TuningInfeasibleError(
             f"no feasible point: tuned gains command {vmax:.6g} cm/s, above "
-            f"the baseline's {v_nodsr:.6g} cm/s")
-    return TuningResult(
-        controller=controller,
-        predicted_settling=_decay_to_settling(report.spectral_radius, spec.dt),
-        measured_settling=measured,
-        max_speed=vmax,
-        spectral_radius=report.spectral_radius,
-        feasible=report.stable,
-    )
+            f"the baseline's {base.max_speed:.6g} cm/s")
+    sigma = report.spectral_radius
+    return base, TuningResult(controller=controller,
+                              predicted_settling=_decay_to_settling(sigma, spec.dt),
+                              measured_settling=measured, max_speed=vmax,
+                              spectral_radius=sigma, feasible=report.stable)
 
 
 def ts_vs_gamma_table(laplacian: PinnedLaplacian,

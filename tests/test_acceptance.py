@@ -24,7 +24,7 @@ from cohesive_transport import (ControllerConfig, TuningSpec,
                                 build_pinned_laplacian, dsr_mode_roots,
                                 jury_stable, closed_form_stable,
                                 simulate, spectral_radius, summarize,
-                                tune_dsr, tune_gamma)
+                                tune)
 from cohesive_transport.benchmark import (baseline_scenario, dsr_scenario,
                                           run_reproduction)
 from cohesive_transport.dynamics import baseline_update_forms, dsr_update_forms
@@ -75,8 +75,7 @@ def test_criterion_3_extreme_eigenvalues(lap4):
 def test_criterion_4_tuning_recovery(chain4, lap4):
     start = time.perf_counter()
     spec = TuningSpec(target_settling=10.0, dt=DT)
-    base = tune_gamma(chain4, spec)
-    dsr = tune_dsr(chain4, spec, v_nodsr=base.max_speed)
+    base, dsr = tune(chain4, spec)
     elapsed = time.perf_counter() - start
 
     gamma = base.controller.gamma

@@ -46,6 +46,9 @@ _OVERFLOWING_DELAYED = _bundled_with("chain4_dsr.cfg", alpha="1e300", beta="1e30
 @example((_OVERFLOWING_DELAYED, ["stability"]))
 @example((_OVERFLOWING_DELAYED, ["simulate"]))
 @example((_OVERFLOWING_DELAYED, ["sweep"]))
+# a misspelt key, which once left the delay at its default without a word
+@example(((CONFIG_DIR / "chain4_dsr.cfg").read_text().replace(
+    "delay_multiple = 1", "delay_mutliple = 3"), ["stability"]))
 def test_cli_ends_in_a_documented_exit_code(case):
     text, command = case
     with tempfile.TemporaryDirectory() as tmp:

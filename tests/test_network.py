@@ -149,15 +149,16 @@ def test_measured_force_on_a_batch_is_row_by_row(network, batch, data):
 def test_measured_force_undeformed(chain4):
     positions = [3.0, 3.0, 3.0, 3.0]
     for robot in range(4):
-        assert measured_force(chain4, positions, robot) == 0.0
+        assert measured_force(chain4, positions)[robot] == 0.0
 
 
 def test_measured_force_reference_values(chain4):
     # one robot displaced by 1 cm loads only its own spring
     positions = [1.0, 0.0, 0.0, 0.0]
-    assert measured_force(chain4, positions, 0) == pytest.approx(0.05, abs=1e-15)
-    assert measured_force(chain4, positions, 1) == pytest.approx(-0.05, abs=1e-15)
-    assert measured_force(chain4, positions, 2) == 0.0
+    forces = measured_force(chain4, positions)
+    assert forces[0] == pytest.approx(0.05, abs=1e-15)
+    assert forces[1] == pytest.approx(-0.05, abs=1e-15)
+    assert forces[2] == 0.0
 
 
 @settings(max_examples=60, deadline=None)
@@ -167,9 +168,7 @@ def test_stacked_forces_match_per_robot(chain_positions):
     lap = build_pinned_laplacian(chain)
     stacked = neighbor_forces(lap, np.asarray(positions))
     scale = max(1.0, float(np.max(np.abs(stacked))))
-    for robot in range(chain.n):
-        assert abs(stacked[robot] - measured_force(chain, positions, robot)) \
-            <= 1e-12 * scale
+    assert np.max(np.abs(stacked - measured_force(chain, positions))) <= 1e-12 * scale
 
 
 @settings(max_examples=80, deadline=None)
@@ -185,9 +184,7 @@ def test_spring_list_sensing_on_random_networks(net, data):
     terms = np.abs(lap.matrix) @ (np.abs(y) + np.abs(y_old) + abs(y_d))
 
     forces = measured_force(net, y)
-    per_robot = np.array([measured_force(net, y, k) for k in range(net.n)])
     scale = max(1.0, float(np.max(terms)))
-    assert np.max(np.abs(forces - per_robot)) <= 1e-12 * scale
     assert np.max(np.abs(forces - neighbor_forces(lap, y))) <= 1e-12 * scale
 
     gamma = data.draw(st.floats(0.1, 5.0))

@@ -116,6 +116,20 @@ def test_validation_bad_number(tmp_path):
         load_config(path)
 
 
+def test_unknown_keys_are_config_errors(tmp_path, capsys):
+    """A misspelt key is named, not ignored: misspelt, delay_multiple would
+    fall back to one sample and the run would analyse the wrong delay."""
+    config = tmp_path / "typo.cfg"
+    config.write_text((CONFIG_DIR / "chain4_dsr.cfg").read_text().replace(
+        "delay_multiple = 1", "delay_mutliple = 3") + "colour = red\n")
+    assert main(["stability", "--config", str(config),
+                 "--out", str(tmp_path / "r")]) == 2
+    err = capsys.readouterr().err
+    assert "controller.delay_mutliple: unknown key" in err
+    assert "run.colour: unknown key" in err
+    assert not (tmp_path / "r").exists()
+
+
 def test_parse_error(tmp_path):
     path = tmp_path / "broken.cfg"
     path.write_text("not an ini file at all\n")

@@ -1,6 +1,7 @@
 import math
 import re
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from cohesive_transport import (ControllerConfig, DivergenceError, PinnedLaplaci
                                 UnstableGainError, baseline_gamma_bound,
                                 build_pinned_laplacian, dsr_settling_estimate,
                                 closed_form_stable, settling_time_estimate,
-                                simulate, summarize, tune_dsr, tune_gamma)
+                                simulate, summarize, tune, tune_gamma)
 from cohesive_transport import ScenarioConfig, TrajectorySpec, tuning, write_config
 from cohesive_transport.cli import main
 from cohesive_transport.tuning import dsr_gains_vs_ts_table, ts_vs_gamma_table
@@ -282,9 +283,24 @@ def test_tune_gamma_holds_no_trace():
     assert peak < 1.5e6
 
 
-def test_tune_dsr_reference_target(chain4, lap4):
-    base = tune_gamma(chain4, spec_for(10.0))
-    result = tune_dsr(chain4, spec_for(10.0), v_nodsr=base.max_speed)
+@pytest.mark.filterwarnings("ignore::cohesive_transport.UnstableControllerWarning")
+def test_step_response_holds_no_reference(chain4):
+    """From sample 1 on the unit step is the constant 1, one value with
+    stride 0: a 2,000 s target's 1,066,667-sample horizon costs no memory,
+    where an array of it would take 8.5 MB. The step diverges at step 48."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(DivergenceError, match="step 48$"):
+            tuning._measure_step_response(chain4, _B(15.0, DT), spec_for(2000.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
+
+
+def test_tune_reference_target(chain4, lap4):
+    base, result = tune(chain4, spec_for(10.0))
+    assert base == tune_gamma(chain4, spec_for(10.0))
     alpha = result.controller.alpha
     beta = result.controller.beta
 
@@ -301,9 +317,8 @@ def test_tune_dsr_reference_target(chain4, lap4):
     assert result.max_speed <= base.max_speed
 
 
-def test_tune_dsr_result_revalidates(chain4, lap4):
-    base = tune_gamma(chain4, spec_for(10.0))
-    result = tune_dsr(chain4, spec_for(10.0), v_nodsr=base.max_speed)
+def test_tune_cohesive_result_revalidates(chain4, lap4):
+    base, result = tune(chain4, spec_for(10.0))
     assert closed_form_stable(lap4, result.controller.alpha, result.controller.beta, DT)
     trace = simulate(unit_step_scenario(chain4, result.controller, duration=25.0))
     speed = float(np.max(np.abs(np.diff(trace.positions, axis=0) / DT)))
@@ -311,17 +326,65 @@ def test_tune_dsr_result_revalidates(chain4, lap4):
     assert speed == pytest.approx(result.max_speed, rel=1e-9)
 
 
-def test_tune_dsr_speed_constraint_binds(chain4):
-    with pytest.raises(TuningInfeasibleError, match="cm/s"):
-        tune_dsr(chain4, spec_for(10.0), v_nodsr=0.01)
+def test_tune_results_as_dicts(chain4):
+    base, result = tune(chain4, spec_for(10.0))
+    checks = ["predicted_settling_s", "measured_settling_s", "max_speed_cmps",
+              "spectral_radius", "feasible"]
+    assert list(base.as_dict()) == ["gamma"] + checks
+    assert list(result.as_dict()) == ["alpha", "beta"] + checks
+    assert result.as_dict()["beta"] == result.controller.beta
+    assert base.as_dict()["max_speed_cmps"] == base.max_speed
 
 
-def test_tune_dsr_unreachable_target(chain4):
+def test_tune_speed_constraint_binds(chain4, monkeypatch):
+    # a baseline that commands 0.01 cm/s leaves the cohesive pair no room
+    real = tuning.tune_gamma
+    monkeypatch.setattr(tuning, "tune_gamma",
+                        lambda network, spec: replace(real(network, spec), max_speed=0.01))
+    with pytest.raises(TuningInfeasibleError, match="above the baseline's 0.01 cm/s"):
+        tune(chain4, spec_for(10.0))
+
+
+def test_tune_unreachable_target_fails_before_any_step(chain4, monkeypatch):
+    def no_simulation(*args, **kwargs):
+        raise AssertionError("an unreachable target simulated a step")
+
+    monkeypatch.setattr(tuning, "_run", no_simulation)
     with pytest.raises(TuningInfeasibleError, match="settling"):
-        tune_dsr(chain4, spec_for(0.5), v_nodsr=5.0)
+        tune(chain4, spec_for(0.5))
     # the target decay per sample, 0.02**(dt/T), underflows to 0
     with pytest.raises(TuningInfeasibleError, match="underflows"):
-        tune_dsr(chain4, spec_for(1e-300), v_nodsr=5.0)
+        tune(chain4, spec_for(1e-300))
+
+
+@pytest.mark.parametrize("robots, floor", [(4, 3.43546), (16, 51.3684)])
+def test_cohesive_floor_is_named_and_tight(robots, floor):
+    """At the balanced beta the lam_min mode decays no faster than
+    sqrt(1 - beta*lam_min) = sqrt(r(gamma*)) per sample, so the fastest
+    cohesive target is F = 2*T(gamma*): just below it fails naming F,
+    just above it both controllers tune."""
+    chain = StiffnessChain((0.05,) * (robots - 1), (0.05,) + (0.0,) * (robots - 1))
+    lap = build_pinned_laplacian(chain)
+    fastest = 2.0 * fastest_baseline_settling(lap)
+    assert fastest == pytest.approx(floor, abs=5e-5)
+    below, above = spec_for(fastest * (1.0 - 1e-6)), spec_for(fastest * (1.0 + 1e-6))
+    assert tuning._balance_mode_envelopes(lap, below) == 2.0 / (lap.lambda_min
+                                                               + lap.lambda_max)
+    with pytest.raises(TuningInfeasibleError,
+                       match=re.escape(f"cohesive floor {fastest:.6g} s")):
+        tuning._dsr_gains(lap, below)
+    _, cohesive = tune(chain, above)
+    assert cohesive.predicted_settling == pytest.approx(above.target_settling, rel=1e-9)
+
+
+def test_cohesive_floor_extends_the_estimate_in_the_error(lap4):
+    with pytest.raises(TuningInfeasibleError) as info:
+        tuning._dsr_gains(lap4, spec_for(2.0))
+    assert str(info.value) == (
+        "no feasible rate gain: target 2 s not reachable with beta = 10.9508; "
+        "at alpha = 1.95517, where the lambda_max mode decays at the target rate, "
+        "the settling estimate is 12.1708 s; no rate gain settles faster than "
+        "the cohesive floor 3.43546 s at this beta")
 
 
 def test_rate_gain_matches_the_grid_oracle_on_chain4(lap4):
@@ -360,10 +423,8 @@ def test_rate_gain_tunes_a_32_robot_chain_beyond_the_grid():
     assert dsr_settling_estimate(lap, alpha, beta, DT) == pytest.approx(2000.0, rel=1e-9)
 
 
-def test_tune_dsr_deterministic(chain4):
-    a = tune_dsr(chain4, spec_for(10.0), v_nodsr=5.0)
-    b = tune_dsr(chain4, spec_for(10.0), v_nodsr=5.0)
-    assert a.controller == b.controller
+def test_tune_deterministic(chain4):
+    assert tune(chain4, spec_for(10.0)) == tune(chain4, spec_for(10.0))
 
 
 def test_dsr_estimate_matches_spectral_radius(lap4):
