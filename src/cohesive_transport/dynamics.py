@@ -15,13 +15,14 @@ ideal all-leader first-order response without any communication:
 
 with rate gain ``a`` (1/s), reinforcement gain ``b`` (cm/N), and delay of
 N samples. Every robot can evaluate its own row of this update from local
-measurements only: the row needs y_k, f_k, their N-step-old values, and
-y_d if the robot is a leader. Both laws are implemented twice, per-robot
-from local quantities and stacked via K, and cross-checked on every step
-of every run (``_run``, which hands samples out in blocks that the sweep
-and the tuner reduce as they come); that check certifies the laws as
-decentralized. The step functions raise CrosscheckError on a disagreement,
-also under ``python -O``, and DivergenceError past DIVERGENCE_LIMIT_CM.
+measurements only: the row needs y_k, f_k, the values of both the robot
+stored N samples earlier, and y_d if the robot is a leader. Both laws are
+implemented twice, per-robot from local quantities and stacked via K, and
+cross-checked on every step of every run (``_run``, which hands samples
+out in blocks that the sweep and the tuner reduce as they come); that
+check certifies the laws as decentralized. The step functions raise
+CrosscheckError on a disagreement, also under ``python -O``, and
+DivergenceError past DIVERGENCE_LIMIT_CM.
 
 Positions are cm, forces N, time s.
 """
@@ -29,12 +30,13 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import stability
+from . import metrics, stability
 from .errors import CrosscheckError, DivergenceError, UnstableGainError
 from .network import (CouplingNetwork, PinnedLaplacian,
                       build_pinned_laplacian, measured_force, neighbor_forces)
@@ -106,11 +108,19 @@ class NetworkState:
     oldest first, so ``history[0]`` is Y[m-N]. Before N steps have
     elapsed the buffer is padded with the initial positions (system
     starts at rest).
+
+    The robots also keep their force readings, all taken on the network
+    object ``sensed_on``: ``step_dsr`` stores the one at ``positions`` in
+    ``reading``, and ``advanced`` moves it into ``readings``, which holds
+    those of the newest ``history`` samples (None where none was taken).
     """
 
     positions: np.ndarray
     history: tuple[np.ndarray, ...]
     step: int = 0
+    readings: tuple[np.ndarray | None, ...] = field(default=(), repr=False)
+    reading: np.ndarray | None = field(default=None, repr=False)
+    sensed_on: CouplingNetwork | None = field(default=None, repr=False)
 
     @classmethod
     def at_rest(cls, initial_positions, delay_multiple: int = 1) -> "NetworkState":
@@ -122,9 +132,10 @@ class NetworkState:
         return self.history[0]
 
     def advanced(self, new_positions: np.ndarray) -> "NetworkState":
-        return NetworkState(positions=new_positions,
-                            history=self.history[1:] + (self.positions,),
-                            step=self.step + 1)
+        return NetworkState(new_positions, self.history[1:] + (self.positions,),
+                            self.step + 1,
+                            (self.readings + (self.reading,))[-len(self.history):],
+                            None, self.sensed_on)
 
 
 @dataclass(frozen=True)
@@ -151,6 +162,16 @@ class SimulationTrace:
     @property
     def num_samples(self) -> int:
         return self.positions.shape[0]
+
+    @cached_property
+    def sample_metrics(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each sample's deformation and the largest robot move from it to the
+        next (``metrics.sample_metrics``), made once per trace and read-only:
+        its summary and its trace.csv columns share them."""
+        per_sample = metrics.sample_metrics(self.positions)
+        for arr in per_sample:
+            arr.flags.writeable = False
+        return per_sample
 
 
 def _local_coefficients(network: CouplingNetwork, gains: tuple) -> tuple[np.ndarray, ...]:
@@ -195,12 +216,15 @@ def baseline_update_forms(positions, laplacian: PinnedLaplacian,
 
 def dsr_update_forms(positions, delayed_positions, laplacian: PinnedLaplacian,
                      network: CouplingNetwork, alpha: float, beta: float, dt: float,
-                     delay_multiple: int, y_d) -> tuple[np.ndarray, np.ndarray]:
+                     delay_multiple: int, y_d, force=None,
+                     delayed_force=None) -> tuple[np.ndarray, np.ndarray]:
     """Next positions via the stacked law and via local measurements.
 
     The per-robot route touches nothing global: each robot combines its
     own position and force, their N-step-old values, and (for leaders)
-    the reference. Shapes as in ``baseline_update_forms``."""
+    the reference. ``force`` and ``delayed_force`` are the robots' readings
+    at the two samples, sensed here if not given. Shapes as in
+    ``baseline_update_forms``."""
     c_y, c_f, c_old, c_fold, c_yd = _local_coefficients(
         network, ("dsr", alpha, beta, dt, delay_multiple))
     y = np.asarray(positions, dtype=float)
@@ -212,8 +236,11 @@ def dsr_update_forms(positions, delayed_positions, laplacian: PinnedLaplacian,
                + (delta - beta * (delta @ k_t)) / delay_multiple)
 
     # Row k reads only robot k's quantities, all robots evaluated at once.
-    local = (c_y * y + c_f * measured_force(network, y) + c_old * y_old
-             + c_fold * measured_force(network, y_old) + c_yd * y_d)
+    if force is None:
+        force = measured_force(network, y)
+    if delayed_force is None:
+        delayed_force = measured_force(network, y_old)
+    local = c_y * y + c_f * force + c_old * y_old + c_fold * delayed_force + c_yd * y_d
     return stacked, local
 
 
@@ -225,15 +252,15 @@ def _crosscheck(stacked: np.ndarray, local: np.ndarray) -> float:
         if np.maximum.reduce(np.abs(stacked - local)) <= _CROSSCHECK_ATOL * max(1.0, scale):
             return scale
     # row by row; also names the worst entry of a failed 1-D state
-    row_scale = np.abs(stacked).max(axis=-1, keepdims=True)
+    row_scale = np.maximum.reduce(np.abs(stacked), axis=-1, keepdims=True)
     bound = _CROSSCHECK_ATOL * np.maximum(1.0, row_scale)
     residual = np.abs(stacked - local)
-    if not (residual <= bound).all():
+    if not np.logical_and.reduce(residual <= bound, axis=None):
         worst = np.flatnonzero(~(residual <= bound))[0]
         raise CrosscheckError(
             f"per-robot and stacked updates disagree by {residual.flat[worst]:.3g} "
             f"(bound {np.broadcast_to(bound, residual.shape).flat[worst]:.3g})")
-    return row_scale.max()
+    return np.maximum.reduce(row_scale, axis=None)
 
 
 def step_baseline(state: NetworkState, laplacian: PinnedLaplacian,
@@ -251,11 +278,18 @@ def step_baseline(state: NetworkState, laplacian: PinnedLaplacian,
 def step_dsr(state: NetworkState, laplacian: PinnedLaplacian,
              network: CouplingNetwork, config: ControllerConfig,
              y_d) -> np.ndarray:
-    """One cohesive update; returns and raises as ``step_baseline``."""
+    """One cohesive update; returns and raises as ``step_baseline``. The
+    robots sense only the current positions: the N-step-old reading is the
+    one stored when that sample was stepped on this network object, and is
+    sensed again only if there is none."""
+    if state.sensed_on is not network:
+        state.readings, state.sensed_on = (), network
+    state.reading = measured_force(network, state.positions)
+    stored = state.readings[0] if len(state.readings) == len(state.history) else None
     stacked, local = dsr_update_forms(state.positions, state.delayed_positions,
                                       laplacian, network, config.alpha,
                                       config.beta, config.dt,
-                                      config.delay_multiple, y_d)
+                                      config.delay_multiple, y_d, state.reading, stored)
     if not _crosscheck(stacked, local) <= DIVERGENCE_LIMIT_CM:
         raise DivergenceError(step=state.step + 1)
     return stacked

@@ -10,10 +10,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .dynamics import SimulationTrace
+if TYPE_CHECKING:
+    from .dynamics import SimulationTrace
 
 SETTLING_BAND = 0.02
 
@@ -36,15 +38,25 @@ class RunSummary:
         }
 
 
-def spread(positions: np.ndarray) -> np.ndarray:
-    """Deformation: the spread of robot positions (last axis) at each sample."""
-    return np.ptp(positions, axis=-1)
+def _robot_major(positions: np.ndarray) -> np.ndarray:
+    """A contiguous copy with the robots on axis 0 and the samples on axis 1:
+    a reduction over the robots is then one elementwise pass per robot over
+    whole rows, however few robots there are."""
+    return np.ascontiguousarray(np.moveaxis(positions, -1, 0))
 
 
-def step_moves(positions: np.ndarray) -> np.ndarray:
-    """Largest move of any robot from each sample to the next; over dt, the
-    peak commanded speed of the step (dt > 0 commutes with the maximum)."""
-    return np.abs(np.diff(positions, axis=0)).max(axis=-1)
+def _per_sample(robots: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``sample_metrics`` of robot-major positions."""
+    return (np.maximum.reduce(robots) - np.minimum.reduce(robots),
+            np.maximum.reduce(np.abs(np.diff(robots, axis=1))))
+
+
+def sample_metrics(positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per sample, the deformation (the spread of robot positions, last axis)
+    and the largest move of any robot from it to the next sample (one value
+    fewer); over dt, that move is the peak commanded speed of the step (dt > 0
+    commutes with the maximum)."""
+    return _per_sample(_robot_major(positions))
 
 
 class Peaks:
@@ -53,20 +65,23 @@ class Peaks:
     ``add(1, positions)``), and each run of a (samples, batch, n) block reduces
     on its own. Kept: the peak spread and move, the last sample judged (``end``)
     and, given a nonzero final value, the last sample with a robot outside
-    final_value*(1 +/- SETTLING_BAND) (-1 if none)."""
+    final_value*(1 +/- SETTLING_BAND) (-1 if none). ``add`` takes the block's
+    ``sample_metrics`` as ``per_sample`` if they are already known."""
 
     def __init__(self, final_value: float | None = None):
         self.final_value = final_value
         self.peak_spread = self.peak_move = 0.0
         self.last_outside = self.end = -1
 
-    def add(self, m: int, block: np.ndarray) -> None:
-        self.peak_spread = np.maximum(self.peak_spread, spread(block).max(axis=0))
-        self.peak_move = np.maximum(self.peak_move, step_moves(block).max(axis=0, initial=0.0))
+    def add(self, m: int, block: np.ndarray, per_sample=None) -> None:
+        robots = _robot_major(block)
+        spreads, moves = per_sample or _per_sample(robots)
+        self.peak_spread = np.maximum(self.peak_spread, spreads.max(axis=0))
+        self.peak_move = np.maximum(self.peak_move, moves.max(axis=0, initial=0.0))
         self.end = m + len(block) - 2
         if self.final_value:
-            outside = (np.abs(block - self.final_value)
-                       > SETTLING_BAND * abs(self.final_value)).any(axis=-1)
+            outside = np.logical_or.reduce(np.abs(robots - self.final_value)
+                                           > SETTLING_BAND * abs(self.final_value))
             outside_at = np.where(outside.T, np.arange(m - 1, self.end + 1), -1)
             self.last_outside = np.maximum(self.last_outside, outside_at.max(axis=-1))
 
@@ -83,7 +98,7 @@ def summarize(trace: SimulationTrace, final_value: float | None = None) -> RunSu
     """Bundle the run metrics; settling time is NaN when no nonzero
     final value is available to define the band."""
     peaks = Peaks(final_value)
-    peaks.add(1, trace.positions)
+    peaks.add(1, trace.positions, trace.sample_metrics)
     return RunSummary(max_deformation=float(peaks.peak_spread),
                       max_force=float(np.max(np.abs(trace.forces))),
                       max_speed=float(peaks.peak_move / trace.dt),

@@ -37,10 +37,11 @@ class CouplingNetwork:
     ``couplings`` maps unordered robot pairs (stored with i < j) to a
     positive stiffness; it is a read-only view. ``leader_stiffness[k]``
     is the virtual-source spring of robot k (zero for non-leaders, one
-    entry per robot). The network is frozen, so its spring list, pinned
-    Laplacian and per-robot law coefficients (by gains, set by dynamics)
-    are built once per object and can never go stale; every caller of one
-    network object shares a single assembly and eigendecomposition.
+    entry per robot). The network is frozen, so its spring list, batch
+    scatter indices (by batch size), pinned Laplacian and per-robot law
+    coefficients (by gains, set by dynamics) are built once per object and
+    can never go stale; every caller of one network object shares a single
+    assembly and eigendecomposition.
     """
 
     n: int
@@ -86,6 +87,12 @@ class CouplingNetwork:
         for arr in springs:
             arr.flags.writeable = False
         return springs
+
+    @cached_property
+    def _batch_bins(self) -> dict[int, np.ndarray]:
+        """By batch size, the flat bincount index of each spring of each
+        row of a (batch, n) reading: row b's robot k sums into bin b*n + k."""
+        return {}
 
     @cached_property
     def _laplacian(self) -> PinnedLaplacian:
@@ -217,9 +224,12 @@ def measured_force(network: CouplingNetwork, positions: Sequence[float]) -> np.n
         pulls = stiffness * (y[robots] - y[neighbours])
         return np.bincount(robots, weights=pulls, minlength=network.n)
     pulls = stiffness * (y[:, robots] - y[:, neighbours])
-    bins = robots + network.n * np.arange(len(y))[:, None]
-    return np.bincount(bins.ravel(), weights=pulls.ravel(),
-                       minlength=y.size).reshape(y.shape)
+    bins = network._batch_bins.get(len(y))
+    if bins is None:
+        bins = (robots + network.n * np.arange(len(y))[:, None]).ravel()
+        bins.flags.writeable = False
+        network._batch_bins[len(y)] = bins
+    return np.bincount(bins, weights=pulls.ravel(), minlength=y.size).reshape(y.shape)
 
 
 def neighbor_forces(laplacian: PinnedLaplacian, positions: np.ndarray) -> np.ndarray:

@@ -64,10 +64,12 @@ def _step_series(spec: TrajectorySpec, num_steps: int) -> np.ndarray:
 def _tustin(steps: np.ndarray, wd) -> np.ndarray:
     """Filtered ``steps``; an array ``wd`` filters one column per value, as if alone."""
     keep = (2.0 - wd) / (2.0 + wd)
-    feed = wd / (2.0 + wd)
     y = np.zeros(steps.shape + np.shape(wd))
+    # y[m] first holds feed * (y_ds[m] + y_ds[m-1]), formed for every m at
+    # once, so the loop does one multiply and one add per sample
+    np.multiply.outer(steps[1:] + steps[:-1], wd / (2.0 + wd), out=y[1:])
     for m in range(1, len(steps)):
-        y[m] = keep * y[m - 1] + feed * (steps[m] + steps[m - 1])
+        y[m] += keep * y[m - 1]
     return y
 
 

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import cohesive_transport
+from cohesive_transport import dynamics
 from cohesive_transport import (ControllerConfig, CrosscheckError, DivergenceError,
                                 NetworkState, ScenarioConfig, StiffnessChain,
                                 TrajectorySpec, UnstableControllerWarning,
@@ -139,6 +140,50 @@ def test_batched_steps_reject_springs_that_disagree_with_the_laplacian(chain4, l
     undeformed = NetworkState.at_rest(rows[:1], delay_multiple=2)
     step_baseline(undeformed, lap4, stiffer, base, y_d[:1])
     step_dsr(undeformed, lap4, stiffer, dsr, y_d[:1])
+
+
+@pytest.mark.parametrize("delay", [1, 3])
+def test_each_robot_reads_its_force_once_per_sample(chain4, monkeypatch, delay):
+    sensed = []
+
+    def counting(network, positions):
+        sensed.append(positions)
+        return measured_force(network, positions)
+
+    monkeypatch.setattr(dynamics, "measured_force", counting)
+    scenario = unit_step_scenario(chain4, ControllerConfig.dsr(0.39, 10.92, DT, delay),
+                                  duration=3.0)
+    steps = simulate(scenario).num_samples - 1
+    # one reading per step, plus at most one of each at-rest padding sample
+    assert steps < len(sensed) <= steps + delay
+
+
+def test_stored_readings_are_the_readings_sensed_again(chain4, lap4, rng):
+    config = ControllerConfig.dsr(0.39, 10.92, DT, 2)
+    state = NetworkState.at_rest(np.zeros(4), delay_multiple=2)
+    for y_d in rng.normal(0.0, 10.0, 12):
+        state = state.advanced(step_dsr(state, lap4, chain4, config, y_d))
+        if len(state.readings) == len(state.history):
+            assert np.array_equal(state.readings[0],
+                                  measured_force(chain4, state.delayed_positions))
+
+
+def test_no_reading_crosses_networks(chain4, lap4):
+    stiffer = StiffnessChain((0.05, 0.06, 0.05), chain4.leader_stiffness)
+    config = ControllerConfig.dsr(0.39, 10.92, DT, 2)
+    state = NetworkState.at_rest([0.0, 1.0, 3.0, 6.0], delay_multiple=2)
+    for _ in range(2):   # fill the delay buffer with readings taken on `stiffer`
+        with pytest.raises(CrosscheckError, match="disagree"):
+            step_dsr(state, lap4, stiffer, config, 1.0)
+        state = state.advanced(2.0 * state.positions)
+    assert state.sensed_on is stiffer and len(state.readings) == 2
+    with pytest.raises(CrosscheckError, match="disagree"):
+        step_dsr(state, lap4, stiffer, config, 1.0)
+    fresh = NetworkState(state.positions, state.history)
+    assert np.array_equal(step_dsr(state, lap4, chain4, config, 1.0),
+                          step_dsr(fresh, lap4, chain4, config, 1.0))
+    with pytest.raises(CrosscheckError, match="disagree"):
+        step_dsr(state, lap4, stiffer, config, 1.0)
 
 
 def test_crosscheck_bounds_each_row_by_its_own_scale():

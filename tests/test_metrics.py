@@ -10,7 +10,7 @@ from cohesive_transport import (ControllerConfig, ScenarioConfig,
                                 SimulationTrace, TrajectorySpec, improvement,
                                 simulate, summarize)
 from cohesive_transport.benchmark import baseline_scenario, dsr_scenario
-from cohesive_transport.metrics import Peaks, spread
+from cohesive_transport.metrics import Peaks, sample_metrics
 
 from conftest import DT
 
@@ -33,20 +33,20 @@ def settling(positions, final_value):
 
 def test_deformation_of_coincident_robots():
     positions = np.full((5, 4), 2.5)
-    assert np.all(spread(positions) == 0.0)
+    assert np.all(sample_metrics(positions)[0] == 0.0)
     assert summarize(make_trace(positions)).max_deformation == 0.0
 
 
 def test_deformation_is_spread():
     positions = np.array([[0.0, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, -1.0]])
-    assert spread(positions)[1] == 2.0
+    assert sample_metrics(positions)[0][1] == 2.0
     assert summarize(make_trace(positions)).max_deformation == 2.0
 
 
 @settings(max_examples=60, deadline=None)
 @given(arrays(np.float64, (7, 5), elements=st.floats(-50, 50)))
 def test_deformation_matches_pairwise_scan(positions):
-    series = spread(positions)
+    series = sample_metrics(positions)[0]
     for m in range(positions.shape[0]):
         pairwise = max(abs(positions[m, i] - positions[m, j])
                        for i in range(5) for j in range(5))

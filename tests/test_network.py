@@ -146,6 +146,16 @@ def test_measured_force_on_a_batch_is_row_by_row(network, batch, data):
         assert np.array_equal(forces[k], measured_force(network, rows[k]))
 
 
+def test_measured_force_scatter_index_is_kept_per_batch_size(rng):
+    network = StiffnessChain((0.05, 0.07, 0.04), (0.05, 0.0, 0.02, 0.0))
+    for batch in (3, 2, 3, 1, 2):   # each size reuses its own index
+        rows = rng.normal(0.0, 10.0, (batch, network.n))
+        forces = measured_force(network, rows)
+        for k in range(batch):
+            assert np.array_equal(forces[k], measured_force(network, rows[k]))
+    assert sorted(network._batch_bins) == [1, 2, 3]
+
+
 def test_measured_force_undeformed(chain4):
     positions = [3.0, 3.0, 3.0, 3.0]
     for robot in range(4):

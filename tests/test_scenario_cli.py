@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cohesive_transport import benchmark, cli, dynamics, network, tuning
+from cohesive_transport import benchmark, cli, dynamics, metrics, network, tuning
 from cohesive_transport import (ConfigError, ControllerConfig, CouplingNetwork,
                                 ScenarioConfig, SimulationTrace, StiffnessChain,
                                 TrajectorySpec, UnstableGainError, load_config,
@@ -445,6 +445,23 @@ def test_cli_reproduce_out_simulates_each_scenario_once(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "simulate", counting)
     assert main(["reproduce", "--out", str(tmp_path / "rep")]) == 0
     assert sorted(calls) == ["chain4-baseline", "chain4-dsr"]
+
+
+@pytest.mark.parametrize("command, traces", [
+    (["simulate", "--config", str(CONFIG_DIR / "chain4_dsr.cfg")], 1),
+    (["reproduce"], 2)])
+def test_cli_reduces_each_trace_once(tmp_path, monkeypatch, command, traces):
+    # the summary's peaks and the trace.csv columns share one reduction
+    reduced = []
+
+    def counting(positions):
+        reduced.append(positions)
+        return per_sample(positions)
+
+    per_sample = metrics.sample_metrics
+    monkeypatch.setattr(metrics, "sample_metrics", counting)
+    assert main(command + ["--out", str(tmp_path / "out")]) == 0
+    assert len(reduced) == traces
 
 
 def test_cli_exit_code_config_error(tmp_path):
