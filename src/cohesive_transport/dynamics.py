@@ -201,6 +201,14 @@ def _local_coefficients(network: CouplingNetwork, gains: tuple) -> tuple[np.ndar
     return cache[gains]
 
 
+def _k_times(matrix: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """K y for one (n,) state, or for each row of a (batch, n) batch. A batch
+    goes through np.matvec, whose rows carry the bits of ``y @ K.T`` on one
+    state; a batched ``y @ K.T`` is a matrix-matrix product that rounds
+    differently, so sweep rows would drift from single runs."""
+    return y @ matrix.T if y.ndim == 1 else np.matvec(matrix, y)
+
+
 def baseline_update_forms(positions, laplacian: PinnedLaplacian,
                           network: CouplingNetwork, gamma: float,
                           y_d) -> tuple[np.ndarray, np.ndarray]:
@@ -208,7 +216,7 @@ def baseline_update_forms(positions, laplacian: PinnedLaplacian,
     of states (batch, n) takes one reference per row, ``y_d`` (batch, 1)."""
     c_y, c_f, c_yd = _local_coefficients(network, ("baseline", gamma))
     y = np.asarray(positions, dtype=float)
-    stacked = y - gamma * (y @ laplacian.matrix.T) + gamma * laplacian.leader_vector * y_d
+    stacked = y - gamma * _k_times(laplacian.matrix, y) + gamma * laplacian.leader_vector * y_d
     # Row k reads only robot k's position, force and leader spring.
     local = c_y * y + c_f * measured_force(network, y) + c_yd * y_d
     return stacked, local
@@ -229,11 +237,11 @@ def dsr_update_forms(positions, delayed_positions, laplacian: PinnedLaplacian,
         network, ("dsr", alpha, beta, dt, delay_multiple))
     y = np.asarray(positions, dtype=float)
     y_old = np.asarray(delayed_positions, dtype=float)
-    k_t = laplacian.matrix.T
+    k = laplacian.matrix
     rate = alpha * beta * dt
     delta = y - y_old
-    stacked = (y - rate * (y @ k_t) + rate * laplacian.leader_vector * y_d
-               + (delta - beta * (delta @ k_t)) / delay_multiple)
+    stacked = (y - rate * _k_times(k, y) + rate * laplacian.leader_vector * y_d
+               + (delta - beta * _k_times(k, delta)) / delay_multiple)
 
     # Row k reads only robot k's quantities, all robots evaluated at once.
     if force is None:

@@ -1,11 +1,14 @@
 import json
 import math
 import re
+import tracemalloc
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cohesive_transport import benchmark, cli, dynamics, metrics, network, tuning
 from cohesive_transport import (ConfigError, ControllerConfig, CouplingNetwork,
@@ -156,8 +159,8 @@ def test_trace_csv_schema_and_determinism(tmp_path, chain4):
 
 
 def test_trace_csv_matches_per_value_formatting(tmp_path, rng):
-    """The row-at-a-time writer gives the bytes of a plain f"{v:.9g}" join,
-    also for signed zeros, infinities, NaN and subnormals."""
+    """The trace writer gives the bytes of a plain f"{v:.9g}" join, also for
+    signed zeros, infinities, NaN and subnormals."""
     samples, n = 40, 3
     specials = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -2.5e-310,
                 1.0 / 3.0, -123456789.125, 1e300]
@@ -182,6 +185,77 @@ def test_trace_csv_matches_per_value_formatting(tmp_path, rng):
                   deformation[m], step_speed[m]]
         expected.append(",".join(f"{v:.9g}" for v in values))
     assert path.read_bytes() == ("\n".join(expected) + "\n").encode()
+
+
+def _percent_g_csv(header, table) -> bytes:
+    """The reference: one f"{v:.9g}" per value, joined line by line."""
+    lines = [",".join(header)] + [",".join(f"{v:.9g}" for v in row) for row in table.tolist()]
+    return ("\n".join(lines) + "\n").encode()
+
+
+# x * 10**k for mantissas where rounding to 9 digits meets a tie, a carry
+# into the next decade or a decade boundary
+_EDGE_MANTISSAS = ("1", "9.999999995", "9.9999999949999", "1.0000000005", "2.5", "5")
+_edge_exact = st.builds(lambda x, k: float(f"{x}e{k}"), st.sampled_from(_EDGE_MANTISSAS),
+                        st.integers(-330, 310))
+_edge_values = _edge_exact | st.builds(np.nextafter, _edge_exact, st.sampled_from([-np.inf, np.inf]))
+_float64_values = (st.floats() | st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308])
+                   | _edge_values | _edge_values.map(lambda v: -v))
+
+
+@st.composite
+def _csv_tables(draw):
+    """1 to 140 columns, rows from none to twice a chunk of the writer, and
+    values drawn from a pool of up to 64 (a whole table of drawn values
+    would exceed hypothesis's input budget)."""
+    width = draw(st.integers(1, 140))
+    rows = draw(st.integers(0, 2 * (cli._CHUNK_VALUES // width) + 1))
+    pool = np.array(draw(st.lists(_float64_values, min_size=1, max_size=64)))
+    return np.random.default_rng(draw(st.integers(0, 2**32))).choice(pool, (rows, width))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_csv_tables())
+@example(np.zeros((0, 4)))
+def test_csv_writer_matches_percent_g(tmp_path_factory, table):
+    path = tmp_path_factory.getbasetemp() / "table.csv"
+    header = [f"c{k}" for k in range(table.shape[1])]
+    cli._write_csv(path, header, [table])
+    assert path.read_bytes() == _percent_g_csv(header, table)
+
+
+def test_csv_writer_matches_percent_g_at_every_decade_edge(tmp_path):
+    """Every x * 10**k of the edge mantissas that is finite, and its two
+    float neighbours, both signs."""
+    exact = np.array([float(f"{x}e{k}") for x in _EDGE_MANTISSAS for k in range(-330, 310)])
+    exact = exact[np.isfinite(exact)]
+    values = np.concatenate([exact, np.nextafter(exact, np.inf), np.nextafter(exact, -np.inf)])
+    table = np.concatenate([values, -values]).reshape(-1, 6)
+    header = [f"c{k}" for k in range(6)]
+    cli._write_csv(tmp_path / "edges.csv", header, [table])
+    assert (tmp_path / "edges.csv").read_bytes() == _percent_g_csv(header, table)
+
+
+def test_trace_csv_working_set_does_not_grow_with_the_trace(tmp_path, rng):
+    """The writer stacks and formats a chunk of rows at a time: writing
+    15,000 samples of 64 robots peaks within 10% of writing 1,500, where a
+    whole table would be ten times larger."""
+    def peak(samples):
+        robots = 64
+        trace = SimulationTrace(dt=DT, times=np.arange(samples) * DT,
+                                positions=rng.normal(0.0, 50.0, (samples, robots)),
+                                forces=rng.normal(0.0, 1e3, (samples, robots)),
+                                reference=rng.normal(0.0, 50.0, samples))
+        trace.sample_metrics      # the trace's own, made once per trace
+        tracemalloc.start()
+        try:
+            write_trace_csv(trace, tmp_path / "trace.csv")
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = peak(1_500), peak(15_000)
+    assert abs(large - small) <= 0.1 * small, (small, large)
 
 
 def test_cli_simulate_and_stability(tmp_path):

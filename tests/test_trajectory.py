@@ -2,11 +2,11 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cohesive_transport import (ControllerConfig, ScenarioConfig, TrajectorySpec,
-                                build_pinned_laplacian, cutoff_sweep,
+from cohesive_transport import (ControllerConfig, CouplingNetwork, ScenarioConfig,
+                                TrajectorySpec, build_pinned_laplacian, cutoff_sweep,
                                 reference_series, simulate)
 from cohesive_transport.benchmark import baseline_scenario, dsr_scenario
 
@@ -129,7 +129,7 @@ def test_cutoff_sweep_reference_point_and_monotonicity():
     assert rows[0].max_deformation < 0.2  # quasi-static limit
 
 
-def _assert_matches_one_run_per_cutoff(scenario, cutoffs):
+def _assert_matches_one_run_per_cutoff(scenario, cutoffs, rel=1e-12):
     rows = cutoff_sweep(scenario, cutoffs)
     assert [r.omega_c for r in rows] == sorted(cutoffs)
     for row in rows:
@@ -138,14 +138,14 @@ def _assert_matches_one_run_per_cutoff(scenario, cutoffs):
         y = simulate(replace(scenario, trajectory=trajectory)).positions
         deformation = np.max(y.max(axis=1) - y.min(axis=1))
         speed = np.max(np.abs(np.diff(y, axis=0) / scenario.controller.dt))
-        assert row.max_deformation == pytest.approx(deformation, rel=1e-12, abs=0.0)
-        assert row.max_speed == pytest.approx(speed, rel=1e-12, abs=0.0)
+        assert row.max_deformation == pytest.approx(deformation, rel=rel, abs=0.0)
+        assert row.max_speed == pytest.approx(speed, rel=rel, abs=0.0)
 
 
 @pytest.mark.parametrize("scenario_fn", [baseline_scenario, dsr_scenario])
 def test_batched_sweep_matches_one_run_per_cutoff(scenario_fn):
-    # unsorted, with a duplicate
-    _assert_matches_one_run_per_cutoff(scenario_fn(), [0.3, 0.05, 0.1, 0.05, 0.02])
+    # unsorted, with a duplicate; each row is its single run bit for bit
+    _assert_matches_one_run_per_cutoff(scenario_fn(), [0.3, 0.05, 0.1, 0.05, 0.02], rel=0.0)
 
 
 def test_sweep_of_no_cutoffs_is_empty():
@@ -155,6 +155,10 @@ def test_sweep_of_no_cutoffs_is_empty():
 @settings(max_examples=25, deadline=None)
 @given(coupling_networks(max_robots=6), st.sampled_from(["baseline", "dsr"]),
        st.lists(st.floats(0.02, 1.0), max_size=4))
+# a batched y @ K.T (a matrix-matrix product) once put these sweep rows
+# 7.7e-5 cm off their single runs, near 5 cm
+@example(CouplingNetwork(n=2, couplings={(0, 1): 3.09375}, leader_stiffness=(8.125, 8.1875)),
+         "dsr", [1.0, 0.25])
 def test_batched_sweep_matches_one_run_per_cutoff_on_random_networks(network, kind,
                                                                      cutoffs):
     lam_max = build_pinned_laplacian(network).lambda_max
