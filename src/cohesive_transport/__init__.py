@@ -22,7 +22,7 @@ from .network import (CalibrationRecord, CouplingNetwork, PinnedLaplacian,
                       StiffnessChain, build_pinned_laplacian,
                       calibrate_stiffness, measured_force, neighbor_forces)
 from .scenario import ScenarioConfig, load_config, write_config
-from .stability import (ModeRoots, StabilityReport, baseline_gamma_bound,
+from .stability import (StabilityReport, baseline_gamma_bound,
                         baseline_spectral_radius, closed_form_stable,
                         dsr_mode_roots, jury_stable, spectral_radius)
 from .trajectory import SweepRow, TrajectorySpec, cutoff_sweep, reference_series
@@ -33,7 +33,7 @@ __all__ = [
     "CalibrationError", "CalibrationRecord", "CohesiveTransportError",
     "ConfigError", "ControllerConfig", "CouplingNetwork", "CrosscheckError",
     "DivergenceError",
-    "Improvement", "ModeRoots", "NetworkState", "PinnedLaplacian",
+    "Improvement", "NetworkState", "PinnedLaplacian",
     "RunSummary", "ScenarioConfig", "SimulationTrace", "StabilityReport",
     "StiffnessChain", "SweepRow", "TrajectorySpec", "TuningInfeasibleError",
     "TuningResult", "TuningSpec", "UnpinnedNetworkError",

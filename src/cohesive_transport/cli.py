@@ -107,14 +107,17 @@ class _G9Kernel:
     Hence rint(s) = round(S) unless S lies within 2.3e-7 of a half-integer;
     the kernel declines every value with |s - rint(s)| > 1/2 - 1e-5 and
     formats those through '%.9g' itself, as it does NaN, +-inf, subnormals and
-    |x| outside the range. The first E (floor of log10, off by at most one
-    near a power of ten) is corrected once by s's range; should S still sit
-    within 2.3e-7 of 1e8 or 1e9 across it, rint(s) lands on 1e8 or 1e9, and a
-    result of 1e9 is written as 1e8 at E + 1, which is what '%.9g' prints for
-    S on either side. The splits of rint(s) into 3-digit groups divide exact
-    integers below 2**53 by powers of ten, so every floor is exact. Zeros
-    are written directly; the layout then follows '%g': fixed notation for
-    -4 <= E < 9, else d.dddddddde+XX, without trailing zeros or a bare point.
+    |x| outside the range. E is the floor of numpy's log10|x|; a log10
+    accurate to about 1e-10 absolute puts it off by one only for |x| within
+    5e-10 relative of a power of ten. There S, taken at the E the kernel
+    uses, lies within 0.05 below 1e8 (E one too high) or within 0.5 above
+    1e9 (one too low), so rint(s) lands on 1e8 or 1e9; a result of 1e9 is
+    written as 1e8 at E + 1, and both are the 1e8 at the power's exponent
+    that '%.9g' prints for such |x|. The splits of rint(s) into 3-digit
+    groups divide exact integers below 2**53 by powers of ten, so every
+    floor is exact. Zeros are written directly; the layout then follows
+    '%g': fixed notation for -4 <= E < 9, else d.dddddddde+XX, without
+    trailing zeros or a bare point.
 
     The work buffers are sized once for ``size`` values and reused by every
     chunk. Every table index is in range by the bounds above, so the takes
@@ -144,12 +147,6 @@ class _G9Kernel:
         np.log10(a, out=s)
         np.floor(s, out=s)
         np.subtract(s, _E_MIN, out=e, casting="unsafe")   # e: row of E's tables
-        np.take(_POW10, e, out=s, mode="clip")
-        s *= a
-        np.greater_equal(s, 1e9, out=m)
-        e += m
-        np.less(s, 1e8, out=m)
-        e -= m
         np.take(_POW10, e, out=s, mode="clip")
         s *= a
         np.rint(s, out=r)
@@ -299,25 +296,19 @@ def cmd_stability(args) -> int:
     lap = build_pinned_laplacian(scenario.network)
     ctl = scenario.controller
     if ctl.kind == "dsr":
-        report = spectral_radius(lap, ctl.alpha, ctl.beta, ctl.dt,
-                                 ctl.delay_multiple)
-        payload = report.as_dict()
-        stable, sigma = report.stable, report.spectral_radius
+        payload = spectral_radius(lap, ctl.alpha, ctl.beta, ctl.dt,
+                                  ctl.delay_multiple).as_dict()
     else:
-        bound = baseline_gamma_bound(lap)
-        sigma = baseline_spectral_radius(lap, ctl.gamma)
-        stable = ctl.gamma < bound
-        payload = {
-            "stable": stable,
-            "spectral_radius": sigma,
-            "gamma_bound": bound,
-            "per_mode": [{"eigenvalue": float(lam),
-                          "multiplier": 1.0 - ctl.gamma * float(lam)}
-                         for lam in lap.eigenvalues],
-        }
+        bound, multipliers = baseline_gamma_bound(lap), 1.0 - ctl.gamma * lap.eigenvalues
+        payload = {"stable": ctl.gamma < bound,
+                   "spectral_radius": baseline_spectral_radius(lap, ctl.gamma),
+                   "gamma_bound": bound,
+                   "per_mode": [{"eigenvalue": lam, "multiplier": mu} for lam, mu in
+                                zip(lap.eigenvalues.tolist(), multipliers.tolist())]}
     out = _out_dir(args, scenario)
     _write_json(out / "stability.json", payload)
-    print(f"{'stable' if stable else 'UNSTABLE'} (spectral radius {sigma:.6f}); "
+    print(f"{'stable' if payload['stable'] else 'UNSTABLE'} "
+          f"(spectral radius {payload['spectral_radius']:.6f}); "
           f"report in {out / 'stability.json'}")
     return 0
 

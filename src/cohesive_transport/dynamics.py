@@ -29,6 +29,7 @@ Positions are cm, forces N, time s.
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -76,6 +77,11 @@ class ControllerConfig:
     def __post_init__(self):
         if self.dt <= 0 or not math.isfinite(self.dt):
             raise ValueError("dt must be positive")
+        try:
+            operator.index(self.delay_multiple)
+        except TypeError:
+            raise ValueError(f"delay_multiple must be an integer, "
+                             f"got {self.delay_multiple!r}") from None
         if self.kind == "baseline":
             if self.gamma is None or not 0 < self.gamma < math.inf:
                 raise ValueError("baseline controller requires a finite gamma > 0")

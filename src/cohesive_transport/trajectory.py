@@ -13,6 +13,7 @@ roughly four filter time constants (4/wc seconds).
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Iterable, Sequence
 
@@ -41,6 +42,11 @@ class TrajectorySpec:
             raise ValueError(f"unknown trajectory kind {self.kind!r}")
         if not math.isfinite(self.amplitude):
             raise ValueError("amplitude must be finite")
+        try:
+            operator.index(self.start_index)
+        except TypeError:
+            raise ValueError(f"start_index must be an integer, "
+                             f"got {self.start_index!r}") from None
         if self.start_index < 0:
             raise ValueError("start_index must be >= 0")
         if self.kind == "filtered_step":

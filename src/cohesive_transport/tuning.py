@@ -48,7 +48,9 @@ F = 2*T(gamma*); a capped beta raises F.
 
 The unit step is stepped once, up to 16 T, keeping only its last sample
 outside the band and its largest move per sample. It is judged at the first
-horizon 2*T*2**k (k = 0..3) that ends inside the band.
+horizon 2*T*2**k (k = 0..3) that ends inside the band. A target is infeasible
+if 16 T/dt exceeds _MAX_STEP_SAMPLES, over an hour's stepping (2e8 suffice for
+the shortest target both controllers reach on a 1024-robot chain at dt = 0.03).
 """
 from __future__ import annotations
 
@@ -71,6 +73,7 @@ from .stability import (StabilityReport, baseline_gamma_bound,
 # rounding allowed between the target decay and the root that meets it
 _ROOT_RTOL = 8 * 2.0 ** -52
 SPEED_LIMIT = 5.0          # cm/s, the baseline's commanded-speed cap
+_MAX_STEP_SAMPLES = 10 ** 9  # longest unit step the tuner steps, 16 T/dt
 
 
 @dataclass(frozen=True)
@@ -142,6 +145,9 @@ def _measure_step_response(network: CouplingNetwork,
     inside the band, else (inf, max speed) up to the last."""
     horizons = [num_steps(2.0 * max(spec.target_settling, spec.dt) * 2.0 ** k, spec.dt)
                 for k in range(4)]
+    if horizons[-1] > _MAX_STEP_SAMPLES:
+        raise TuningInfeasibleError(f"target {spec.target_settling:.9g} s is too long to "
+                                    f"verify: its unit step takes {horizons[-1]} samples")
     # samples 0 and 1 are at rest: step from sample 1 on a constant 1, stride 0
     reference = np.broadcast_to(1.0, (horizons[-1],))
     peaks = Peaks(final_value=1.0)
@@ -228,9 +234,8 @@ def _dsr_gains(laplacian: PinnedLaplacian,
             + (f"; no rate gain settles faster than the cohesive floor {floor:.6g} s "
                "at this beta" if spec.target_settling < floor else ""))
     if not closed_form_stable(laplacian, alpha, beta, spec.dt):
-        raise TuningInfeasibleError(
-            f"tuned gains (alpha={alpha:.6g}, beta={beta:.6g}) violate the "
-            "stability condition")
+        raise TuningInfeasibleError(f"tuned gains (alpha={alpha:.6g}, beta={beta:.6g}) "
+                                    "violate the stability condition")
     return alpha, beta, report
 
 
@@ -247,9 +252,8 @@ def tune(network: CouplingNetwork,
     controller = ControllerConfig.dsr(alpha, beta, spec.dt)
     measured, vmax = _measure_step_response(network, controller, spec)
     if vmax > base.max_speed:
-        raise TuningInfeasibleError(
-            f"no feasible point: tuned gains command {vmax:.6g} cm/s, above "
-            f"the baseline's {base.max_speed:.6g} cm/s")
+        raise TuningInfeasibleError(f"no feasible point: tuned gains command {vmax:.6g} "
+                                    f"cm/s, above the baseline's {base.max_speed:.6g} cm/s")
     sigma = report.spectral_radius
     return base, TuningResult(controller=controller,
                               predicted_settling=_decay_to_settling(sigma, spec.dt),

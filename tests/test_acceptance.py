@@ -21,13 +21,12 @@ import numpy as np
 import pytest
 
 from cohesive_transport import (ControllerConfig, TuningSpec,
-                                build_pinned_laplacian, dsr_mode_roots,
-                                jury_stable, closed_form_stable,
-                                simulate, spectral_radius, summarize,
-                                tune)
+                                build_pinned_laplacian, closed_form_stable,
+                                jury_stable, simulate, summarize, tune)
 from cohesive_transport.benchmark import (baseline_scenario, dsr_scenario,
                                           run_reproduction)
 from cohesive_transport.dynamics import baseline_update_forms, dsr_update_forms
+from cohesive_transport.stability import _mode_roots
 from cohesive_transport.tuning import dsr_settling_estimate, settling_time_estimate
 
 from conftest import DT, unit_step_scenario
@@ -172,26 +171,26 @@ def test_criterion_6_stability_equivalence(lap4):
     betas = np.linspace(2.0 * (2.0 / lam_max) / 200, 2.0 * (2.0 / lam_max), 200)
     tol = 1e-9
     agree = boundary = disagree = 0
-    modes = [float(lam) for lam in lap4.eigenvalues]
-    for alpha in alphas:
+    # every grid point's four dominant roots in one array call: at one
+    # sample of delay the gains broadcast against the eigenvalues
+    z1, _ = _mode_roots(lap4.eigenvalues, alphas[:, None, None], betas[:, None], DT)
+    magnitudes = np.hypot(z1.real, z1.imag)
+    roots_near = np.any(np.abs(magnitudes - 1.0) < tol, axis=-1)
+    roots_stable = np.all(magnitudes < 1.0, axis=-1)
+    modes = lap4.eigenvalues.tolist()
+    for i, alpha in enumerate(alphas):
         bound = 4.0 / (lam_max * (alpha * DT + 2.0))
-        for beta in betas:
-            near = abs(beta - bound) < tol * max(1.0, bound)
-            jury = roots = True
+        for j, beta in enumerate(betas):
+            near = roots_near[i, j] or abs(beta - bound) < tol * max(1.0, bound)
+            jury = True
             for lam in modes:
                 coeff_b = -(2.0 - beta * lam - alpha * beta * DT * lam)
                 coeff_c = 1.0 - beta * lam
                 d_plus, d_minus = 1.0 + coeff_b + coeff_c, 1.0 - coeff_b + coeff_c
-                if (abs(d_plus) < tol or abs(d_minus) < tol
-                        or abs(abs(coeff_c) - 1.0) < tol):
-                    near = True
-                    break
-                z1, _ = dsr_mode_roots(lam, alpha, beta, DT)
-                if abs(abs(z1) - 1.0) < tol:
-                    near = True
-                    break
+                near = near or (abs(d_plus) < tol or abs(d_minus) < tol
+                                or abs(abs(coeff_c) - 1.0) < tol)
                 jury = jury and jury_stable(lam, alpha, beta, DT)
-                roots = roots and abs(z1) < 1.0
+            roots = roots_stable[i, j]
             if near:
                 boundary += 1
             elif closed_form_stable(lap4, alpha, beta, DT) == jury == roots:

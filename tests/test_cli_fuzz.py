@@ -42,6 +42,8 @@ _OVERFLOWING_DELAYED = _bundled_with("chain4_dsr.cfg", alpha="1e300", beta="1e30
           "[controller]\nkind = baseline\ngamma = 1e-21\ndt = 0.03\n"
           "[trajectory]\nkind = step\namplitude = 1.0\n[run]\nduration = 1.0\n",
           ["tune", "--target-ts", "1e308"]))
+# a target whose unit step would take 1.6e17 samples
+@example((_bundled_with("chain4_baseline.cfg", dt="0.1"), ["tune", "--target-ts", "1e15"]))
 # delayed gains whose characteristic coefficients overflow
 @example((_OVERFLOWING_DELAYED, ["stability"]))
 @example((_OVERFLOWING_DELAYED, ["simulate"]))

@@ -42,6 +42,28 @@ def test_controller_config_validation():
         ControllerConfig(kind="pid", dt=DT)
 
 
+@pytest.mark.parametrize("value", [2.0, 2.5, "2"])
+def test_integer_fields_reject_non_integers(value):
+    # rejected when built, not by a TypeError deep in a run
+    with pytest.raises(ValueError, match="delay_multiple must be an integer"):
+        ControllerConfig.dsr(0.39, 10.92, DT, delay_multiple=value)
+    with pytest.raises(ValueError, match="start_index must be an integer"):
+        TrajectorySpec(kind="step", amplitude=1.0, start_index=value)
+
+
+def test_integer_fields_accept_numpy_integers(chain4):
+    delayed = ControllerConfig.dsr(0.39, 10.92, DT, delay_multiple=np.int64(2))
+    spec = TrajectorySpec(kind="step", amplitude=1.0, start_index=np.int64(2))
+    scenario = ScenarioConfig(network=chain4, controller=delayed, trajectory=spec,
+                              duration=3.0)
+    expected = ScenarioConfig(network=chain4,
+                              controller=ControllerConfig.dsr(0.39, 10.92, DT, 2),
+                              trajectory=TrajectorySpec(kind="step", amplitude=1.0,
+                                                        start_index=2),
+                              duration=3.0)
+    assert np.array_equal(simulate(scenario).positions, simulate(expected).positions)
+
+
 def test_network_state_history():
     state = NetworkState.at_rest(np.zeros(3), delay_multiple=2)
     assert len(state.history) == 2

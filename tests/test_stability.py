@@ -1,9 +1,11 @@
+import hashlib
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from cohesive_transport import (ControllerConfig, StiffnessChain,
@@ -12,6 +14,8 @@ from cohesive_transport import (ControllerConfig, StiffnessChain,
                                 build_pinned_laplacian, dsr_mode_roots,
                                 jury_stable, closed_form_stable, simulate,
                                 spectral_radius)
+from cohesive_transport.cli import main
+from cohesive_transport.stability import _mode_roots
 
 from conftest import unit_step_scenario
 
@@ -150,14 +154,16 @@ def test_spectral_radius_reference_gains(lap4):
     assert not report.marginal
     assert report.spectral_radius < 1.0
     assert report.spectral_radius == pytest.approx(0.98837, abs=2e-5)
-    assert len(report.per_mode) == 4
-    mags = [m.magnitude1 for m in report.per_mode]
+    assert report.eigenvalues.shape == report.z1.shape == report.z2.shape == (4,)
+    mags = [abs(z) for z in report.z1.tolist()]
     assert report.spectral_radius == max(mags)
     assert report.binding_mode == int(np.argmax(mags))
-    for mode in report.per_mode:
-        assert mode.magnitude1 == abs(mode.z1)
-        assert mode.magnitude2 == abs(mode.z2)
-        assert mode.magnitude1 >= mode.magnitude2
+    for mode in report.as_dict()["per_mode"]:
+        assert mode["magnitude1"] == abs(complex(*mode["z1"]))
+        assert mode["magnitude2"] == abs(complex(*mode["z2"]))
+        assert mode["magnitude1"] >= mode["magnitude2"]
+    with pytest.raises(ValueError):
+        report.z1[0] = 0.0
 
 
 def test_spectral_radius_deadbeat_single_mode():
@@ -179,8 +185,8 @@ def test_report_serializes(lap4):
     payload = spectral_radius(lap4, 0.39, 10.92, DT).as_dict()
     assert payload["stable"] is True
     assert len(payload["per_mode"]) == 4
-    assert payload["per_mode"][0]["z1"][0] == pytest.approx(
-        spectral_radius(lap4, 0.39, 10.92, DT).per_mode[0].z1.real)
+    assert payload["per_mode"][0]["z1"][0] == (
+        spectral_radius(lap4, 0.39, 10.92, DT).z1[0].real)
 
 
 def test_three_way_equivalence_moderate_grid(lap4):
@@ -207,20 +213,18 @@ def _three_way(lap, alpha, beta, boundary_tol=1e-9):
     if abs(beta - bound) < boundary_tol * max(1.0, bound):
         return None
     jury = True
-    roots = True
-    for lam in lap.eigenvalues:
+    for lam in lap.eigenvalues.tolist():
         coeff_b = -(2.0 - beta * lam - alpha * beta * DT * lam)
         coeff_c = 1.0 - beta * lam
         d_plus, d_minus = 1.0 + coeff_b + coeff_c, 1.0 - coeff_b + coeff_c
         if (abs(d_plus) < boundary_tol or abs(d_minus) < boundary_tol
                 or abs(abs(coeff_c) - 1.0) < boundary_tol):
             return None
-        jury = jury and jury_stable(float(lam), alpha, beta, DT)
-        z1, _ = dsr_mode_roots(float(lam), alpha, beta, DT)
-        if abs(abs(z1) - 1.0) < boundary_tol:
-            return None
-        roots = roots and (abs(z1) < 1.0)
-    return closed_form_stable(lap, alpha, beta, DT), jury, roots
+        jury = jury and jury_stable(lam, alpha, beta, DT)
+    magnitudes = [abs(z1) for z1 in _mode_roots(lap.eigenvalues, alpha, beta, DT)[0].tolist()]
+    if any(abs(m - 1.0) < boundary_tol for m in magnitudes):
+        return None
+    return closed_form_stable(lap, alpha, beta, DT), jury, all(m < 1.0 for m in magnitudes)
 
 
 def test_random_unstable_gains_diverge(lap4, chain4, rng):
@@ -275,19 +279,19 @@ def test_spectral_radius_under_a_delay_of_several_samples(lap4, beta, delay, rad
         _stacked_delay_radius(lap4, 0.39, beta, delay), rel=1e-9)
     assert report.stable is (radius < 1.0)
     assert closed_form_stable(lap4, 0.39, beta, DT, delay) is (radius < 1.0)
-    for mode in report.per_mode:
-        c = (1.0 - beta * mode.eigenvalue) / delay
-        lead = 1.0 - 0.39 * beta * DT * mode.eigenvalue + c
-        for z in (mode.z1, mode.z2):
+    for lam, z1, z2 in zip(report.eigenvalues, report.z1, report.z2):
+        c = (1.0 - beta * lam) / delay
+        lead = 1.0 - 0.39 * beta * DT * lam + c
+        for z in (z1, z2):
             assert abs(z ** (delay + 1) - lead * z ** delay + c) < 1e-12
-        assert mode.magnitude1 >= mode.magnitude2
+        assert abs(z1) >= abs(z2)
 
 
 def test_spectral_radius_with_a_one_sample_delay_is_the_quadratic(lap4):
     report = spectral_radius(lap4, 0.39, 10.92, DT, 1)
-    assert report == spectral_radius(lap4, 0.39, 10.92, DT)
-    for mode in report.per_mode:
-        assert (mode.z1, mode.z2) == dsr_mode_roots(mode.eigenvalue, 0.39, 10.92, DT)
+    assert report.as_dict() == spectral_radius(lap4, 0.39, 10.92, DT).as_dict()
+    for lam, z1, z2 in zip(report.eigenvalues, report.z1, report.z2):
+        assert (z1, z2) == dsr_mode_roots(float(lam), 0.39, 10.92, DT)
     assert report.spectral_radius == pytest.approx(
         _stacked_delay_radius(lap4, 0.39, 10.92, 1), rel=1e-9)
 
@@ -315,3 +319,100 @@ def test_simulate_warns_on_the_delayed_dynamics(chain4, beta, delay, stable):
     else:
         assert [w.category for w in caught] == [UnstableControllerWarning]
         assert np.max(np.abs(trace.positions[-1])) > 100.0
+
+
+def _one_mode_roots(lam, alpha, beta, dt, delay):
+    """One mode's two largest roots, solved one mode at a time as before
+    the array path: the cancellation-free quadratic at N = 1, np.roots on
+    the mode's polynomial at N > 1."""
+    if delay == 1:
+        b = -(2.0 - beta * lam - alpha * beta * dt * lam)
+        c = 1.0 - beta * lam
+        disc = b * b - 4.0 * c
+        if disc < 0:
+            root = complex(-b / 2.0, math.sqrt(-disc) / 2.0)
+            return root, root.conjugate()
+        q = -(b + math.copysign(math.sqrt(disc), b)) / 2.0
+        if q == 0.0:
+            return 0j, 0j
+        z1, z2 = complex(q), complex(c / q)
+        return (z2, z1) if abs(z2) > abs(z1) else (z1, z2)
+    c = (1.0 - beta * lam) / delay
+    coefficients = np.zeros(delay + 2)
+    coefficients[:2] = 1.0, -(1.0 - alpha * beta * dt * lam + c)
+    coefficients[-1] = c
+    if not np.isfinite(coefficients).all():
+        return complex(math.inf), 0j
+    roots = sorted(np.roots(coefficients), key=abs, reverse=True)
+    return complex(roots[0]), complex(roots[1])
+
+
+@st.composite
+def mode_root_cases(draw):
+    """(eigenvalues, alpha, beta, delay): gains over six decades, so the
+    modes mix real and complex root pairs, gains whose coefficients
+    overflow, and gains that put one mode at beta*lam = 1 exactly."""
+    lams = draw(st.lists(st.floats(1e-3, 2.0), min_size=1, max_size=70))
+    delay = draw(st.integers(1, 4))
+    kind = draw(st.sampled_from(["gains", "overflow", "unit"]))
+    if kind == "overflow":
+        return lams, 1e300, 1e300, delay
+    alpha, beta = draw(st.floats(1e-3, 1e3)), draw(st.floats(1e-3, 1e3))
+    if kind == "unit":
+        lam = 2.0 ** draw(st.integers(-9, 1))
+        lams[draw(st.integers(0, len(lams) - 1))] = lam
+        beta = 1.0 / lam
+    return lams, alpha, beta, delay
+
+
+@settings(max_examples=100, deadline=None)
+@given(mode_root_cases())
+# near critical damping, where c/q rounds above q and the real roots swap
+@example(([0.42503440039561075], 4.296073211941175, 0.9517690779677398, 1))
+@example(([0.06357932684998133, 0.05], 5.4431531079730116, 7.591654797987212, 1))
+def test_mode_roots_equal_the_one_mode_solutions_bit_for_bit(case):
+    lams, alpha, beta, delay = case
+    z1, z2 = _mode_roots(np.array(lams), alpha, beta, DT, delay)
+    expected = [_one_mode_roots(lam, alpha, beta, DT, delay) for lam in lams]
+    bits = np.array(expected, dtype=complex).view(np.uint64)
+    assert np.array_equal(np.stack([z1, z2], axis=1).view(np.uint64), bits)
+
+
+def test_mode_roots_broadcast_gains_at_one_sample_of_delay(lap4):
+    alphas, betas = np.linspace(0.01, 2.0, 7), np.linspace(0.1, 25.0, 9)
+    z1, z2 = _mode_roots(lap4.eigenvalues, alphas[:, None, None], betas[:, None], DT)
+    assert z1.shape == z2.shape == (7, 9, 4)
+    for i, alpha in enumerate(alphas):
+        for j, beta in enumerate(betas):
+            one = np.stack(_mode_roots(lap4.eigenvalues, alpha, beta, DT))
+            assert np.array_equal(np.stack([z1[i, j], z2[i, j]]).view(np.uint64),
+                                  one.view(np.uint64))
+
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+
+
+@pytest.mark.parametrize("config, edits, digest", [
+    ("chain4_baseline.cfg", {},
+     "24ecba403eb24e3f59e1623efbd21bd66ab9b5882a3bb58b0f4fe9da3461131b"),
+    ("chain4_dsr.cfg", {},
+     "06a36bfab269d4ae5bcf7f86bc4b3b23f2df198f200a87cf0cf1c635919e82f1"),
+    ("chain4_dsr.cfg", {"delay_multiple = 1": "delay_multiple = 2"},
+     "481877ff3afa54f32c4a42a8acac660678954de571e6344764abe6b4dfd3781d"),
+    ("chain4_dsr.cfg", {"delay_multiple = 1": "delay_multiple = 3"},
+     "8a7fff1527b5880887aef69b3360c35d8337ab802a437a8ca28d5acf274e04f8"),
+    ("chain4_dsr.cfg", {"beta = 10.92": "beta = 20.0"},
+     "6fa45d58593f8b8a7452ff2433459f53bfdb0c57171830ffa6e60ff3fef9f6dc"),
+    ("chain4_dsr.cfg", {"alpha = 0.39": "alpha = 1e300", "beta = 10.92": "beta = 1e300"},
+     "4e2d6bcca0861a2c6b0bbe2f8fd40fe6ac4e0ea07008b6869f1566f3cbb4ac5d"),
+])
+def test_stability_json_keeps_its_bytes(tmp_path, config, edits, digest):
+    # digests of the reports written when each mode was solved on its own
+    text = (CONFIG_DIR / config).read_text()
+    for old, new in edits.items():
+        assert old in text
+        text = text.replace(old, new)
+    (tmp_path / "edited.cfg").write_text(text)
+    assert main(["stability", "--config", str(tmp_path / "edited.cfg"),
+                 "--out", str(tmp_path)]) == 0
+    assert hashlib.sha256((tmp_path / "stability.json").read_bytes()).hexdigest() == digest

@@ -151,6 +151,21 @@ def test_baseline_gain_underflow_is_infeasible(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_target_too_long_to_step_is_infeasible(chain4, tmp_path, capsys):
+    """A 1e15 s target's unit step would take 1.6e17 samples at dt = 0.1:
+    the tuner refuses it before any step, and tune exits 1 with one error
+    line and no output directory, where it once stepped without end."""
+    with pytest.raises(TuningInfeasibleError, match="too long to verify"):
+        tune_gamma(chain4, TuningSpec(target_settling=1e15, dt=0.1))
+    config = tmp_path / "chain4.cfg"
+    write_config(unit_step_scenario(chain4, ControllerConfig.baseline(1.93, 0.1)), config)
+    assert main(["tune", "--config", str(config), "--target-ts", "1e15",
+                 "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: target 1e+15 s is too long") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
 def test_tune_gamma_reaches_the_fastest_settling(chain4, lap4):
     fastest = fastest_baseline_settling(lap4)
     assert fastest == pytest.approx(1.71773, abs=5e-6)
@@ -393,7 +408,7 @@ def test_rate_gain_matches_the_grid_oracle_on_chain4(lap4):
         alpha, beta, report = tuning._dsr_gains(lap4, spec)
         assert alpha == pytest.approx(_grid_rate_gain(lap4, spec), rel=1e-12, abs=0)
         assert beta == tuning._balance_mode_envelopes(lap4, spec)
-        assert report == tuning.spectral_radius(lap4, alpha, beta, DT)
+        assert report.as_dict() == tuning.spectral_radius(lap4, alpha, beta, DT).as_dict()
         assert dsr_settling_estimate(lap4, alpha, beta, DT) == pytest.approx(
             float(target), rel=1e-12)
 
