@@ -24,6 +24,14 @@ check certifies the laws as decentralized. The step functions raise
 CrosscheckError on a disagreement, also under ``python -O``, and
 DivergenceError past DIVERGENCE_LIMIT_CM.
 
+A run builds its constants once, not per sample: the stacked law's
+(gamma*B, or a*b*dt*B, b and N) and the per-robot coefficients, each as
+an array of the state's shape, per network object, gains and state shape
+(``_law_constants``), and the spring list of a batch of that size. Every
+sample of every row is still checked, within 1e-12 * max(1, the row's
+largest |Y[m+1]|); a batch whose entries all agree within 1e-12, the
+smallest such bound, is accepted without the row-by-row pass.
+
 Positions are cm, forces N, time s.
 """
 from __future__ import annotations
@@ -180,31 +188,41 @@ class SimulationTrace:
         return per_sample
 
 
-def _local_coefficients(network: CouplingNetwork, gains: tuple) -> tuple[np.ndarray, ...]:
-    """Per-robot law coefficients for ("baseline", gamma) or ("dsr", alpha, beta,
-    dt, N), cached per network object; robot k's use its own leader spring.
-    Gains that overflow any of them raise UnstableGainError, which the update
-    forms, fetching them first, raise before any arithmetic on those gains."""
-    cache = network._law_coefficients
-    if gains not in cache:
-        leaders = np.asarray(network.leader_stiffness)
-        with np.errstate(over="ignore", invalid="ignore"):
-            if gains[0] == "baseline":   # multiply y, f, y_d
-                gamma = gains[1]
-                law = (1.0 - gamma * leaders, np.full_like(leaders, -gamma),
-                       gamma * leaders)
-                named = f"gamma = {gamma:.6g} (gamma*k_leader = {gamma * leaders.max():.6g})"
-            else:                        # multiply y, f, y_old, f_old, y_d
-                _, alpha, beta, dt, delay = gains
-                rate, reinforcement = alpha * beta * dt, (1.0 - beta * leaders) / delay
-                law = (1.0 - rate * leaders + reinforcement,
-                       np.full_like(leaders, -rate - beta / delay), -reinforcement,
-                       np.full_like(leaders, beta / delay), rate * leaders)
-                named = f"(alpha, beta) = ({alpha:.6g}, {beta:.6g}) (alpha*beta*dt = {rate:.6g})"
-        if not all(np.isfinite(c).all() for c in law):
-            raise UnstableGainError(f"{named} overflow the per-robot law coefficients")
-        cache[gains] = law
-    return cache[gains]
+def _law_constants(network: CouplingNetwork, laplacian: PinnedLaplacian, gains: tuple,
+                   shape: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+    """Constants of the law ("baseline", gamma) or ("dsr", alpha, beta, dt, N)
+    for states of ``shape``, each a read-only array of that shape, so that no
+    ufunc of a sample broadcasts one: first the stacked law's, made from the
+    laplacian's B, then the per-robot coefficients, where robot k's use its
+    own leader spring. Cached on the network per (gains, shape) and rebuilt if
+    a step hands it another laplacian. Gains that overflow a per-robot
+    coefficient raise UnstableGainError, which the update forms, fetching the
+    constants first, raise before any arithmetic on those gains."""
+    cached = network._law_coefficients.get((gains, shape))
+    if cached is not None and cached[0] is laplacian:
+        return cached[1]
+    leaders = np.asarray(network.leader_stiffness)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if gains[0] == "baseline":   # stacked: gamma, gamma*B; local: multiply y, f, y_d
+            gamma = gains[1]
+            stacked = (gamma, gamma * laplacian.leader_vector)
+            local = (1.0 - gamma * leaders, np.full_like(leaders, -gamma), gamma * leaders)
+            named = f"gamma = {gamma:.6g} (gamma*k_leader = {gamma * leaders.max():.6g})"
+        else:                        # stacked: a*b*dt, a*b*dt*B, b, N;
+            _, alpha, beta, dt, delay = gains   # local: multiply y, f, y_old, f_old, y_d
+            rate, reinforcement = alpha * beta * dt, (1.0 - beta * leaders) / delay
+            stacked = (rate, rate * laplacian.leader_vector, beta, float(delay))
+            local = (1.0 - rate * leaders + reinforcement,
+                     np.full_like(leaders, -rate - beta / delay), -reinforcement,
+                     np.full_like(leaders, beta / delay), rate * leaders)
+            named = f"(alpha, beta) = ({alpha:.6g}, {beta:.6g}) (alpha*beta*dt = {rate:.6g})"
+    if not all(np.isfinite(c).all() for c in local):
+        raise UnstableGainError(f"{named} overflow the per-robot law coefficients")
+    constants = tuple(np.broadcast_to(c, shape).copy() for c in stacked + local)
+    for arr in constants:
+        arr.flags.writeable = False
+    network._law_coefficients[gains, shape] = laplacian, constants
+    return constants
 
 
 def _k_times(matrix: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -220,9 +238,11 @@ def baseline_update_forms(positions, laplacian: PinnedLaplacian,
                           y_d) -> tuple[np.ndarray, np.ndarray]:
     """Next positions computed both ways: (stacked, per-robot); a batch
     of states (batch, n) takes one reference per row, ``y_d`` (batch, 1)."""
-    c_y, c_f, c_yd = _local_coefficients(network, ("baseline", gamma))
     y = np.asarray(positions, dtype=float)
-    stacked = y - gamma * _k_times(laplacian.matrix, y) + gamma * laplacian.leader_vector * y_d
+    # every constant is an array of y's shape: gamma, gamma*B, then the per-robot ones
+    gamma, gamma_b, c_y, c_f, c_yd = _law_constants(network, laplacian,
+                                                    ("baseline", gamma), y.shape)
+    stacked = y - gamma * _k_times(laplacian.matrix, y) + gamma_b * y_d
     # Row k reads only robot k's position, force and leader spring.
     local = c_y * y + c_f * measured_force(network, y) + c_yd * y_d
     return stacked, local
@@ -239,14 +259,14 @@ def dsr_update_forms(positions, delayed_positions, laplacian: PinnedLaplacian,
     the reference. ``force`` and ``delayed_force`` are the robots' readings
     at the two samples, sensed here if not given. Shapes as in
     ``baseline_update_forms``."""
-    c_y, c_f, c_old, c_fold, c_yd = _local_coefficients(
-        network, ("dsr", alpha, beta, dt, delay_multiple))
     y = np.asarray(positions, dtype=float)
     y_old = np.asarray(delayed_positions, dtype=float)
+    # arrays of y's shape: alpha*beta*dt, alpha*beta*dt*B, beta, N, then the per-robot ones
+    rate, rate_b, beta, delay_multiple, c_y, c_f, c_old, c_fold, c_yd = _law_constants(
+        network, laplacian, ("dsr", alpha, beta, dt, delay_multiple), y.shape)
     k = laplacian.matrix
-    rate = alpha * beta * dt
     delta = y - y_old
-    stacked = (y - rate * _k_times(k, y) + rate * laplacian.leader_vector * y_d
+    stacked = (y - rate * _k_times(k, y) + rate_b * y_d
                + (delta - beta * _k_times(k, delta)) / delay_multiple)
 
     # Row k reads only robot k's quantities, all robots evaluated at once.
@@ -260,11 +280,13 @@ def dsr_update_forms(positions, delayed_positions, laplacian: PinnedLaplacian,
 
 def _crosscheck(stacked: np.ndarray, local: np.ndarray) -> float:
     """Each row (one run) of ``local`` must be within 1e-12 * max(1, largest
-    |stacked| of the row) of ``stacked``, NaN failing; returns the largest |stacked|."""
-    if stacked.ndim == 1:
-        scale = np.maximum.reduce(np.abs(stacked))
-        if np.maximum.reduce(np.abs(stacked - local)) <= _CROSSCHECK_ATOL * max(1.0, scale):
-            return scale
+    |stacked| of the row) of ``stacked``, NaN failing; returns the largest |stacked|.
+    A batch is accepted at once if every entry is within 1e-12, the smallest
+    bound a row can have; only otherwise is each row held to its own bound."""
+    scale = np.maximum.reduce(np.abs(stacked), axis=None)
+    largest_gap = np.maximum.reduce(np.abs(stacked - local), axis=None)
+    if largest_gap <= _CROSSCHECK_ATOL * (max(1.0, scale) if stacked.ndim == 1 else 1.0):
+        return scale
     # row by row; also names the worst entry of a failed 1-D state
     row_scale = np.maximum.reduce(np.abs(stacked), axis=-1, keepdims=True)
     bound = _CROSSCHECK_ATOL * np.maximum(1.0, row_scale)

@@ -38,10 +38,10 @@ class CouplingNetwork:
     positive stiffness; it is a read-only view. ``leader_stiffness[k]``
     is the virtual-source spring of robot k (zero for non-leaders, one
     entry per robot). The network is frozen, so its spring list, batch
-    scatter indices (by batch size), pinned Laplacian and per-robot law
-    coefficients (by gains, set by dynamics) are built once per object and
-    can never go stale; every caller of one network object shares a single
-    assembly and eigendecomposition.
+    spring lists (by batch size), pinned Laplacian and update-law constants
+    (by gains and state shape, set by dynamics) are built once per object
+    and can never go stale; every caller of one network object shares a
+    single assembly and eigendecomposition.
     """
 
     n: int
@@ -89,9 +89,10 @@ class CouplingNetwork:
         return springs
 
     @cached_property
-    def _batch_bins(self) -> dict[int, np.ndarray]:
-        """By batch size, the flat bincount index of each spring of each
-        row of a (batch, n) reading: row b's robot k sums into bin b*n + k."""
+    def _batch_bins(self) -> dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """By batch size, the spring list of every row of a (batch, n)
+        state, indexed into the flattened state: row b's robot k is entry
+        b*n + k, and so is its bincount bin."""
         return {}
 
     @cached_property
@@ -99,7 +100,7 @@ class CouplingNetwork:
         return _assemble(self.n, self.couplings, self.leader_stiffness)
 
     @cached_property
-    def _law_coefficients(self) -> dict[tuple, tuple[np.ndarray, ...]]:
+    def _law_coefficients(self) -> dict[tuple, tuple[PinnedLaplacian, tuple[np.ndarray, ...]]]:
         return {}
 
 
@@ -216,20 +217,28 @@ def measured_force(network: CouplingNetwork, positions: Sequence[float]) -> np.n
     This is the quantity a force sensor between robot and object reads.
     The virtual-source force on leaders is not included here; update
     laws add it separately. Every robot's reading comes from one pass over
-    the spring list (per row for (batch, n) positions).
+    the spring list; a (batch, n) state takes one pass over every row's
+    springs, gathered from the flattened state.
     """
     y = np.asarray(positions, dtype=float)
-    robots, neighbours, stiffness = network._springs
     if y.ndim == 1:
-        pulls = stiffness * (y[robots] - y[neighbours])
-        return np.bincount(robots, weights=pulls, minlength=network.n)
-    pulls = stiffness * (y[:, robots] - y[:, neighbours])
-    bins = network._batch_bins.get(len(y))
-    if bins is None:
-        bins = (robots + network.n * np.arange(len(y))[:, None]).ravel()
-        bins.flags.writeable = False
-        network._batch_bins[len(y)] = bins
-    return np.bincount(bins, weights=pulls.ravel(), minlength=y.size).reshape(y.shape)
+        robots, neighbours, stiffness = network._springs
+        flat = y
+    else:
+        springs = network._batch_bins.get(len(y))
+        if springs is None:
+            robots, neighbours, stiffness = network._springs
+            offsets = network.n * np.arange(len(y))[:, None]
+            springs = ((robots + offsets).ravel(), (neighbours + offsets).ravel(),
+                       np.tile(stiffness, len(y)))
+            for arr in springs:
+                arr.flags.writeable = False
+            network._batch_bins[len(y)] = springs
+        robots, neighbours, stiffness = springs
+        flat = y.ravel()
+    pulls = stiffness * (flat[robots] - flat[neighbours])
+    forces = np.bincount(robots, weights=pulls, minlength=y.size)
+    return forces if y.ndim == 1 else forces.reshape(y.shape)
 
 
 def neighbor_forces(laplacian: PinnedLaplacian, positions: np.ndarray) -> np.ndarray:

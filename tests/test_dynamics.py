@@ -1,3 +1,4 @@
+import math
 import os
 import re
 import subprocess
@@ -7,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import cohesive_transport
 from cohesive_transport import dynamics
@@ -239,6 +242,73 @@ def test_crosscheck_decides_a_state_as_the_same_row_in_a_batch(row_scale, offset
     assert fails or detail == row_scale
 
 
+def _crosscheck_row_by_row(stacked, local):
+    """The crosscheck's documented bound, one Python float at a time: entry
+    (b, k) must be within 1e-12 * max(1, max_k |stacked[b, k]|), a NaN in the
+    row failing all of it. Returns (largest |stacked|, None), or (None, the
+    message naming the first entry that fails)."""
+    scales = []
+    for stacked_row, local_row in zip(stacked.tolist(), local.tolist()):
+        magnitudes = [abs(v) for v in stacked_row]
+        scale = math.nan if any(map(math.isnan, magnitudes)) else max(magnitudes)
+        bound = 1e-12 * (scale if math.isnan(scale) else max(1.0, scale))
+        for s, l in zip(stacked_row, local_row):
+            if not abs(s - l) <= bound:
+                return None, (f"per-robot and stacked updates disagree by "
+                              f"{abs(s - l):.3g} (bound {bound:.3g})")
+        scales.append(scale)
+    return max(scales), None
+
+
+_NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+
+
+@st.composite
+def _crosscheck_pairs(draw):
+    """(stacked, local) of shape (batch, n), rows of scales from 0 to 1e6. Each
+    row is exact, or one entry is off by about 1e-12 or about 1e-12 times the
+    row's scale, by a non-finite residual, or is non-finite in ``stacked``."""
+    batch, n = draw(st.integers(1, 5)), draw(st.integers(1, 6))
+    stacked, local = [], []
+    for _ in range(batch):
+        scale = draw(st.sampled_from([0.0, 1e-3, 0.5, 1.0, 2.0, 250.0, 1e6]))
+        row = [u * scale for u in draw(st.lists(st.floats(-1.0, 1.0), min_size=n,
+                                                max_size=n))]
+        off = list(row)
+        kind = draw(st.sampled_from(["exact", "atol", "row bound", "residual", "stacked"]))
+        k, sign = draw(st.integers(0, n - 1)), draw(st.sampled_from([-1.0, 1.0]))
+        near = sign * draw(st.floats(0.5, 1.5))
+        if kind == "atol":
+            off[k] += near * 1e-12
+        elif kind == "row bound":
+            off[k] += near * 1e-12 * max(1.0, max(map(abs, row)))
+        elif kind == "residual":
+            off[k] += draw(_NON_FINITE)
+        elif kind == "stacked":
+            row[k] = draw(_NON_FINITE)
+            off[k] = draw(st.one_of(st.just(row[k]), _NON_FINITE, st.just(off[k])))
+        stacked.append(row)
+        local.append(off)
+    return np.array(stacked), np.array(local)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_crosscheck_pairs())
+@example((np.array([[1.0, 0.5], [1e6, 2.0]]), np.array([[1.0, 0.5], [1e6, 2.0 + 1e-9]])))
+@example((np.array([[1.0, 0.5], [1e6, 2.0]]), np.array([[1.0, 0.5 + 1e-9], [1e6, 2.0]])))
+@example((np.array([[1.0, math.inf]]), np.array([[1.0, 5.0]])))
+def test_crosscheck_of_a_batch_is_the_documented_bound_row_by_row(pair):
+    stacked, local = pair
+    expected_scale, expected_message = _crosscheck_row_by_row(stacked, local)
+    with np.errstate(invalid="ignore"):   # inf - inf is a NaN residual
+        if expected_message is None:
+            assert float(_crosscheck(stacked, local)) == expected_scale
+        else:
+            with pytest.raises(CrosscheckError) as exc:
+                _crosscheck(stacked, local)
+            assert str(exc.value) == expected_message
+
+
 def _update_forms(state, lap, network, config, y_d):
     if config.kind == "baseline":
         return baseline_update_forms(state.positions, lap, network, config.gamma, y_d)
@@ -254,18 +324,39 @@ def test_controllers_sharing_a_network_each_get_their_own_coefficients(rng):
     lap = build_pinned_laplacian(shared)
     configs = (ControllerConfig.baseline(1.93, DT), ControllerConfig.baseline(0.8, DT),
                ControllerConfig.dsr(0.39, 10.92, DT), ControllerConfig.dsr(0.2, 5.0, DT, 2))
+    shapes = ((), (1,), (3,))   # one state, and batches of 1 and 3 rows
     for _ in range(3):
-        for config in configs:   # interleaved: all four entries share one cache
-            state = NetworkState(rng.normal(0.0, 10.0, 4), (rng.normal(0.0, 10.0, 4),) * 2)
-            y_d = float(rng.normal(0.0, 10.0))
+        for config in configs:   # interleaved: all twelve entries share one cache
             step = step_baseline if config.kind == "baseline" else step_dsr
-            fresh = build()
-            fresh_lap = build_pinned_laplacian(fresh)
-            assert np.array_equal(step(state, lap, shared, config, y_d),
-                                  step(state, fresh_lap, fresh, config, y_d))
-            assert np.array_equal(_update_forms(state, lap, shared, config, y_d),
-                                  _update_forms(state, fresh_lap, fresh, config, y_d))
-    assert len(shared._law_coefficients) == len(configs)
+            for rows in shapes:
+                positions, delayed = rng.normal(0.0, 10.0, (2,) + rows + (4,))
+                y_d = rng.normal(0.0, 10.0, rows + (1,)) if rows else float(rng.normal(0.0, 10.0))
+                state = NetworkState(positions, (delayed,) * 2)
+                fresh = build()
+                fresh_lap = build_pinned_laplacian(fresh)
+                stepped = step(state, lap, shared, config, y_d)
+                assert np.array_equal(stepped, step(state, fresh_lap, fresh, config, y_d))
+                assert np.array_equal(_update_forms(state, lap, shared, config, y_d),
+                                      _update_forms(state, fresh_lap, fresh, config, y_d))
+                for k in range(len(positions)) if rows else ():
+                    single = NetworkState(positions[k], (delayed[k],) * 2)
+                    assert np.array_equal(stepped[k], step(single, lap, shared, config,
+                                                           float(y_d[k, 0])))
+    assert len(shared._law_coefficients) == len(configs) * len(shapes)
+
+
+def test_stacked_forms_use_the_laplacian_they_are_handed_bit_for_bit(chain4, lap4, rng):
+    # the same springs pinned at the other end: another K and B for one network
+    other = build_pinned_laplacian(StiffnessChain((0.05,) * 3, (0.0, 0.0, 0.0, 0.08)))
+    y, y_old = rng.normal(0.0, 10.0, (2, 4))
+    rate, delta = 0.39 * 10.92 * DT, y - y_old
+    for lap in (lap4, other, lap4):
+        k_y, k_delta = y @ lap.matrix.T, delta @ lap.matrix.T
+        stacked, _ = baseline_update_forms(y, lap, chain4, 1.93, 2.5)
+        assert np.array_equal(stacked, y - 1.93 * k_y + 1.93 * lap.leader_vector * 2.5)
+        stacked, _ = dsr_update_forms(y, y_old, lap, chain4, 0.39, 10.92, DT, 2, 2.5)
+        assert np.array_equal(stacked, y - rate * k_y + rate * lap.leader_vector * 2.5
+                              + (delta - 10.92 * k_delta) / 2)
 
 
 @pytest.mark.parametrize("step, config", [
@@ -293,7 +384,7 @@ def test_batched_steps_match_single_runs_row_by_row(chain4, lap4, rng):
         for k in range(len(rows)):
             single = step(NetworkState(rows[k], (delayed[k],)), lap4, chain4,
                           config, float(y_d[k, 0]))
-            assert np.allclose(batched[k], single, rtol=1e-14, atol=1e-13)
+            assert np.array_equal(batched[k], single)
 
 
 def _stepped_one_at_a_time(network, config, references):

@@ -194,10 +194,13 @@ def test_three_way_equivalence_moderate_grid(lap4):
     away from stability boundaries (finer grid in the acceptance suite)."""
     alphas = np.linspace(0.04, 2.0, 50)
     betas = np.linspace(0.09, 2.0 * baseline_gamma_bound(lap4), 50)
+    # every grid point's dominant roots in one call, as criterion 6 takes them
+    z1, _ = _mode_roots(lap4.eigenvalues, alphas[:, None, None], betas[:, None], DT)
+    magnitudes = np.hypot(z1.real, z1.imag).tolist()
     checked = 0
-    for alpha in alphas:
-        for beta in betas:
-            verdicts = _three_way(lap4, alpha, beta)
+    for i, alpha in enumerate(alphas):
+        for j, beta in enumerate(betas):
+            verdicts = _three_way(lap4, alpha, beta, magnitudes[i][j])
             if verdicts is None:
                 continue
             checked += 1
@@ -206,9 +209,10 @@ def test_three_way_equivalence_moderate_grid(lap4):
     assert checked > 2000
 
 
-def _three_way(lap, alpha, beta, boundary_tol=1e-9):
-    """(closed_form, jury, roots) verdicts, or None when any quantity sits
-    within boundary_tol of an equality condition."""
+def _three_way(lap, alpha, beta, magnitudes, boundary_tol=1e-9):
+    """(closed_form, jury, roots) verdicts, the last from every mode's dominant
+    root ``magnitudes``, or None when any quantity sits within boundary_tol
+    of an equality condition."""
     bound = 4.0 / (lap.lambda_max * (alpha * DT + 2.0))
     if abs(beta - bound) < boundary_tol * max(1.0, bound):
         return None
@@ -221,7 +225,6 @@ def _three_way(lap, alpha, beta, boundary_tol=1e-9):
                 or abs(abs(coeff_c) - 1.0) < boundary_tol):
             return None
         jury = jury and jury_stable(lam, alpha, beta, DT)
-    magnitudes = [abs(z1) for z1 in _mode_roots(lap.eigenvalues, alpha, beta, DT)[0].tolist()]
     if any(abs(m - 1.0) < boundary_tol for m in magnitudes):
         return None
     return closed_form_stable(lap, alpha, beta, DT), jury, all(m < 1.0 for m in magnitudes)

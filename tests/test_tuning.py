@@ -16,6 +16,7 @@ from cohesive_transport import (ControllerConfig, DivergenceError, PinnedLaplaci
                                 simulate, summarize, tune, tune_gamma)
 from cohesive_transport import ScenarioConfig, TrajectorySpec, tuning, write_config
 from cohesive_transport.cli import main
+from cohesive_transport.stability import _mode_roots
 from cohesive_transport.tuning import dsr_gains_vs_ts_table, ts_vs_gamma_table
 
 from conftest import DT, unit_step_scenario
@@ -41,13 +42,16 @@ def _grid_rate_gain(lap, spec, alpha_range=(0.05, 2.0), alpha_step=0.01):
     form replaced. The settling estimate is evaluated on a fixed alpha
     grid, the target is bracketed on its decreasing branch and the
     bracket is bisected. Returns None where the grid holds no bracket.
+    The grid's dominant roots come from one broadcast ``_mode_roots`` call,
+    which equals the per-gain ``dsr_settling_estimate`` root for root.
     """
     beta = tuning._balance_mode_envelopes(lap, spec)
     a_lo, a_hi = alpha_range
     count = int(round((a_hi - a_lo) / alpha_step)) + 1
     xs = a_lo + alpha_step * np.arange(count)
-    est = np.array([dsr_settling_estimate(lap, a, beta, spec.dt)
-                    for a in xs])
+    z1, _ = _mode_roots(lap.eigenvalues, xs[:, None], beta, spec.dt)
+    est = np.array([tuning._decay_to_settling(sigma, spec.dt)
+                    for sigma in np.hypot(z1.real, z1.imag).max(axis=-1).tolist()])
     for i in range(int(np.argmin(est))):
         if est[i] >= spec.target_settling >= est[i + 1]:
             lo, hi = xs[i], xs[i + 1]
