@@ -24,10 +24,11 @@ check certifies the laws as decentralized. The step functions raise
 CrosscheckError on a disagreement, also under ``python -O``, and
 DivergenceError past DIVERGENCE_LIMIT_CM.
 
-A run builds its constants once, not per sample: the stacked law's
-(gamma*B, or a*b*dt*B, b and N) and the per-robot coefficients, each as
-an array of the state's shape, per network object, gains and state shape
-(``_law_constants``), and the spring list of a batch of that size. Every
+The stacked law takes K Y as np.matvec(K, Y) for one state and each batch
+row alike. A run builds its constants once, not per sample: the stacked
+law's (gamma*B, or a*b*dt*B, b and N) and the per-robot coefficients, each
+as an array of the state's shape (``_law_constants``), and the spring list
+of a batch of that size; the network keeps only the last of each. Every
 sample of every row is still checked, within 1e-12 * max(1, the row's
 largest |Y[m+1]|); a batch whose entries all agree within 1e-12, the
 smallest such bound, is accepted without the row-by-row pass.
@@ -194,11 +195,13 @@ def _law_constants(network: CouplingNetwork, laplacian: PinnedLaplacian, gains: 
     for states of ``shape``, each a read-only array of that shape, so that no
     ufunc of a sample broadcasts one: first the stacked law's, made from the
     laplacian's B, then the per-robot coefficients, where robot k's use its
-    own leader spring. Cached on the network per (gains, shape) and rebuilt if
-    a step hands it another laplacian. Gains that overflow a per-robot
-    coefficient raise UnstableGainError, which the update forms, fetching the
-    constants first, raise before any arithmetic on those gains."""
-    cached = network._law_coefficients.get((gains, shape))
+    own leader spring. The network keeps one entry, for the gains and shape
+    last stepped; other gains, another shape or another laplacian replace it.
+    Gains that overflow a per-robot coefficient raise UnstableGainError, which
+    the update forms, fetching the constants first, raise before any
+    arithmetic on those gains."""
+    cache = network._law_coefficients
+    cached = cache.get((gains, shape))
     if cached is not None and cached[0] is laplacian:
         return cached[1]
     leaders = np.asarray(network.leader_stiffness)
@@ -221,16 +224,9 @@ def _law_constants(network: CouplingNetwork, laplacian: PinnedLaplacian, gains: 
     constants = tuple(np.broadcast_to(c, shape).copy() for c in stacked + local)
     for arr in constants:
         arr.flags.writeable = False
-    network._law_coefficients[gains, shape] = laplacian, constants
+    cache.clear()
+    cache[gains, shape] = laplacian, constants
     return constants
-
-
-def _k_times(matrix: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """K y for one (n,) state, or for each row of a (batch, n) batch. A batch
-    goes through np.matvec, whose rows carry the bits of ``y @ K.T`` on one
-    state; a batched ``y @ K.T`` is a matrix-matrix product that rounds
-    differently, so sweep rows would drift from single runs."""
-    return y @ matrix.T if y.ndim == 1 else np.matvec(matrix, y)
 
 
 def baseline_update_forms(positions, laplacian: PinnedLaplacian,
@@ -242,7 +238,7 @@ def baseline_update_forms(positions, laplacian: PinnedLaplacian,
     # every constant is an array of y's shape: gamma, gamma*B, then the per-robot ones
     gamma, gamma_b, c_y, c_f, c_yd = _law_constants(network, laplacian,
                                                     ("baseline", gamma), y.shape)
-    stacked = y - gamma * _k_times(laplacian.matrix, y) + gamma_b * y_d
+    stacked = y - gamma * np.matvec(laplacian.matrix, y) + gamma_b * y_d
     # Row k reads only robot k's position, force and leader spring.
     local = c_y * y + c_f * measured_force(network, y) + c_yd * y_d
     return stacked, local
@@ -266,8 +262,8 @@ def dsr_update_forms(positions, delayed_positions, laplacian: PinnedLaplacian,
         network, laplacian, ("dsr", alpha, beta, dt, delay_multiple), y.shape)
     k = laplacian.matrix
     delta = y - y_old
-    stacked = (y - rate * _k_times(k, y) + rate_b * y_d
-               + (delta - beta * _k_times(k, delta)) / delay_multiple)
+    stacked = (y - rate * np.matvec(k, y) + rate_b * y_d
+               + (delta - beta * np.matvec(k, delta)) / delay_multiple)
 
     # Row k reads only robot k's quantities, all robots evaluated at once.
     if force is None:
@@ -317,7 +313,11 @@ def step_dsr(state: NetworkState, laplacian: PinnedLaplacian,
     """One cohesive update; returns and raises as ``step_baseline``. The
     robots sense only the current positions: the N-step-old reading is the
     one stored when that sample was stepped on this network object, and is
-    sensed again only if there is none."""
+    sensed again only if there is none. A state whose history does not hold
+    N samples raises ValueError."""
+    if len(state.history) != config.delay_multiple:
+        raise ValueError(f"the state's history holds {len(state.history)} samples; "
+                         f"delay_multiple is {config.delay_multiple}")
     if state.sensed_on is not network:
         state.readings, state.sensed_on = (), network
     state.reading = measured_force(network, state.positions)

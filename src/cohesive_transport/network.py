@@ -37,11 +37,12 @@ class CouplingNetwork:
     ``couplings`` maps unordered robot pairs (stored with i < j) to a
     positive stiffness; it is a read-only view. ``leader_stiffness[k]``
     is the virtual-source spring of robot k (zero for non-leaders, one
-    entry per robot). The network is frozen, so its spring list, batch
-    spring lists (by batch size), pinned Laplacian and update-law constants
-    (by gains and state shape, set by dynamics) are built once per object
-    and can never go stale; every caller of one network object shares a
-    single assembly and eigendecomposition.
+    entry per robot). The network is frozen, so its spring list and pinned
+    Laplacian are built once per object and can never go stale; every
+    caller of one network object shares a single assembly and
+    eigendecomposition. It also keeps one batch spring list, for the batch
+    size last read, and one set of update-law constants, for the gains and
+    state shape last stepped (set by dynamics); another key replaces each.
     """
 
     n: int
@@ -90,9 +91,9 @@ class CouplingNetwork:
 
     @cached_property
     def _batch_bins(self) -> dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """By batch size, the spring list of every row of a (batch, n)
-        state, indexed into the flattened state: row b's robot k is entry
-        b*n + k, and so is its bincount bin."""
+        """The spring list of every row of a (batch, n) state, keyed by the
+        batch size last read, indexed into the flattened state: row b's
+        robot k is entry b*n + k, and so is its bincount bin."""
         return {}
 
     @cached_property
@@ -218,9 +219,13 @@ def measured_force(network: CouplingNetwork, positions: Sequence[float]) -> np.n
     The virtual-source force on leaders is not included here; update
     laws add it separately. Every robot's reading comes from one pass over
     the spring list; a (batch, n) state takes one pass over every row's
-    springs, gathered from the flattened state.
+    springs, gathered from the flattened state. Positions of any other
+    shape raise ValueError.
     """
     y = np.asarray(positions, dtype=float)
+    if y.shape[-1:] != (network.n,) or y.ndim > 2:
+        raise ValueError(f"positions of shape {y.shape} for {network.n} robots: "
+                         f"need ({network.n},) or (batch, {network.n})")
     if y.ndim == 1:
         robots, neighbours, stiffness = network._springs
         flat = y
@@ -233,6 +238,7 @@ def measured_force(network: CouplingNetwork, positions: Sequence[float]) -> np.n
                        np.tile(stiffness, len(y)))
             for arr in springs:
                 arr.flags.writeable = False
+            network._batch_bins.clear()
             network._batch_bins[len(y)] = springs
         robots, neighbours, stiffness = springs
         flat = y.ravel()

@@ -13,9 +13,9 @@ from hypothesis import strategies as st
 
 import cohesive_transport
 from cohesive_transport import dynamics
-from cohesive_transport import (ControllerConfig, CrosscheckError, DivergenceError,
-                                NetworkState, ScenarioConfig, StiffnessChain,
-                                TrajectorySpec, UnstableControllerWarning,
+from cohesive_transport import (ControllerConfig, CouplingNetwork, CrosscheckError,
+                                DivergenceError, NetworkState, ScenarioConfig,
+                                StiffnessChain, TrajectorySpec, UnstableControllerWarning,
                                 UnstableGainError, build_pinned_laplacian, measured_force,
                                 simulate, step_baseline, step_dsr)
 from cohesive_transport.dynamics import (_BLOCK_VALUES, _crosscheck, _run,
@@ -23,6 +23,7 @@ from cohesive_transport.dynamics import (_BLOCK_VALUES, _crosscheck, _run,
                                          num_steps)
 
 from conftest import DT, unit_step_scenario
+from strategies import coupling_networks
 
 
 def single_node():
@@ -331,7 +332,7 @@ def test_controllers_sharing_a_network_each_get_their_own_coefficients(rng):
             for rows in shapes:
                 positions, delayed = rng.normal(0.0, 10.0, (2,) + rows + (4,))
                 y_d = rng.normal(0.0, 10.0, rows + (1,)) if rows else float(rng.normal(0.0, 10.0))
-                state = NetworkState(positions, (delayed,) * 2)
+                state = NetworkState(positions, (delayed,) * config.delay_multiple)
                 fresh = build()
                 fresh_lap = build_pinned_laplacian(fresh)
                 stepped = step(state, lap, shared, config, y_d)
@@ -339,24 +340,66 @@ def test_controllers_sharing_a_network_each_get_their_own_coefficients(rng):
                 assert np.array_equal(_update_forms(state, lap, shared, config, y_d),
                                       _update_forms(state, fresh_lap, fresh, config, y_d))
                 for k in range(len(positions)) if rows else ():
-                    single = NetworkState(positions[k], (delayed[k],) * 2)
+                    single = NetworkState(positions[k], (delayed[k],) * config.delay_multiple)
                     assert np.array_equal(stepped[k], step(single, lap, shared, config,
                                                            float(y_d[k, 0])))
-    assert len(shared._law_coefficients) == len(configs) * len(shapes)
+    # one entry: the gains and shape last stepped, the last single state's
+    assert list(shared._law_coefficients) == [(("dsr", 0.2, 5.0, DT, 2), (4,))]
 
 
-def test_stacked_forms_use_the_laplacian_they_are_handed_bit_for_bit(chain4, lap4, rng):
-    # the same springs pinned at the other end: another K and B for one network
-    other = build_pinned_laplacian(StiffnessChain((0.05,) * 3, (0.0, 0.0, 0.0, 0.08)))
-    y, y_old = rng.normal(0.0, 10.0, (2, 4))
+def test_stepping_one_network_at_many_gains_keeps_one_law_entry(rng):
+    def build():
+        return StiffnessChain((0.05, 0.07, 0.04), (0.05, 0.0, 0.02, 0.0))
+    shared = build()
+    lap = build_pinned_laplacian(shared)
+    state = NetworkState.at_rest(rng.normal(0.0, 10.0, 4))
+    for gamma in np.linspace(0.1, 5.0, 50).tolist():
+        config = ControllerConfig.baseline(gamma, DT)
+        fresh = build()
+        assert np.array_equal(step_baseline(state, lap, shared, config, 2.5),
+                              step_baseline(state, build_pinned_laplacian(fresh), fresh,
+                                            config, 2.5))
+    assert list(shared._law_coefficients) == [(("baseline", gamma), (4,))]
+
+
+def _random_chain(n):
+    rng = np.random.default_rng(n)
+    return StiffnessChain(tuple(rng.uniform(0.01, 10.0, n - 1)), (0.05,) + (0.0,) * (n - 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(coupling_networks(), st.integers(0, 2**32 - 1))
+@example(StiffnessChain((0.05,) * 3, (0.05, 0.0, 0.0, 0.0)), 0)   # the reference chain
+@example(_random_chain(1), 1)
+@example(_random_chain(64), 64)
+@example(_random_chain(256), 256)
+def test_stacked_forms_use_the_laplacian_they_are_handed_bit_for_bit(network, seed):
+    # np.matvec on one state must round as y @ K.T does, since trace.csv's
+    # bytes rest on it. The mirrored leader springs give another K and B
+    # for the same network.
+    other = build_pinned_laplacian(CouplingNetwork(network.n, network.couplings,
+                                                   network.leader_stiffness[::-1]))
+    own = build_pinned_laplacian(network)
+    y, y_old = np.random.default_rng(seed).normal(0.0, 10.0, (2, network.n))
     rate, delta = 0.39 * 10.92 * DT, y - y_old
-    for lap in (lap4, other, lap4):
+    for lap in (own, other, own):
         k_y, k_delta = y @ lap.matrix.T, delta @ lap.matrix.T
-        stacked, _ = baseline_update_forms(y, lap, chain4, 1.93, 2.5)
+        stacked, _ = baseline_update_forms(y, lap, network, 1.93, 2.5)
         assert np.array_equal(stacked, y - 1.93 * k_y + 1.93 * lap.leader_vector * 2.5)
-        stacked, _ = dsr_update_forms(y, y_old, lap, chain4, 0.39, 10.92, DT, 2, 2.5)
+        stacked, _ = dsr_update_forms(y, y_old, lap, network, 0.39, 10.92, DT, 2, 2.5)
         assert np.array_equal(stacked, y - rate * k_y + rate * lap.leader_vector * 2.5
                               + (delta - 10.92 * k_delta) / 2)
+
+
+@pytest.mark.parametrize("rows", [(), (2,)])
+def test_step_dsr_rejects_a_history_of_another_delay(chain4, lap4, rows):
+    config = ControllerConfig.dsr(0.39, 10.92, DT, 3)
+    y_d = np.ones(rows + (1,)) if rows else 1.0
+    for held in (1, 2, 4):
+        state = NetworkState.at_rest(np.zeros(rows + (4,)), held)
+        with pytest.raises(ValueError, match=f"holds {held} samples; delay_multiple is 3"):
+            step_dsr(state, lap4, chain4, config, y_d)
+    step_dsr(NetworkState.at_rest(np.zeros(rows + (4,)), 3), lap4, chain4, config, y_d)
 
 
 @pytest.mark.parametrize("step, config", [

@@ -1,4 +1,5 @@
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -147,13 +148,43 @@ def test_measured_force_on_a_batch_is_row_by_row(network, batch, data):
 
 
 def test_measured_force_scatter_index_is_kept_per_batch_size(rng):
-    network = StiffnessChain((0.05, 0.07, 0.04), (0.05, 0.0, 0.02, 0.0))
-    for batch in (3, 2, 3, 1, 2):   # each size reuses its own index
+    def build():
+        return StiffnessChain((0.05, 0.07, 0.04), (0.05, 0.0, 0.02, 0.0))
+    network = build()
+    for batch in (3, 2, 3, 1, 2):   # each new size replaces the index
         rows = rng.normal(0.0, 10.0, (batch, network.n))
         forces = measured_force(network, rows)
+        assert np.array_equal(forces, measured_force(build(), rows))
         for k in range(batch):
             assert np.array_equal(forces[k], measured_force(network, rows[k]))
-    assert sorted(network._batch_bins) == [1, 2, 3]
+    assert list(network._batch_bins) == [2]
+
+
+@pytest.mark.parametrize("shape", [(2, 5), (5,), (3,), (2, 3, 4), ()])
+def test_measured_force_rejects_positions_that_are_not_one_per_robot(chain4, shape):
+    with pytest.raises(ValueError, match=re.escape(f"shape {shape} for 4 robots")):
+        measured_force(chain4, np.zeros(shape))
+
+
+@settings(max_examples=100, deadline=None)
+@given(coupling_networks())
+def test_unit_moves_read_the_pinned_laplacian_less_its_leader_springs(network):
+    # Row b moves robot b by 1 cm and holds the rest, so robot k != b reads
+    # -khat_kb = K[b, k] and robot b reads the sum of its springs, K[b, b] - B[b].
+    lap = build_pinned_laplacian(network)
+    forces = measured_force(network, np.eye(network.n))
+    expected = lap.matrix - np.diag(lap.leader_vector)
+    off = ~np.eye(network.n, dtype=bool)
+    assert np.array_equal(forces[off], expected[off])   # one term each: exact
+    # The diagonal sums robot b's d_b springs in two orders: the reading
+    # rounds d_b - 1 partial sums, K[b, b] rounds d_b (its springs, then
+    # B[b]), and subtracting B[b] rounds once more. Each rounding is at
+    # most eps/2 * K[b, b], so they differ by at most d_b * eps * K[b, b]
+    # to first order; one more eps * K[b, b] covers the higher orders.
+    degree = np.bincount(np.array(list(network.couplings), dtype=np.intp).ravel(),
+                         minlength=network.n)
+    bound = (degree + 1) * np.finfo(float).eps * np.diag(lap.matrix)
+    assert np.all(np.abs(np.diag(forces) - np.diag(expected)) <= bound)
 
 
 def test_measured_force_undeformed(chain4):
