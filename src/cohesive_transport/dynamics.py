@@ -28,7 +28,8 @@ The stacked law takes K Y as np.matvec(K, Y) for one state and each batch
 row alike. A run builds its constants once, not per sample: the stacked
 law's (gamma*B, or a*b*dt*B, b and N) and the per-robot coefficients, each
 as an array of the state's shape (``_law_constants``), and the spring list
-of a batch of that size; the network keeps only the last of each. Every
+of a batch of that size; the network keeps only the last of each. A batch's
+references are tiled to its (batch, n) shape once per block of samples. Every
 sample of every row is still checked, within 1e-12 * max(1, the row's
 largest |Y[m+1]|); a batch whose entries all agree within 1e-12, the
 smallest such bound, is accepted without the row-by-row pass.
@@ -233,7 +234,9 @@ def baseline_update_forms(positions, laplacian: PinnedLaplacian,
                           network: CouplingNetwork, gamma: float,
                           y_d) -> tuple[np.ndarray, np.ndarray]:
     """Next positions computed both ways: (stacked, per-robot); a batch
-    of states (batch, n) takes one reference per row, ``y_d`` (batch, 1)."""
+    of states (batch, n) takes one reference per row, ``y_d`` (batch, n) with
+    each row's reference in every column (a (batch, 1) column gives the same
+    bits, broadcast on every sample)."""
     y = np.asarray(positions, dtype=float)
     # every constant is an array of y's shape: gamma, gamma*B, then the per-robot ones
     gamma, gamma_b, c_y, c_f, c_yd = _law_constants(network, laplacian,
@@ -365,12 +368,11 @@ def _run(network: CouplingNetwork, config: ControllerConfig, references: np.ndar
     References (steps + 1,) step a state (n,); (steps + 1, batch) step ``batch``
     runs at once as a state (batch, n). Yields (m, block): samples m.. in block[1:],
     sample m - 1 in block[0]. A block holds about _BLOCK_VALUES positions, at least
-    one sample, ends at each sample in ``ends``, and is overwritten by the next."""
+    one sample, ends at each sample in ``ends``, and is overwritten by the next.
+    ``ends`` is read as the run goes: a caller may add to it between blocks."""
     laplacian = build_pinned_laplacian(network)
     _warn_if_unstable(laplacian, config)
     stepper = step_baseline if config.kind == "baseline" else step_dsr
-    # one run reads Python floats, made one at a time; a batch reads columns
-    y_ds = memoryview(references) if references.ndim == 1 else references[:, :, None]
     state = NetworkState.at_rest(np.zeros(references.shape[1:] + (laplacian.n,)),
                                  config.delay_multiple)
     steps = len(references) - 1
@@ -378,7 +380,13 @@ def _run(network: CouplingNetwork, config: ControllerConfig, references: np.ndar
     block = np.zeros((rows + 1,) + state.positions.shape)
     first = 1
     for m in range(1, steps + 1):
-        nxt = stepper(state, laplacian, network, config, y_ds[m - 1])
+        if m == first:
+            # the block's references: one run reads Python floats, made one at a
+            # time; a batch reads rows of the state's shape, tiled once per block
+            y_ds = references[m - 1:m - 1 + rows]
+            y_ds = (memoryview(y_ds) if y_ds.ndim == 1
+                    else np.repeat(y_ds[:, :, None], laplacian.n, axis=2))
+        nxt = stepper(state, laplacian, network, config, y_ds[m - first])
         state = state.advanced(nxt)
         block[m - first + 1] = nxt
         if m - first + 1 == rows or m == steps or m in ends:

@@ -1,11 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from cohesive_transport import (ControllerConfig, ScenarioConfig,
                                 StiffnessChain, TrajectorySpec,
                                 build_pinned_laplacian, simulate)
 
 DT = 0.03
+
+# `pytest --hypothesis-profile ci`: more examples for the property tests that
+# take their count from the profile, the tuner's retry-loop oracles among them
+settings.register_profile("ci", max_examples=400, deadline=None)
 
 
 @pytest.fixture(scope="session")

@@ -1,11 +1,13 @@
 import math
 import re
 import tracemalloc
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+import hypothesis
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cohesive_transport import (ControllerConfig, DivergenceError, PinnedLaplacian,
@@ -14,8 +16,9 @@ from cohesive_transport import (ControllerConfig, DivergenceError, PinnedLaplaci
                                 build_pinned_laplacian, dsr_settling_estimate,
                                 closed_form_stable, settling_time_estimate,
                                 simulate, summarize, tune, tune_gamma)
-from cohesive_transport import ScenarioConfig, TrajectorySpec, tuning, write_config
+from cohesive_transport import ScenarioConfig, TrajectorySpec, dynamics, tuning, write_config
 from cohesive_transport.cli import main
+from cohesive_transport.dynamics import _run, num_steps
 from cohesive_transport.stability import _mode_roots
 from cohesive_transport.tuning import dsr_gains_vs_ts_table, ts_vs_gamma_table
 
@@ -232,18 +235,25 @@ def _retry_loop(network, controller, spec):
     return math.inf, speed
 
 
+def _outcome(measure, network, controller, spec):
+    """(settling, max speed) or ("diverged", step)."""
+    try:
+        return measure(network, controller, spec)
+    except DivergenceError as exc:
+        return "diverged", exc.step
+
+
 def _stream_and_oracle(network, controller, spec):
-    """(settling, max speed) or ("diverged", step), streamed and by the oracle."""
-    outcomes = []
-    for measure in (tuning._measure_step_response, _retry_loop):
-        try:
-            outcomes.append(measure(network, controller, spec))
-        except DivergenceError as exc:
-            outcomes.append(("diverged", exc.step))
-    return outcomes
+    """The outcome streamed and by the oracle."""
+    return [_outcome(measure, network, controller, spec)
+            for measure in (tuning._measure_step_response, _retry_loop)]
 
 
 _B, _D = ControllerConfig.baseline, ControllerConfig.dsr
+# alpha = (1 - sqrt(1 - beta*lam))**2 / (lam*beta*dt) on chain4's lam_min gives
+# its mode a double root; at beta = 8 the roots come out equal, at 10.92 apart
+# by 2.1e-8
+_REPEATED_ALPHA, _NEARLY_REPEATED_ALPHA = 0.4120505051423894, 0.5676477096046304
 
 
 @pytest.mark.filterwarnings("ignore::cohesive_transport.UnstableControllerWarning")
@@ -264,6 +274,16 @@ _B, _D = ControllerConfig.baseline, ControllerConfig.dsr
     (_D(0.39, 15.0, DT, 3), 2.0, 9.03),
     (_D(0.39, 30.0, DT), 1.0, "diverged"),
     (_D(0.39, 30.0, DT, 2), 0.3, "diverged"),
+    # the tail bound stops these early, at sample 354, 75, 142, 338 and 340
+    (_B(1.93, DT), 30.0, 10.59),        # of the first horizon's 2,000
+    (_B(9.0, DT), 10.0, 74 * DT),       # of 667 (2.22 s)
+    (_D(1.5, 10.0, DT), 10.0, 3.42),
+    (_D(0.39, 10.92, DT), 30.0, 9.36),
+    (_D(0.39, 5.0, DT), 10.0, 9.36),
+    # lam_min's pair of roots repeated (|z1 - z2| = 0) and nearly (2.1e-8):
+    # no tail bound, every sample of the first horizon is stepped
+    (_D(_REPEATED_ALPHA, 8.0, DT), 10.0, 282 * DT),
+    (_D(_NEARLY_REPEATED_ALPHA, 10.92, DT), 10.0, 205 * DT),
 ])
 def test_streamed_step_response_matches_the_retry_loop(chain4, controller, target,
                                                         expected):
@@ -273,7 +293,7 @@ def test_streamed_step_response_matches_the_retry_loop(chain4, controller, targe
 
 
 @pytest.mark.filterwarnings("ignore::cohesive_transport.UnstableControllerWarning")
-@settings(max_examples=40, deadline=None)
+@settings(deadline=None)
 @given(coupling_networks(max_robots=5), st.sampled_from(["baseline", "dsr"]),
        st.integers(1, 3), st.floats(0.05, 1.3), st.floats(0.05, 2.0),
        st.floats(0.1, 3.0))
@@ -283,8 +303,174 @@ def test_streamed_step_response_matches_the_retry_loop_on_any_network(
     bound = baseline_gamma_bound(build_pinned_laplacian(network))
     controller = (_B(gain * bound, DT) if kind == "baseline"
                   else _D(alpha, gain * bound, DT, delay))
-    stream, oracle = _stream_and_oracle(network, controller, spec_for(target))
+    first_stop, stops = tuning._UnitStepTail.first_stop, []
+
+    def recorded(tail, now, prev, at, *args):
+        stop = first_stop(tail, now, prev, at, *args)
+        stops.append(stop == at)
+        return stop
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(tuning._UnitStepTail, "first_stop", recorded)
+        stream, oracle = _stream_and_oracle(network, controller, spec_for(target))
     assert stream == oracle
+    hypothesis.event("stopped by the tail bound" if any(stops) else
+                     "no tail bound" if not stops else "tail bound never held")
+
+
+def _step_counts(monkeypatch):
+    """Calls of each step function from here on, counted by a wrapper."""
+    counts = Counter()
+    for name in ("step_baseline", "step_dsr"):
+        def counted(*args, _step=getattr(dynamics, name), _name=name, **kwargs):
+            counts[_name] += 1
+            return _step(*args, **kwargs)
+        monkeypatch.setattr(dynamics, name, counted)
+    return counts
+
+
+def test_tune_stops_chain4_where_the_tail_bound_holds(chain4, monkeypatch):
+    """At T = 10 s both unit steps settle inside their first horizon, 666
+    samples after sample 1; the tail bound stops them at samples 353 and 337."""
+    counts = _step_counts(monkeypatch)
+    tune(chain4, spec_for(10.0))
+    assert counts == {"step_baseline": 352, "step_dsr": 336}
+    assert num_steps(20.0, DT) - 1 == 666
+
+
+@pytest.mark.filterwarnings("ignore::cohesive_transport.UnstableControllerWarning")
+@pytest.mark.parametrize("controller, target, steps", [
+    (_B(15.0, DT), 1.0, 47),                   # unstable: diverges at step 48
+    (_D(0.39, 30.0, DT), 1.0, 19),             # unstable: diverges at step 20
+    (_D(_REPEATED_ALPHA, 8.0, DT), 10.0, 666),  # a repeated pair of roots
+    (_D(_NEARLY_REPEATED_ALPHA, 10.92, DT), 10.0, 666),   # and a nearly repeated one
+])
+def test_unbounded_tails_step_as_the_horizons_do(chain4, controller, target, steps,
+                                                 monkeypatch):
+    """Where no tail bound exists the unit step is stepped as the oracle steps
+    its first horizon: the same samples, but for the oracle's step from sample
+    0 to 1 at rest, to the same divergence or the horizon's end."""
+    assert tuning._tail_roots(build_pinned_laplacian(chain4), controller) is None
+    counts = _step_counts(monkeypatch)
+    outcomes, stepped = [], []
+    for measure in (tuning._measure_step_response, _retry_loop):
+        counts.clear()
+        outcomes.append(_outcome(measure, chain4, controller, spec_for(target)))
+        stepped.append(sum(counts.values()))
+    assert outcomes[0] == outcomes[1]
+    assert stepped == [steps, steps + 1]
+
+
+def test_a_too_early_prediction_costs_a_retry_not_a_number(chain4, monkeypatch):
+    """A first stop predicted halfway to the true one fails at the stepped
+    state, which then predicts the stop itself: the same numbers, after the
+    same samples."""
+    counts = _step_counts(monkeypatch)
+    stream = [tuning._measure_step_response(chain4, c, spec_for(10.0))
+              for c in (_B(1.93, DT), _D(0.39, 10.92, DT))]
+    honest = dict(counts)
+    first_stop, stops = tuning._UnitStepTail.first_stop, []
+
+    def early_from_rest(tail, now, prev, at, end, peak_move):
+        stop = first_stop(tail, now, prev, at, end, peak_move)
+        stops.append(stop)
+        return (at + stop) // 2 if at == 1 else stop
+
+    monkeypatch.setattr(tuning._UnitStepTail, "first_stop", early_from_rest)
+    counts.clear()
+    assert [tuning._measure_step_response(chain4, c, spec_for(10.0))
+            for c in (_B(1.93, DT), _D(0.39, 10.92, DT))] == stream
+    assert dict(counts) == honest
+    assert stops == [354, 354, 354, 338, 338, 338]
+
+
+def test_the_stop_waits_until_no_later_move_can_reach_the_peak(chain4):
+    """The reference baseline step may stop at sample 354; given a peak move a
+    fifth of the move from there, the stop comes later, and no move after it
+    up to the end reaches that peak."""
+    lap = build_pinned_laplacian(chain4)
+    controller = _B(1.93, DT)
+    tail = tuning._UnitStepTail(lap, controller, tuning._tail_roots(lap, controller))
+    end = 1000   # positions[u - 1] is the unit step's sample u
+    positions = np.vstack([np.zeros(lap.n)] + [block[1:].copy() for _, block in _run(
+        chain4, controller, np.broadcast_to(1.0, (end,)))])
+    moves = np.max(np.abs(np.diff(positions, axis=0)), axis=1)   # from sample u: moves[u - 1]
+    now, prev = positions[353], positions[352]
+    assert tail.first_stop(now, prev, 354, end, math.inf) == 354
+    peak = moves[353] / 5.0
+    stop = tail.first_stop(now, prev, 354, end, peak)
+    assert stop > 354
+    assert np.max(moves[stop - 1:]) < peak
+
+
+def _tuned_or_infeasible(network, spec):
+    try:
+        return [result.as_dict() for result in tune(network, spec)]
+    except TuningInfeasibleError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("target", range(4, 21))
+def test_tune_matches_the_retry_loop_on_chain4(chain4, target, monkeypatch):
+    streamed = _tuned_or_infeasible(chain4, spec_for(float(target)))
+    monkeypatch.setattr(tuning, "_measure_step_response", _retry_loop)
+    assert _tuned_or_infeasible(chain4, spec_for(float(target))) == streamed
+
+
+@settings(deadline=None)
+@given(coupling_networks(max_robots=5), st.floats(1.0, 4.0))
+def test_tune_matches_the_retry_loop_on_any_network(network, stretch):
+    """Both blocks of tune's results, streamed and by the oracle, at a target
+    between the cohesive floor 2*T(gamma*) and four times it, within [0.1, 30] s."""
+    lap = build_pinned_laplacian(network)
+    decay = (lap.lambda_max - lap.lambda_min) / (lap.lambda_max + lap.lambda_min)
+    floor = 2.0 * tuning._decay_to_settling(decay, DT)
+    target = min(30.0, max(0.1, stretch * floor))
+    streamed = _tuned_or_infeasible(network, spec_for(target))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(tuning, "_measure_step_response", _retry_loop)
+        assert _tuned_or_infeasible(network, spec_for(target)) == streamed
+    hypothesis.event("infeasible" if isinstance(streamed, str) else "tuned")
+
+
+@settings(deadline=None)
+@given(coupling_networks(max_robots=6), st.sampled_from(["baseline", "dsr"]),
+       st.floats(1e-3, 0.999), st.floats(1e-3, 3.0), st.integers(50, 600))
+def test_tail_margin_covers_the_rounding_of_every_later_sample(network, kind, gain,
+                                                                alpha, samples):
+    """From rest, the stepped unit step stays within the rounding margins of
+    the modal solution over ``samples`` samples: its positions within the
+    position margin, its moves within the move margin. The modal solution is
+    evaluated here on its own, with each mode's amplitudes from a Vandermonde
+    solve, up to its own rounding, (n + 4) eps times the tail bound."""
+    lap = build_pinned_laplacian(network)
+    controller = (_B(gain * baseline_gamma_bound(lap), DT) if kind == "baseline"
+                  else _D(alpha, gain * baseline_gamma_bound(lap), DT))
+    roots = tuning._tail_roots(lap, controller)
+    assume(roots is not None)
+    tail = tuning._UnitStepTail(lap, controller, roots)
+    stepped = np.concatenate([block[1:].copy() for _, block in _run(
+        network, controller, np.broadcast_to(1.0, (samples + 1,)))])
+    error = np.vstack([np.zeros(lap.n), stepped]) - 1.0       # samples 0..samples
+    start = lap.eigenvectors.T @ -np.ones(lap.n)               # at rest: e[0] = e[-1]
+    if roots.shape[1] == 1:
+        amplitudes = start[:, None]
+    else:   # e_k[0] and e_k[1] = (z1 + z2) e_k[0] - z1 z2 e_k[-1]
+        z1, z2 = roots.T
+        amplitudes = np.linalg.solve(
+            np.stack([np.ones_like(roots), roots], axis=1),
+            np.stack([start, (z1 + z2 - z1 * z2) * start], axis=1)[..., None])[..., 0]
+    powers = roots[None] ** np.arange(samples + 1)[:, None, None]
+    modal = ((amplitudes[None] * powers).sum(axis=-1) @ lap.eigenvectors.T).real
+    bounds = (np.abs(amplitudes)[None] * np.abs(powers)).sum(axis=-1) @ np.abs(
+        lap.eigenvectors).T
+    evaluation = (lap.n + 4) * 2.0 ** -52 * bounds
+    margin, move_margin = tail._margins(samples, 1.0 + bounds.max())
+    drift = np.abs(error - modal)
+    assert np.all(drift <= margin + evaluation)
+    move_drift = np.abs(np.diff(error, axis=0) - np.diff(modal, axis=0))
+    assert np.all(move_drift <= move_margin + evaluation[1:] + evaluation[:-1])
+    hypothesis.target(float(np.max(drift / (margin + evaluation))), label="drift / margin")
 
 
 def test_tune_gamma_holds_no_trace():
