@@ -49,10 +49,13 @@ F = 2*T(gamma*); a capped beta raises F.
 The unit step is stepped once, up to 16 T, keeping only its last sample
 outside the band and its largest move per sample. It is judged at the first
 horizon 2*T*2**k (k = 0..3) that ends inside the band; stepping stops earlier
-where the modal tail bound proves that no later sample can change those
-numbers (``_measure_step_response``). A target is infeasible
-if 16 T/dt exceeds _MAX_STEP_SAMPLES, over an hour's stepping (2e8 suffice for
-the shortest target both controllers reach on a 1024-robot chain at dt = 0.03).
+where the modal tail bound (``modal``, shared with the cutoff sweep) proves that
+no later sample can change those numbers, so tuning.json keeps its bits
+(``_measure_step_response``). Roots on or outside the unit circle, nearly
+repeated pairs and delays N > 1 have no bound and step to the horizon. A
+target is infeasible if 16 T/dt exceeds _MAX_STEP_SAMPLES, over an hour's
+stepping (2e8 suffice for the shortest target both controllers reach on a
+1024-robot chain at dt = 0.03).
 """
 from __future__ import annotations
 
@@ -67,19 +70,15 @@ from .dynamics import ControllerConfig, _run, num_steps
 from .dynamics import simulate  # noqa: F401
 from .errors import DivergenceError, TuningInfeasibleError, UnstableGainError
 from .metrics import SETTLING_BAND, Peaks
+from .modal import ModalTail, first_holding, tail_roots
 from .network import CouplingNetwork, PinnedLaplacian, build_pinned_laplacian
-from .stability import (StabilityReport, _magnitude, _mode_roots, baseline_gamma_bound,
-                        baseline_spectral_radius, closed_form_stable,
-                        spectral_radius)
+from .stability import (StabilityReport, baseline_gamma_bound, baseline_spectral_radius,
+                        closed_form_stable, spectral_radius)
 
 # rounding allowed between the target decay and the root that meets it
 _ROOT_RTOL = 8 * 2.0 ** -52
 SPEED_LIMIT = 5.0          # cm/s, the baseline's commanded-speed cap
 _MAX_STEP_SAMPLES = 10 ** 9  # longest unit step the tuner steps, 16 T/dt
-_EPS = 2.0 ** -52
-# pairs of roots this close have amplitudes ~1/|z1 - z2| times the error's:
-# their tail bound would overstate it a millionfold, so it is not used
-_NEAR_REPEATED = 1e-6
 
 
 @dataclass(frozen=True)
@@ -144,105 +143,24 @@ def dsr_settling_estimate(laplacian: PinnedLaplacian, alpha: float,
         spectral_radius(laplacian, alpha, beta, dt).spectral_radius, dt)
 
 
-def _tail_roots(laplacian: PinnedLaplacian, controller: ControllerConfig) -> np.ndarray | None:
-    """Each mode's roots of the unit step's error as a (modes, R) array:
-    1 - gamma*lam_k for the baseline (R = 1), the quadratic's pair for the
-    cohesive law at N = 1 (R = 2). None where the tail is not bounded: a delay
-    N > 1, a root on or outside the unit circle, or a nearly repeated pair,
-    apart by _NEAR_REPEATED or less."""
-    lam = laplacian.eigenvalues
-    if controller.kind == "baseline":
-        roots = (1.0 - controller.gamma * lam)[:, None]
-    elif controller.delay_multiple == 1:
-        z1, z2 = _mode_roots(lam, controller.alpha, controller.beta, controller.dt)
-        if not np.min(_magnitude(z1 - z2)) > _NEAR_REPEATED:
-            return None
-        roots = np.stack([z1, z2], axis=1)
-    else:
-        return None
-    return roots if np.max(np.abs(roots)) < 1.0 else None
+def _first_stop(tail: ModalTail, now: np.ndarray, prev: np.ndarray, at: int, end: int,
+                peak_move: float) -> int | None:
+    """The first sample c, ``at`` <= c < ``end``, from which every sample up to
+    ``end`` provably stays inside the band and every move is less than
+    ``peak_move``, from the positions ``now`` at ``at`` and ``prev`` before it;
+    None if there is none."""
+    amplitudes = tail.amplitudes(now - 1.0, prev - 1.0)
+    moves = amplitudes * tail.moves
+    # the later samples' |e| is within the band: s covers them and the step from at
+    margin, move_margin = tail.margins(end - at, tail.per_sample * (1.0 + max(
+        SETTLING_BAND, np.max(np.abs(now - 1.0)), np.max(np.abs(prev - 1.0)))))
 
+    def holds(j: int) -> bool:
+        return (np.max(tail.per_robot(amplitudes, j)) + margin <= SETTLING_BAND
+                and np.max(tail.per_robot(moves, j)) + move_margin < peak_move)
 
-class _UnitStepTail:
-    """Modal tail bound of a unit step: the first sample from which no later
-    one leaves the band or moves more than a given peak move.
-
-    In K's eigenvectors V the error e = Y - 1 splits into modes; from any sample
-    c, mode k is e_k[c + j] = sum_r A_kr z_kr**j, its amplitudes A_kr fixed by
-    e[c] and e[c - 1]. Robot i's error at c + j and its move from there are then
-    at most sum_k |V_ik| sum_r |A_kr| |z_kr|**j times 1 and |z_kr - 1|: both
-    fall with j, so each holds for every later sample once it holds at one.
-    The rounding after c adds the margins of ``_measure_step_response``.
-    """
-
-    def __init__(self, laplacian: PinnedLaplacian, controller: ControllerConfig,
-                 roots: np.ndarray):
-        self.vectors, self.magnitudes = laplacian.eigenvectors, np.abs(laplacian.eigenvectors)
-        self.roots, self.rates, self.moves = roots, np.abs(roots), np.abs(roots - 1.0)
-        gain = (controller.gamma if controller.kind == "baseline"
-                else controller.alpha * controller.beta * controller.dt + controller.beta)
-        # delta at s = 1: each sample's rounding per robot, from the stacked step,
-        # its sums, the eigendecomposition's backward error and the roots' (a few
-        # eps in their sum and product, each times |e|)
-        self.per_sample = (laplacian.n + 8) * _EPS * (
-            3.0 + 2.0 * gain * np.abs(laplacian.matrix).sum(axis=1).max())
-        self.reach = self.magnitudes.sum(axis=0)   # |V^T d|_k <= reach_k |d|max
-
-    def _amplitudes(self, now: np.ndarray, prev: np.ndarray) -> np.ndarray:
-        """|A_kr| from the positions at c and c - 1, widened by their rounding."""
-        e_now, e_prev = now - 1.0, prev - 1.0
-        at_now, at_prev = self.vectors.T @ e_now, self.vectors.T @ e_prev
-        slack = (len(now) + 2) * _EPS * (self.magnitudes.T @ (np.abs(e_now) + np.abs(e_prev)))
-        if self.roots.shape[1] == 1:
-            return (np.abs(at_now) + slack)[:, None]
-        z1, z2 = self.roots.T
-        pair = np.stack([z1 * (at_now - z2 * at_prev), z2 * (z1 * at_prev - at_now)],
-                        axis=1) / (z1 - z2)[:, None]
-        size = np.abs(at_now) + np.abs(at_prev) + 2.0 * slack
-        error = (4.0 * slack + 8.0 * _EPS * size) / _magnitude(z1 - z2)
-        return _magnitude(pair) + error[:, None]
-
-    def _bound(self, weights: np.ndarray, j: int) -> float:
-        return float(np.max(self.magnitudes @ (weights * self.rates ** j).sum(axis=1)))
-
-    def _margins(self, left: int, scale: float) -> tuple[float, float]:
-        """The rounding margins of the positions and of the moves over ``left``
-        samples, each of which adds at most delta = per_sample * ``scale``."""
-        # per root, sum_{j < left} |z|**j at most; then per mode the sums of
-        # |h(j)| and of |h(j) - h(j - 1)|, h its response to a unit injection
-        sums = np.minimum(left, 1.0 / (1.0 - self.rates))
-        if sums.shape[1] == 1:
-            grows, move_grows = sums[:, 0], 1.0 + self.moves[:, 0] * sums[:, 0]
-        else:
-            grows = sums[:, 0] * sums[:, 1]
-            move_grows = np.min((1.0 + self.moves * sums) * sums[:, ::-1], axis=1)
-        delta = self.per_sample * scale
-        return (delta * float(np.max(self.magnitudes @ (self.reach * grows))),
-                delta * float(np.max(self.magnitudes @ (self.reach * move_grows))))
-
-    def first_stop(self, now: np.ndarray, prev: np.ndarray, at: int, end: int,
-                   peak_move: float) -> int | None:
-        """The first sample c, ``at`` <= c < ``end``, from which every sample up
-        to ``end`` provably stays inside the band and every move is less than
-        ``peak_move``, from the positions ``now`` at ``at`` and ``prev`` before
-        it; None if there is none."""
-        amplitudes = self._amplitudes(now, prev)
-        moves = amplitudes * self.moves
-        # the later samples' |e| is within the band: s covers them and the step from at
-        margin, move_margin = self._margins(end - at, 1.0 + max(
-            SETTLING_BAND, np.max(np.abs(now - 1.0)), np.max(np.abs(prev - 1.0))))
-
-        def holds(j: int) -> bool:   # false, then true for every larger j
-            return (self._bound(amplitudes, j) + margin <= SETTLING_BAND
-                    and self._bound(moves, j) + move_margin < peak_move)
-
-        lo, hi = -1, end - at - 1
-        if hi < 0 or not holds(hi):
-            return None
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            lo, hi = (lo, mid) if holds(mid) else (mid, hi)
-        return at + hi
+    stop = first_holding(holds, end - at)
+    return None if stop is None else at + stop
 
 
 def _measure_step_response(network: CouplingNetwork,
@@ -252,27 +170,16 @@ def _measure_step_response(network: CouplingNetwork,
     inside the band, else (inf, max speed) up to the last.
 
     Stepping stops earlier, at the first sample c from which the modal tail
-    bound (``_UnitStepTail``) proves that every sample up to the last horizon
-    stays inside the band and moves less than the peak move so far: no later
-    sample can then change the numbers. The first c is predicted from rest. At
-    c the bound is derived again from the stepped positions, so rounding before
-    c does not count; where it does not hold yet, the stepped state predicts
-    the next c. The tail is not bounded, and every horizon is stepped, at roots
-    on or outside the unit circle, nearly repeated pairs and delays N > 1.
-
-    Rounding after c is a margin on the bound. Each later sample adds at most
-
-        delta = (n + 8) eps s (3 + 2 g ||K||_inf)
-
-    to a robot's error (eps = 2**-52, g = gamma or alpha*beta*dt + beta, s = 1
-    + the largest of the band and |e| at c and c - 1): the stacked step's
-    products and sums, the eigendecomposition's backward error and the roots'
-    rounding. Such an injection reaches mode k as at most reach_k = sum_i |V_ik|
-    times delta, and mode k passes it on by its impulse response h_k, whose
-    magnitudes over the J samples left sum to at most prod_r min(J, 1/(1 -
-    |z_kr|)). The margin, max_i sum_k |V_ik| reach_k delta times that sum, so
-    grows with J and with 1/(1 - sigma), once per root of a mode; the moves'
-    margin sums |h_k(j) - h_k(j - 1)| instead.
+    bound (``modal``, with A = 1 and C = 0) proves that every sample up to the
+    last horizon stays inside the band and moves less than the peak move so
+    far: no later sample can then change the numbers. The first c is predicted
+    from rest. At c the bound is derived again from the stepped positions, so
+    rounding before c does not count; where it does not hold yet, the stepped
+    state predicts the next c. The tail is not bounded, and every horizon is
+    stepped, at roots on or outside the unit circle, nearly repeated pairs and
+    delays N > 1. Rounding after c is a margin on the bound
+    (``ModalTail.margins``), with s = 1 + the largest of the band and |e| at c
+    and c - 1.
     """
     horizons = [num_steps(2.0 * max(spec.target_settling, spec.dt) * 2.0 ** k, spec.dt)
                 for k in range(4)]
@@ -283,10 +190,10 @@ def _measure_step_response(network: CouplingNetwork,
     reference = np.broadcast_to(1.0, (horizons[-1],))
     ends = {h - 1 for h in horizons}   # _run's sample m is the unit step's m + 1
     laplacian = build_pinned_laplacian(network)
-    roots = _tail_roots(laplacian, controller)
-    tail = None if roots is None else _UnitStepTail(laplacian, controller, roots)
+    roots = tail_roots(laplacian, controller)
+    tail = None if roots is None else ModalTail(laplacian, controller, roots)
     rest = np.zeros(laplacian.n)
-    stop = None if tail is None else tail.first_stop(rest, rest, 1, horizons[-1], math.inf)
+    stop = None if tail is None else _first_stop(tail, rest, rest, 1, horizons[-1], math.inf)
     if stop is not None:
         ends.add(stop - 1)
     peaks = Peaks(final_value=1.0)
@@ -296,8 +203,8 @@ def _measure_step_response(network: CouplingNetwork,
             if peaks.end in horizons and peaks.last_outside < peaks.end:
                 break
             if peaks.end == stop:
-                stop = tail.first_stop(block[-1], block[-2], stop, horizons[-1],
-                                       peaks.peak_move)
+                stop = _first_stop(tail, block[-1], block[-2], stop, horizons[-1],
+                                   peaks.peak_move)
                 if stop == peaks.end and peaks.last_outside < stop:
                     break
                 if stop is not None:

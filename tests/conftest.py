@@ -1,16 +1,29 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import settings
 
 from cohesive_transport import (ControllerConfig, ScenarioConfig,
                                 StiffnessChain, TrajectorySpec,
-                                build_pinned_laplacian, simulate)
+                                build_pinned_laplacian, dynamics, simulate)
 
 DT = 0.03
 
 # `pytest --hypothesis-profile ci`: more examples for the property tests that
 # take their count from the profile, the tuner's retry-loop oracles among them
 settings.register_profile("ci", max_examples=400, deadline=None)
+
+
+def step_counts(monkeypatch):
+    """Calls of each step function from here on, counted by a wrapper."""
+    counts = Counter()
+    for name in ("step_baseline", "step_dsr"):
+        def counted(*args, _step=getattr(dynamics, name), _name=name, **kwargs):
+            counts[_name] += 1
+            return _step(*args, **kwargs)
+        monkeypatch.setattr(dynamics, name, counted)
+    return counts
 
 
 @pytest.fixture(scope="session")

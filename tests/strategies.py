@@ -42,8 +42,9 @@ def coupling_networks(draw, min_robots=1, max_robots=8):
     n = draw(st.integers(min_robots, max_robots))
     pairs = {(draw(st.integers(0, k - 1)), k) for k in range(1, n)}
     if n > 1:
-        extra = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
-            lambda p: p[0] != p[1])
+        # the second robot is one of the other n - 1, so every draw is a valid pair
+        extra = st.integers(0, n - 1).flatmap(lambda i: st.tuples(
+            st.just(i), st.integers(0, n - 2).map(lambda j: j + (j >= i))))
         pairs |= {(min(p), max(p)) for p in draw(st.lists(extra, max_size=2 * n))}
     ordered = draw(st.permutations(sorted(pairs)))
     couplings = {}

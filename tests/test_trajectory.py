@@ -1,15 +1,23 @@
 from dataclasses import replace
+from pathlib import Path
+from types import SimpleNamespace
 
+import hypothesis
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cohesive_transport import (ControllerConfig, CouplingNetwork, ScenarioConfig,
-                                TrajectorySpec, build_pinned_laplacian, cutoff_sweep,
-                                reference_series, simulate)
+from cohesive_transport import (ControllerConfig, CouplingNetwork, DivergenceError,
+                                ScenarioConfig, StiffnessChain, SweepRow, TrajectorySpec,
+                                build_pinned_laplacian, cutoff_sweep, load_config, modal,
+                                reference_series, simulate, trajectory)
 from cohesive_transport.benchmark import baseline_scenario, dsr_scenario
+from cohesive_transport.cli import _DEFAULT_SWEEP
+from cohesive_transport.dynamics import _run, num_steps
+from cohesive_transport.metrics import Peaks
 
+from conftest import step_counts
 from strategies import coupling_networks
 
 DT = 0.03
@@ -170,3 +178,136 @@ def test_batched_sweep_matches_one_run_per_cutoff_on_random_networks(network, ki
                               trajectory=TrajectorySpec(kind="step", amplitude=5.0),
                               duration=6.0)
     _assert_matches_one_run_per_cutoff(scenario, cutoffs)
+
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+_CHAIN4 = StiffnessChain((0.05, 0.05, 0.05), (0.05, 0.0, 0.0, 0.0))
+
+
+def _full_horizon(scenario, cutoffs):
+    """Oracle: the sweep's rows from every sample of the duration. Each cutoff's
+    reference comes from ``reference_series`` on its own; the batch of them is
+    stepped by ``_run`` to the end and reduced by ``Peaks``."""
+    dt, cutoffs = scenario.controller.dt, sorted(cutoffs)
+    steps = num_steps(scenario.duration, dt)
+    references = np.stack([reference_series(replace(
+        scenario.trajectory, kind="filtered_step", cutoff=wc), dt, steps) for wc in cutoffs],
+        axis=1)
+    peaks = Peaks()
+    for m, block in _run(scenario.network, scenario.controller, references):
+        peaks.add(m, block)
+    return [SweepRow(omega_c=wc, max_deformation=float(d), max_speed=float(v / dt))
+            for wc, d, v in zip(cutoffs, peaks.peak_spread, peaks.peak_move)]
+
+
+def _outcome(sweep, scenario, cutoffs):
+    """The rows, or ("diverged", step)."""
+    try:
+        return sweep(scenario, cutoffs)
+    except DivergenceError as exc:
+        return "diverged", exc.step
+
+
+def _stable_controller(network, kind, gain, alpha, delay=1):
+    """The baseline at ``gain`` of its bound 2/lam_max, or the cohesive law at
+    ``gain`` of the N = 1 bound on beta, 4/(lam_max (alpha dt + 2))."""
+    lam_max = build_pinned_laplacian(network).lambda_max
+    if kind == "baseline":
+        return ControllerConfig.baseline(gain * 2.0 / lam_max, DT)
+    return ControllerConfig.dsr(alpha, gain * 4.0 / (lam_max * (alpha * DT + 2.0)), DT, delay)
+
+
+# on _CHAIN4 at gain 0.5 the baseline's slowest root is 0.96585172; these
+# cutoffs put the filter's pole 3e-6 above it (bounded) and 5e-7 (not bounded)
+_POLE_NEAR_ROOT, _POLE_AT_ROOT = 1.1579451632069526, 1.1580314166535777
+
+
+@pytest.mark.filterwarnings("ignore::cohesive_transport.UnstableControllerWarning")
+@settings(deadline=None)
+@given(coupling_networks(max_robots=5), st.sampled_from(["baseline", "dsr"]), st.just(1),
+       st.floats(0.2, 0.95), st.floats(0.05, 2.0),
+       st.lists(st.floats(0.05, 2.0), min_size=1, max_size=4),
+       st.floats(0.01, 100.0) | st.floats(-100.0, -0.01) | st.just(0.0),
+       st.integers(20, 60), st.integers(0, 5))
+# N = 2: no tail bound, the batch steps to the end
+@example(_CHAIN4, "dsr", 2, 0.5, 0.39, [0.1, 0.3], 50.0, 20, 1)
+# a pole 3e-6 from a root: bounded, with forced amplitudes ~3e5 times the input
+@example(_CHAIN4, "baseline", 1, 0.5, 1.0, [_POLE_NEAR_ROOT, 0.1], 50.0, 30, 1)
+# 5e-7 from it: no tail bound
+@example(_CHAIN4, "baseline", 1, 0.5, 1.0, [_POLE_AT_ROOT], -20.0, 20, 0)
+# past DIVERGENCE_LIMIT_CM (1e9) on the way to 1e10, at the same step
+@example(_CHAIN4, "baseline", 1, 0.5, 1.0, [0.5, 2.0], 1e10, 20, 1)
+@example(_CHAIN4, "dsr", 1, 0.5, 0.39, [0.05], -1e10, 20, 3)
+def test_sweep_matches_the_full_horizon_on_any_network(network, kind, delay, gain, alpha,
+                                                       cutoffs, amplitude, duration, start):
+    """The rows of a sweep that stops where the modal tail bound holds are
+    those of every sample, the same divergence included; where there is no
+    bound, every sample is stepped."""
+    controller = _stable_controller(network, kind, gain, alpha, delay)
+    scenario = ScenarioConfig(network=network, controller=controller,
+                              trajectory=TrajectorySpec("step", amplitude, start_index=start),
+                              duration=float(duration))
+    with pytest.MonkeyPatch.context() as patch:
+        counts = step_counts(patch)
+        swept = _outcome(cutoff_sweep, scenario, cutoffs)
+    assert swept == _outcome(_full_horizon, scenario, cutoffs)
+    stepped, steps = sum(counts.values()), num_steps(scenario.duration, DT)
+    poles = trajectory._tustin_pole(np.array(cutoffs) * DT)
+    if modal.tail_roots(build_pinned_laplacian(network), controller, poles) is None:
+        assert stepped == steps or swept[0] == "diverged"
+    hypothesis.event("diverged" if swept[0] == "diverged" else
+                     "stopped early" if stepped < steps else "stepped to the end")
+
+
+@pytest.mark.parametrize("config, stepped", [
+    ("chain4_baseline.cfg", 530),   # of 2,000: the rows at 0.38 and 0.40 rad/s stop last
+    ("chain4_dsr.cfg", 843),
+])
+def test_default_sweep_stops_where_every_row_is_bounded(config, stepped, monkeypatch):
+    """The bundled 25-cutoff sweeps stop at the first sample from which the
+    bound holds for every row, found one block ahead; each row is that of
+    the whole duration."""
+    scenario = load_config(CONFIG_DIR / config)
+    counts = step_counts(monkeypatch)
+    rows = cutoff_sweep(scenario, _DEFAULT_SWEEP)
+    assert sum(counts.values()) == stepped
+    assert rows == _full_horizon(scenario, _DEFAULT_SWEEP)
+
+
+@settings(deadline=None)
+@given(coupling_networks(max_robots=5), st.sampled_from(["baseline", "dsr"]),
+       st.floats(0.05, 0.95), st.floats(0.05, 2.0), st.floats(0.01, 2.0),
+       st.floats(-100.0, 100.0), st.integers(0, 5), st.floats(0.0, 1.0))
+def test_a_stop_is_found_only_where_no_later_sample_raises_a_peak(
+        network, kind, gain, alpha, cutoff, amplitude, start, where):
+    """From any sample c of a 20 s run, ``_first_stop`` finds c only if no sample
+    from c on spreads wider than the peak spread it is given, moves as far as
+    the peak move or reaches the limit: given the largest of these less one
+    ulp (the move exactly), it finds nothing."""
+    controller = _stable_controller(network, kind, gain, alpha)
+    lap = build_pinned_laplacian(network)
+    poles = trajectory._tustin_pole(np.array([cutoff]) * DT)
+    roots = modal.tail_roots(lap, controller, poles)
+    hypothesis.assume(roots is not None)
+    tail = modal.ModalTail(lap, controller, roots)
+    steps = num_steps(20.0, DT)
+    references = reference_series(TrajectorySpec("filtered_step", amplitude, cutoff, start),
+                                  DT, steps)[:, None]
+    positions = np.concatenate([np.zeros((1, 1, lap.n))] + [
+        block[1:].copy() for _, block in _run(network, controller, references)])
+    c = max(start, 1) + int(where * (steps - 1 - max(start, 1)))
+    later = positions[c:, 0]
+    spread = np.max(later.max(axis=1) - later.min(axis=1))
+    move = np.max(np.abs(np.diff(later, axis=0)))
+    size = np.max(np.abs(later))
+    below = np.nextafter([spread, size], -np.inf)
+    for peak_spread, peak_move, limit in [(below[0], np.inf, np.inf), (np.inf, move, np.inf),
+                                          (np.inf, np.inf, below[1])]:
+        peaks = SimpleNamespace(peak_spread=np.array([peak_spread]),
+                                peak_move=np.array([peak_move]))
+        assert trajectory._first_stop(tail, positions[c], positions[c - 1], c, c + 1, steps,
+                                      peaks, amplitude, poles, references[c], limit) is None
+    everything = SimpleNamespace(peak_spread=np.array([np.inf]), peak_move=np.array([np.inf]))
+    found = trajectory._first_stop(tail, positions[c], positions[c - 1], c, c + 1, steps,
+                                   everything, amplitude, poles, references[c], np.inf)
+    hypothesis.event("a stop with unbounded peaks" if found == c else "no stop even then")

@@ -1,7 +1,6 @@
 import math
 import re
 import tracemalloc
-from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -16,13 +15,13 @@ from cohesive_transport import (ControllerConfig, DivergenceError, PinnedLaplaci
                                 build_pinned_laplacian, dsr_settling_estimate,
                                 closed_form_stable, settling_time_estimate,
                                 simulate, summarize, tune, tune_gamma)
-from cohesive_transport import ScenarioConfig, TrajectorySpec, dynamics, tuning, write_config
+from cohesive_transport import ScenarioConfig, TrajectorySpec, modal, tuning, write_config
 from cohesive_transport.cli import main
 from cohesive_transport.dynamics import _run, num_steps
 from cohesive_transport.stability import _mode_roots
 from cohesive_transport.tuning import dsr_gains_vs_ts_table, ts_vs_gamma_table
 
-from conftest import DT, unit_step_scenario
+from conftest import DT, step_counts, unit_step_scenario
 from strategies import coupling_networks
 
 BAND_LOG = math.log(1.0 / 0.02)  # 2% band needs ln 50 decades of decay
@@ -303,7 +302,7 @@ def test_streamed_step_response_matches_the_retry_loop_on_any_network(
     bound = baseline_gamma_bound(build_pinned_laplacian(network))
     controller = (_B(gain * bound, DT) if kind == "baseline"
                   else _D(alpha, gain * bound, DT, delay))
-    first_stop, stops = tuning._UnitStepTail.first_stop, []
+    first_stop, stops = tuning._first_stop, []
 
     def recorded(tail, now, prev, at, *args):
         stop = first_stop(tail, now, prev, at, *args)
@@ -311,28 +310,17 @@ def test_streamed_step_response_matches_the_retry_loop_on_any_network(
         return stop
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(tuning._UnitStepTail, "first_stop", recorded)
+        patch.setattr(tuning, "_first_stop", recorded)
         stream, oracle = _stream_and_oracle(network, controller, spec_for(target))
     assert stream == oracle
     hypothesis.event("stopped by the tail bound" if any(stops) else
                      "no tail bound" if not stops else "tail bound never held")
 
 
-def _step_counts(monkeypatch):
-    """Calls of each step function from here on, counted by a wrapper."""
-    counts = Counter()
-    for name in ("step_baseline", "step_dsr"):
-        def counted(*args, _step=getattr(dynamics, name), _name=name, **kwargs):
-            counts[_name] += 1
-            return _step(*args, **kwargs)
-        monkeypatch.setattr(dynamics, name, counted)
-    return counts
-
-
 def test_tune_stops_chain4_where_the_tail_bound_holds(chain4, monkeypatch):
     """At T = 10 s both unit steps settle inside their first horizon, 666
     samples after sample 1; the tail bound stops them at samples 353 and 337."""
-    counts = _step_counts(monkeypatch)
+    counts = step_counts(monkeypatch)
     tune(chain4, spec_for(10.0))
     assert counts == {"step_baseline": 352, "step_dsr": 336}
     assert num_steps(20.0, DT) - 1 == 666
@@ -350,8 +338,8 @@ def test_unbounded_tails_step_as_the_horizons_do(chain4, controller, target, ste
     """Where no tail bound exists the unit step is stepped as the oracle steps
     its first horizon: the same samples, but for the oracle's step from sample
     0 to 1 at rest, to the same divergence or the horizon's end."""
-    assert tuning._tail_roots(build_pinned_laplacian(chain4), controller) is None
-    counts = _step_counts(monkeypatch)
+    assert modal.tail_roots(build_pinned_laplacian(chain4), controller) is None
+    counts = step_counts(monkeypatch)
     outcomes, stepped = [], []
     for measure in (tuning._measure_step_response, _retry_loop):
         counts.clear()
@@ -365,18 +353,18 @@ def test_a_too_early_prediction_costs_a_retry_not_a_number(chain4, monkeypatch):
     """A first stop predicted halfway to the true one fails at the stepped
     state, which then predicts the stop itself: the same numbers, after the
     same samples."""
-    counts = _step_counts(monkeypatch)
+    counts = step_counts(monkeypatch)
     stream = [tuning._measure_step_response(chain4, c, spec_for(10.0))
               for c in (_B(1.93, DT), _D(0.39, 10.92, DT))]
     honest = dict(counts)
-    first_stop, stops = tuning._UnitStepTail.first_stop, []
+    first_stop, stops = tuning._first_stop, []
 
     def early_from_rest(tail, now, prev, at, end, peak_move):
         stop = first_stop(tail, now, prev, at, end, peak_move)
         stops.append(stop)
         return (at + stop) // 2 if at == 1 else stop
 
-    monkeypatch.setattr(tuning._UnitStepTail, "first_stop", early_from_rest)
+    monkeypatch.setattr(tuning, "_first_stop", early_from_rest)
     counts.clear()
     assert [tuning._measure_step_response(chain4, c, spec_for(10.0))
             for c in (_B(1.93, DT), _D(0.39, 10.92, DT))] == stream
@@ -390,15 +378,15 @@ def test_the_stop_waits_until_no_later_move_can_reach_the_peak(chain4):
     up to the end reaches that peak."""
     lap = build_pinned_laplacian(chain4)
     controller = _B(1.93, DT)
-    tail = tuning._UnitStepTail(lap, controller, tuning._tail_roots(lap, controller))
+    tail = modal.ModalTail(lap, controller, modal.tail_roots(lap, controller))
     end = 1000   # positions[u - 1] is the unit step's sample u
     positions = np.vstack([np.zeros(lap.n)] + [block[1:].copy() for _, block in _run(
         chain4, controller, np.broadcast_to(1.0, (end,)))])
     moves = np.max(np.abs(np.diff(positions, axis=0)), axis=1)   # from sample u: moves[u - 1]
     now, prev = positions[353], positions[352]
-    assert tail.first_stop(now, prev, 354, end, math.inf) == 354
+    assert tuning._first_stop(tail, now, prev, 354, end, math.inf) == 354
     peak = moves[353] / 5.0
-    stop = tail.first_stop(now, prev, 354, end, peak)
+    stop = tuning._first_stop(tail, now, prev, 354, end, peak)
     assert stop > 354
     assert np.max(moves[stop - 1:]) < peak
 
@@ -446,9 +434,9 @@ def test_tail_margin_covers_the_rounding_of_every_later_sample(network, kind, ga
     lap = build_pinned_laplacian(network)
     controller = (_B(gain * baseline_gamma_bound(lap), DT) if kind == "baseline"
                   else _D(alpha, gain * baseline_gamma_bound(lap), DT))
-    roots = tuning._tail_roots(lap, controller)
+    roots = modal.tail_roots(lap, controller)
     assume(roots is not None)
-    tail = tuning._UnitStepTail(lap, controller, roots)
+    tail = modal.ModalTail(lap, controller, roots)
     stepped = np.concatenate([block[1:].copy() for _, block in _run(
         network, controller, np.broadcast_to(1.0, (samples + 1,)))])
     error = np.vstack([np.zeros(lap.n), stepped]) - 1.0       # samples 0..samples
@@ -461,14 +449,14 @@ def test_tail_margin_covers_the_rounding_of_every_later_sample(network, kind, ga
             np.stack([np.ones_like(roots), roots], axis=1),
             np.stack([start, (z1 + z2 - z1 * z2) * start], axis=1)[..., None])[..., 0]
     powers = roots[None] ** np.arange(samples + 1)[:, None, None]
-    modal = ((amplitudes[None] * powers).sum(axis=-1) @ lap.eigenvectors.T).real
+    solution = ((amplitudes[None] * powers).sum(axis=-1) @ lap.eigenvectors.T).real
     bounds = (np.abs(amplitudes)[None] * np.abs(powers)).sum(axis=-1) @ np.abs(
         lap.eigenvectors).T
     evaluation = (lap.n + 4) * 2.0 ** -52 * bounds
-    margin, move_margin = tail._margins(samples, 1.0 + bounds.max())
-    drift = np.abs(error - modal)
+    margin, move_margin = tail.margins(samples, tail.per_sample * (1.0 + bounds.max()))
+    drift = np.abs(error - solution)
     assert np.all(drift <= margin + evaluation)
-    move_drift = np.abs(np.diff(error, axis=0) - np.diff(modal, axis=0))
+    move_drift = np.abs(np.diff(error, axis=0) - np.diff(solution, axis=0))
     assert np.all(move_drift <= move_margin + evaluation[1:] + evaluation[:-1])
     hypothesis.target(float(np.max(drift / (margin + evaluation))), label="drift / margin")
 
