@@ -44,56 +44,90 @@ from .stability import baseline_gamma_bound, baseline_spectral_radius, spectral_
 from .trajectory import cutoff_sweep
 
 _DEFAULT_SWEEP = [round(0.02 * i, 10) for i in range(1, 26)]  # 0.02 .. 0.5 rad/s
-_CHUNK_VALUES = 4096        # values formatted per chunk of a CSV table
+_CHUNK_VALUES = 16384       # values formatted per chunk of a CSV table
 
-# The %.9g kernel lays each value out in a 32-byte record and drops the zero
-# bytes: column 0 the sign, 1-5 the "0.000" prefix of 1e-4 <= |x| < 1, digit
-# i of 9 at 6 + 2i with the decimal point's place after it at 7 + 2i, 23-27
-# the exponent "e+123" (its hundreds blank below 100), 31 the separator.
-_RECORD = 32
+# The %.9g kernel lays each value out in a 16-byte record and drops the zero
+# bytes. Column 15 holds the separator; the rest depends on the decimal
+# exponent E:
+#   -4 <= E < 0:   sign 0, the "0.000" prefix ending at 5, digits 6-14
+#   0 <= E < 9:    sign 0, digits from 1 with the point after digit E
+#   other E:       sign 0, d.dddddddd from 1, "e+12" at 11-14
+#   |E| >= 100:    d.dddddddd from 0, "e+123" at 10-14, and the '-' of a
+#                  negative value in a record of its own before it
+# A declined value's '-' is also a record of its own: '%.9g' can print 16
+# characters besides the separator.
+# Digits go in three groups of three; a point inside a group, or just before
+# it, comes with the group's digits, which each layout places at its columns.
+_RECORD = 16
+# per layout: the column of digit 0, and the digit the point follows (None:
+# no point); layout 1 + E serves 0 <= E < 9, and layout 1 also scientific
+# notation with a 2-digit exponent
+_LAYOUTS = ((6, None),) + tuple((1, e if e < 8 else None) for e in range(9)) + ((0, 0),)
+_ROWS = 2000                                # digit-table rows per layout
 _E_MIN, _E_MAX = -300, 300                  # decimal exponents of the table rows
 _E_ZERO = _E_MAX - _E_MIN + 1               # the frame row of 0 and -0
+_WIDE_LOW, _WIDE_HIGH = -100 - _E_MIN, 100 - _E_MIN   # 3-digit exponents: rows <=, >=
 _POW10 = np.array([float(f"1e{8 - e}") for e in range(_E_MIN, _E_MAX + 1)])
-# 10**(how many of the 9 digits follow the point's place): 8 - E after the
-# integer part of fixed notation, 8 after d0 (E < 0 keeps its point in the prefix)
-_TAIL = np.array([10.0 ** (8 - e if 0 <= e < 9 else 8) for e in range(_E_MIN, _E_MAX + 1)])
 _TIE = 1e-5                                 # declined: |frac(s) - 1/2| below this
 
 
-def _g9_tables() -> tuple[np.ndarray, np.ndarray]:
-    """Records to OR together. Digit rows [group, v] hold the three digits of
-    v without its final zeros, [group, v + 1000] all three, at the group's
-    columns. Frame rows [exponent, point, negative, newline] hold the sign,
-    prefix, point, exponent and separator, and '0' on every digit column of
-    the integer part: OR-ing '0' (0x30) keeps a digit and restores a zero."""
+def _g9_tables() -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
+    """Records to OR together. Digit group g (digits 3g to 3g + 2) has a
+    table with _ROWS rows per layout: in groups 0 and 1 row 2v holds the
+    three digits of v without its final zeros and row 2v + 1 all three, in
+    group 2 row v the former. A point after digit 3g - 1, 3g or 3g + 1 is in
+    group g's rows, and shown without final zeros only where a kept digit
+    follows it. bases[row] is the first row of the layout of the frame row's
+    exponent. Frame rows [exponent, negative] hold the sign, prefix,
+    exponent and ',', and '0' on every digit column of the integer part:
+    OR-ing '0' (0x30) keeps a digit and restores a zero."""
     v = np.arange(1000)
     full = np.stack((v // 100, v // 10 % 10, v % 10), axis=1) + ord("0")
-    final_zeros = np.logical_and.accumulate(full[:, ::-1] == ord("0"), axis=1)[:, ::-1]
-    digits = np.zeros((3, 2000, _RECORD), np.uint8)
-    for g in range(3):
-        digits[g, :1000, 6 + 6 * g:12 + 6 * g:2] = np.where(final_zeros, 0, full)
-        digits[g, 1000:, 6 + 6 * g:12 + 6 * g:2] = full
-    frame = np.zeros((_E_ZERO + 1, 2, 2, 2, _RECORD), np.uint8)
-    frame[:, :, 1, :, 0] = ord("-")
-    frame[..., 0, -1] = ord(",")
-    frame[..., 1, -1] = ord("\n")
-    for e in range(_E_MIN, _E_MAX + 1):
-        row = frame[e - _E_MIN]
-        if -4 <= e < 0:
-            row[..., 1:2 - e] = list(b"0." + b"0" * (-e - 1))
-            continue
-        point = e if 0 <= e < 9 else 0
-        row[..., 6:7 + 2 * point:2] = ord("0")
-        row[1, ..., 7 + 2 * point] = ord(".")
-        if not 0 <= e < 9:
-            row[..., 23:28] = list(f"e{e:+04d}".encode())
-            if abs(e) < 100:
-                row[..., 25] = 0
-    frame[_E_ZERO, ..., 6] = ord("0")
-    return digits, frame.reshape(-1, _RECORD)
+    kept = ~np.logical_and.accumulate(full[:, ::-1] == ord("0"), axis=1)[:, ::-1]
+    # the rows 2v and 2v + 1 of groups 0 and 1, and whether a point before
+    # each digit shows in them
+    paired = np.stack((np.where(kept, full, 0), full), axis=1).reshape(-1, 3)
+    shows = np.stack((kept, np.ones_like(kept)), axis=1).reshape(-1, 3)
+    first = np.array([column for column, _ in _LAYOUTS])
+    point = np.array([9 if k is None else k for _, k in _LAYOUTS])
+    digits = []
+    for g, (chars, shown) in enumerate([(paired, shows)] * 2 + [(paired[::2], kept)]):
+        i = 3 * g + np.arange(3)                    # the group's digits
+        table = np.zeros((len(_LAYOUTS), _ROWS, _RECORD), np.uint8)
+        table[np.arange(len(_LAYOUTS))[:, None], :len(chars),
+              first[:, None] + i + (i > point[:, None])] = chars.T
+        inside = np.flatnonzero(abs(point - 3 * g) <= 1)
+        table[inside, :len(chars), first[inside] + point[inside] + 1] = \
+            np.where(shown[:, point[inside] + 1 - 3 * g].T, ord("."), 0)
+        digits.append(table.reshape(-1, _RECORD))
+
+    e = np.arange(_E_MIN, _E_MAX + 1)
+    fixed, small, wide = (-4 <= e) & (e < 9), (-4 <= e) & (e < 0), abs(e) >= 100
+    bases = _ROWS * np.where(fixed, np.where(small, 0, 1 + e),
+                             np.where(wide, len(_LAYOUTS) - 1, 1))
+    frame = np.zeros((_E_ZERO + 1, 2, _RECORD), np.uint8)
+    frame[:, 1, 0] = ord("-")
+    frame[:, :, -1] = ord(",")
+    rows = frame[:-1]
+    rows[wide, 1, 0] = 0
+    column = np.arange(1, 6)                        # "0." + "0" * (-E - 1) ends at 5
+    rows[:, :, 1:6] = np.where(small[:, None] & (column >= 5 + e[:, None]),
+                               np.where(column == 6 + e[:, None], ord("."), ord("0")),
+                               0)[:, None]
+    i = np.arange(9)                                # digit i <= E at column 1 + i
+    rows[:, :, 1:10] |= np.where((fixed & ~small)[:, None] & (i <= e[:, None]),
+                                 ord("0"), 0).astype(np.uint8)[:, None]
+    exponent = np.stack([np.full_like(e, ord("e")), np.where(e < 0, ord("-"), ord("+")),
+                         abs(e) // 100, abs(e) // 10 % 10, abs(e) % 10], axis=1)
+    exponent[:, 2:] += ord("0")
+    rows[wide, :, 10:15] = exponent[wide, None]
+    rows[~fixed & ~wide, :, 11:15] = exponent[~fixed & ~wide][:, None, [0, 1, 3, 4]]
+    frame[-1, :, 1] = ord("0")
+    return digits, np.append(bases, 0).astype(float), frame.reshape(-1, _RECORD)
 
 
-_G9_DIGITS, _G9_FRAME = _g9_tables()
+(_G9_HI, _G9_MID, _G9_LO), _G9_BASES, _G9_FRAME = _g9_tables()
+_MINUS = np.array([ord("-")] + [0] * (_RECORD - 1), np.uint8)
 
 
 class _G9Kernel:
@@ -115,28 +149,32 @@ class _G9Kernel:
     written as 1e8 at E + 1, and both are the 1e8 at the power's exponent
     that '%.9g' prints for such |x|. The splits of rint(s) into 3-digit
     groups divide exact integers below 2**53 by powers of ten, so every
-    floor is exact. Zeros are written directly; the layout then follows
-    '%g': fixed notation for -4 <= E < 9, else d.dddddddde+XX, without
-    trailing zeros or a bare point.
+    floor and ceiling is exact. Zeros are written directly; the layout then
+    follows '%g': fixed notation for -4 <= E < 9, else d.dddddddde+XX,
+    without trailing zeros or a bare point.
 
     The work buffers are sized once for ``size`` values and reused by every
-    chunk. Every table index is in range by the bounds above, so the takes
-    clip (an unbuffered take) and never clamp."""
+    chunk; ``declined`` counts the values handed to '%.9g' so far. Every
+    table index is in range by the bounds above, so the takes clip (an
+    unbuffered take) and never clamp."""
 
     def __init__(self, size: int):
         self.floats = np.empty((4, size))
         self.ints = np.empty((4, size), np.intp)
         self.masks = np.empty((3, size), bool)
         self.records = np.empty((2, size, _RECORD), np.uint8)
+        self.declined = 0
 
-    def format(self, x: np.ndarray, newline: np.ndarray) -> bytes:
-        """Bytes of the 1-D ``x``, each value followed by ',' or, where
-        ``newline`` (0 or 1 per value) is 1, by a newline."""
+    def format(self, table: np.ndarray) -> bytes:
+        """Bytes of the C-contiguous 2-D ``table``, each value followed by
+        ',', or by a newline at the end of its row."""
+        x = table.reshape(-1)
         n = len(x)
         a, s, r, t = self.floats[:, :n]
-        e, hi, mid, lo = self.ints[:, :n]
+        groups = self.floats[:3, :n]             # the rows of a, s and r
+        e, rows = self.ints[0, :n], self.ints[1:, :n]
         declined, zero, m = self.masks[:, :n]
-        rec, tmp = self.records[:, :n]
+        records, tmp = self.records[:, :n]
 
         np.abs(x, out=a)
         np.greater_equal(a, 1e-298, out=declined)
@@ -157,71 +195,66 @@ class _G9Kernel:
         np.greater_equal(r, 1e9, out=m)
         np.copyto(r, 1e8, where=m)
         e += m
+        wide = e.min() <= _WIDE_LOW or e.max() >= _WIDE_HIGH
 
-        # r = 1e6*hi + 1e3*mid + lo; a group keeps its final zeros (row +
-        # 1000) while a later group is nonzero
-        np.divide(r, 1e6, out=s)
-        np.floor(s, out=s)
-        np.multiply(s, -1e6, out=t)
-        t += r
-        np.sign(t, out=a)
-        a *= 1000
-        a += s
-        np.copyto(hi, a, casting="unsafe")
-        np.divide(t, 1e3, out=s)
-        np.floor(s, out=s)
-        np.multiply(s, -1e3, out=a)
-        a += t
-        np.copyto(lo, a, casting="unsafe")
-        np.sign(a, out=a)
-        a *= 1000
-        a += s
-        np.copyto(mid, a, casting="unsafe")
-
-        # a point where a nonzero digit follows the integer part (or d0)
-        np.take(_TAIL, e, out=s, mode="clip")
-        np.divide(r, s, out=t)
-        np.floor(t, out=t)
-        t *= s
-        np.not_equal(t, r, out=m)
+        # r = 1e6*hi + 1e3*mid + lo. floor + ceil of r / 1e6 is 2 hi, plus 1
+        # where a later group is nonzero, so that hi keeps its final zeros
+        np.divide(r, 1e6, out=a)
+        np.floor(a, out=t)
+        np.ceil(a, out=a)
+        a += t                                   # a: hi's row
+        np.multiply(t, -1e6, out=t)
+        r += t                                   # 1e3*mid + lo
+        np.divide(r, 1e3, out=s)
+        np.floor(s, out=t)
+        np.ceil(s, out=s)
+        s += t                                   # s: mid's row
+        np.multiply(t, -1e3, out=t)
+        r += t                                   # r: lo's row
         np.equal(x, 0, out=zero)                 # no digits, the frame's '0'
         np.copyto(e, _E_ZERO, where=zero)
-        np.copyto(hi, 0, where=zero)
+        np.copyto(a, 0, where=zero)
         np.copyto(declined, False, where=zero)
+        np.take(_G9_BASES, e, out=t, mode="clip")
+        groups += t
+        np.copyto(rows, groups, casting="unsafe")
+        np.signbit(x, out=m)
+        signs = [np.flatnonzero(m & ((e <= _WIDE_LOW) | (e >= _WIDE_HIGH)) & ~zero
+                                & ~declined)] if wide else []
         e *= 2                                   # e: frame row
         e += m
-        np.signbit(x, out=m)
-        e *= 2
-        e += m
-        e *= 2
-        e += newline
 
-        records, words = rec.view(np.uint64), tmp.view(np.uint64)
-        np.take(_G9_DIGITS[0], hi, axis=0, out=rec, mode="clip")
-        np.take(_G9_DIGITS[1], mid, axis=0, out=tmp, mode="clip")
-        records |= words
-        np.take(_G9_DIGITS[2], lo, axis=0, out=tmp, mode="clip")
-        records |= words
-        np.take(_G9_FRAME, e, axis=0, out=tmp, mode="clip")
-        records |= words
+        words, extra = records.view(np.uint64), tmp.view(np.uint64)
+        np.take(_G9_FRAME, e, axis=0, out=records, mode="clip")
+        for digits, row in zip((_G9_HI, _G9_MID, _G9_LO), rows):
+            np.take(digits, row, axis=0, out=tmp, mode="clip")
+            words |= extra
+        records.reshape(table.shape + (_RECORD,))[:, -1, -1] = ord("\n")
         for i in np.flatnonzero(declined):
             text = b"%.9g" % x[i]
-            rec[i, :-1] = 0
-            rec[i, :len(text)] = list(text)
-        return rec.tobytes().translate(None, b"\0")
+            if text[:1] == b"-":
+                signs.append([i])
+                text = text[1:]
+            records[i, :-1] = 0
+            records[i, :len(text)] = list(text)
+            self.declined += 1
+        if signs:
+            records = np.insert(records, np.sort(np.concatenate(signs)), _MINUS, axis=0)
+        return records.tobytes().translate(None, b"\0")
 
 
 def _write_csv(path: Path, header: list[str], blocks) -> None:
     """A header line, then one line per row of the equal-length 1-D or 2-D
     float ``blocks`` (arrays, or anything sliced by rows into them) set side
     by side, each value as '%.9g' prints it. Rows are stacked, formatted by
-    ``_G9Kernel`` and written a chunk of about _CHUNK_VALUES values at a
-    time, so the table never exists whole; no rows leave the header alone."""
+    ``_G9Kernel`` and written a chunk at a time, so the table never exists
+    whole; no rows leave the header alone. The chunks are as equal as whole
+    rows allow and hold at most _CHUNK_VALUES values (or one row), so that
+    a short table gets smaller work buffers."""
     rows, width = len(blocks[0]), len(header)
-    chunk = max(1, min(rows, _CHUNK_VALUES // width))
+    parts = -(-rows // max(1, _CHUNK_VALUES // width))
+    chunk = -(-rows // parts) if rows else 1
     table = np.empty((chunk, width))
-    newline = np.zeros((chunk, width), np.intp)
-    newline[:, -1] = 1
     kernel = _G9Kernel(table.size)
     with path.open("wb") as out:
         out.write((",".join(header) + "\n").encode())
@@ -229,7 +262,7 @@ def _write_csv(path: Path, header: list[str], blocks) -> None:
             part = table[:min(chunk, rows - start)]
             np.concatenate([np.reshape(block[start:start + len(part)], (len(part), -1))
                             for block in blocks], axis=1, out=part)
-            out.write(kernel.format(part.ravel(), newline[:len(part)].ravel()))
+            out.write(kernel.format(part))
 
 
 def _write_json(path: Path, payload: dict) -> None:

@@ -127,7 +127,10 @@ def _first_stop(tail: ModalTail, now: np.ndarray, prev: np.ndarray, at: int, unt
     required. On top of per_sample * s, each sample injects the reference's
     own rounding, g |B|_i times at most 8 eps max(|A|, |y_d[at]|) min(J, 1/(1 -
     p)) over the J samples left (the Tustin recursion's rounding and that of its
-    constants, about 4 eps of the larger value a sample), and the rounding of G,
+    constants, about 4 eps of the larger value a sample); at p = 1, where the
+    pole rounds to 1 for wc dt up to about 2**-53, the min is J, and the
+    recursion ramps the reference by at most |A| wc dt < eps |A| a sample,
+    which that term covers with the rounding. It also injects the rounding of G,
     at most (n + 18) eps |C| g max_k (|V|^T B)_k a sample. The margin, at least
     3 (n + 8) eps s, also covers the evaluation of the bounds, each at most
     (n + 8) eps times a value below s.
@@ -144,7 +147,8 @@ def _first_stop(tail: ModalTail, now: np.ndarray, prev: np.ndarray, at: int, unt
     moves = amplitudes * tail.moves
     left = end - at
     level = np.maximum(abs(amplitude), np.abs(reference))
-    residual = 8.0 * _EPS * level * np.minimum(left, 1.0 / (1.0 - poles))
+    samples = np.divide(1.0, 1.0 - poles, out=np.full_like(poles, np.inf), where=poles < 1.0)
+    residual = 8.0 * _EPS * level * np.minimum(left, samples)
     known = abs(amplitude) + np.max(size + tail.per_robot(amplitudes, 0), axis=-1)
     scale = np.maximum.reduce([known, np.max(np.abs(now), axis=-1),
                                np.max(np.abs(prev), axis=-1), level + residual])

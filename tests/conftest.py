@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from cohesive_transport import (ControllerConfig, ScenarioConfig,
+from cohesive_transport import (ControllerConfig, CouplingNetwork, ScenarioConfig,
                                 StiffnessChain, TrajectorySpec,
                                 build_pinned_laplacian, dynamics, simulate)
 
@@ -24,6 +24,25 @@ def step_counts(monkeypatch):
             return _step(*args, **kwargs)
         monkeypatch.setattr(dynamics, name, counted)
     return counts
+
+
+def grid_network(side, seed):
+    """side x side mesh, seeded stiffnesses in [0.03, 0.07] N/cm and a
+    few leaders at 0.05 N/cm; at side 8 and seed 1, the network of the
+    benchmark's mesh64-transport workload."""
+    rng = np.random.default_rng(seed)
+    couplings = {}
+    for r in range(side):
+        for c in range(side):
+            k = r * side + c
+            if c + 1 < side:
+                couplings[(k, k + 1)] = float(rng.uniform(0.03, 0.07))
+            if r + 1 < side:
+                couplings[(k, k + side)] = float(rng.uniform(0.03, 0.07))
+    leaders = [0.0] * (side * side)
+    for k in rng.choice(side * side, size=4, replace=False):
+        leaders[int(k)] = 0.05
+    return CouplingNetwork(side * side, couplings, tuple(leaders))
 
 
 @pytest.fixture(scope="session")

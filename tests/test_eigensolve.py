@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cohesive_transport import (CouplingNetwork, StiffnessChain,
-                                build_pinned_laplacian, eigen_decompose)
+from cohesive_transport import StiffnessChain, build_pinned_laplacian, eigen_decompose
+
+from conftest import grid_network
 
 
 def closed_form_chain_eigenvalues(stiffness, n):
@@ -177,24 +178,6 @@ def _assert_agrees_with_textbook(matrix):
     assert np.max(np.abs(w - expected), initial=0.0) <= 2e-12 * scale
     assert np.max(np.abs(v @ np.diag(w) @ v.T - k), initial=0.0) <= 1e-12 * scale
     assert np.max(np.abs(v.T @ v - np.eye(n)), initial=0.0) <= 1e-12
-
-
-def grid_network(side, seed):
-    """side x side mesh, seeded stiffnesses in [0.03, 0.07] N/cm and a
-    few leaders at 0.05 N/cm."""
-    rng = np.random.default_rng(seed)
-    couplings = {}
-    for r in range(side):
-        for c in range(side):
-            k = r * side + c
-            if c + 1 < side:
-                couplings[(k, k + 1)] = float(rng.uniform(0.03, 0.07))
-            if r + 1 < side:
-                couplings[(k, k + side)] = float(rng.uniform(0.03, 0.07))
-    leaders = [0.0] * (side * side)
-    for k in rng.choice(side * side, size=4, replace=False):
-        leaders[int(k)] = 0.05
-    return CouplingNetwork(side * side, couplings, tuple(leaders))
 
 
 def test_agrees_with_textbook_reference_chain(lap4):

@@ -274,6 +274,17 @@ def test_default_sweep_stops_where_every_row_is_bounded(config, stepped, monkeyp
     assert rows == _full_horizon(scenario, _DEFAULT_SWEEP)
 
 
+@pytest.mark.parametrize("config", ["chain4_baseline.cfg", "chain4_dsr.cfg"])
+@pytest.mark.parametrize("cutoff", [1e-300, 1e-17, 5e-15])
+def test_sweep_where_the_filter_pole_rounds_to_one(config, cutoff):
+    """At 1e-300 and 1e-17 rad/s the Tustin pole rounds to exactly 1 (wc dt
+    at most 2**-53), and at 5e-15 to 1 - 2**-53. The sweep divides by no
+    zero (the suite turns a RuntimeWarning into an error), and its row is
+    that of every sample."""
+    scenario = load_config(CONFIG_DIR / config)
+    assert cutoff_sweep(scenario, [cutoff]) == _full_horizon(scenario, [cutoff])
+
+
 @settings(deadline=None)
 @given(coupling_networks(max_robots=5), st.sampled_from(["baseline", "dsr"]),
        st.floats(0.05, 0.95), st.floats(0.05, 2.0), st.floats(0.01, 2.0),
