@@ -60,6 +60,8 @@ if TYPE_CHECKING:
 DIVERGENCE_LIMIT_CM = 1e9
 
 _CROSSCHECK_ATOL = 1e-12
+SAMPLE_NOISE = 1e-9   # of a sample: num_steps' guard against float noise in duration/dt
+MAX_STEP_SAMPLES = 10 ** 9   # most samples a sweep or the tuner steps: over an hour
 _BLOCK_VALUES = 4096   # positions per block of _run's samples
 
 
@@ -355,7 +357,7 @@ def num_steps(duration: float, dt: float) -> int:
     """Samples after t=0 covering ``duration``: ceil with a guard against
     float noise in duration/dt ratios like 60/0.03. MemoryError if they
     are more than one float64 array can index."""
-    samples = duration / dt - 1e-9
+    samples = duration / dt - SAMPLE_NOISE
     if not samples < np.iinfo(np.intp).max // 8:
         raise MemoryError(f"{duration:g} s at dt = {dt:g} s is {samples:.3g} samples, "
                           "more than one array can index")
@@ -369,7 +371,11 @@ def _run(network: CouplingNetwork, config: ControllerConfig, references: np.ndar
     runs at once as a state (batch, n). Yields (m, block): samples m.. in block[1:],
     sample m - 1 in block[0]. A block holds about _BLOCK_VALUES positions, at least
     one sample, ends at each sample in ``ends``, and is overwritten by the next.
-    ``ends`` is read as the run goes: a caller may add to it between blocks."""
+    ``ends`` is read as the run goes: a caller may add to it between blocks.
+    ``references`` is read only through ``shape``, ``len`` and the row slices
+    [m - 1, m - 1 + rows) of the blocks, in order, each starting on the row
+    after the last block's last sample: an object that forms its rows as they
+    are read (a stride-0 broadcast, the sweep's ``trajectory._Tustin``) serves."""
     laplacian = build_pinned_laplacian(network)
     _warn_if_unstable(laplacian, config)
     stepper = step_baseline if config.kind == "baseline" else step_dsr

@@ -37,7 +37,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .dynamics import ControllerConfig
+from .dynamics import SAMPLE_NOISE, ControllerConfig
 from .errors import ConfigError, UnpinnedNetworkError
 from .network import CouplingNetwork, build_pinned_laplacian
 from .trajectory import TrajectorySpec
@@ -209,7 +209,9 @@ def load_config(path) -> ScenarioConfig:
             horizon = trajectory.start_index * controller.dt
             if trajectory.kind == "filtered_step" and trajectory.cutoff:
                 horizon += 4.0 / trajectory.cutoff
-            if duration < horizon:
+            # within num_steps' guard: 7 * 0.1 is 0.7000000000000001, and a
+            # 0.7 s run at dt = 0.1 s steps all 7 samples
+            if duration < horizon - SAMPLE_NOISE * controller.dt:
                 problems.append(
                     f"run.duration: {duration:g} s is shorter than the "
                     f"trajectory horizon {horizon:g} s")

@@ -65,36 +65,67 @@ class TrajectorySpec:
                 "Tustin discretization")
 
 
-def _step_series(spec: TrajectorySpec, num_steps: int) -> np.ndarray:
-    y = np.zeros(num_steps + 1)
-    y[spec.start_index:] = spec.amplitude
-    return y
-
-
 def _tustin_pole(wd):
     """The filter's pole p, which multiplies y_d[m - 1]; wd = wc*dt."""
     return (2.0 - wd) / (2.0 + wd)
 
 
-def _tustin(steps: np.ndarray, wd) -> np.ndarray:
-    """Filtered ``steps``; an array ``wd`` filters one column per value, as if alone."""
-    keep = _tustin_pole(wd)
-    y = np.zeros(steps.shape + np.shape(wd))
-    # y[m] first holds feed * (y_ds[m] + y_ds[m-1]), formed for every m at
-    # once, so the loop does one multiply and one add per sample
-    np.multiply.outer(steps[1:] + steps[:-1], wd / (2.0 + wd), out=y[1:])
-    for m in range(1, len(steps)):
-        y[m] += keep * y[m - 1]
-    return y
+class _Tustin:
+    """y_d[0..steps] of a step of ``amplitude`` from sample ``start`` on,
+    filtered by the recursion above; an array ``wd`` filters one column per
+    value, as if alone. Rows are filtered only as far as they are read, each
+    continuing from the last row filtered, and only the rows from the last
+    read's start on are kept: reads, row slices [a, b) or rows [a], come in
+    order of a, as ``dynamics._run`` makes them. ``filled`` counts the rows
+    filtered so far."""
+
+    def __init__(self, amplitude: float, start: int, wd, steps: int):
+        self.amplitude, self.start = amplitude, start
+        self.keep, self.feed = _tustin_pole(wd), wd / (2.0 + wd)
+        self.shape = (steps + 1,) + np.shape(wd)
+        self.rows = np.zeros((1,) + self.shape[1:])   # y_d[0] = 0
+        self.first = 0       # the row that self.rows[0] holds
+        self.filled = 1
+
+    def __len__(self) -> int:
+        return self.shape[0]
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            a, b, stride = index.indices(len(self))
+        else:
+            a = operator.index(index)
+            b, stride = a + 1, 1
+        if stride != 1 or not self.first <= a <= b <= len(self):
+            raise IndexError(f"reads go in order, by unit-stride rows from {self.first} "
+                             f"to {len(self) - 1}; got {index!r}")
+        kept = min(a, self.filled - 1)   # also the row the recursion continues from
+        if b > self.filled:
+            rows = np.empty((b - kept,) + self.shape[1:])
+            old = self.filled - kept
+            rows[:old] = self.rows[kept - self.first:]
+            # y_d[m] first holds feed * (y_ds[m] + y_ds[m-1]), formed for every
+            # new m at once, so the loop does one multiply and one add per sample
+            steps = np.where(np.arange(self.filled - 1, b) >= self.start, self.amplitude, 0.0)
+            np.multiply.outer(steps[1:] + steps[:-1], self.feed, out=rows[old:])
+            keep = self.keep
+            for m in range(old, len(rows)):
+                rows[m] += keep * rows[m - 1]
+            self.rows, self.filled = rows, b
+        else:
+            self.rows = self.rows[kept - self.first:]
+        self.first = kept
+        return self.rows[a - kept:b - kept] if isinstance(index, slice) else self.rows[a - kept]
 
 
 def reference_series(spec: TrajectorySpec, dt: float, num_steps: int) -> np.ndarray:
     """Reference values y_d[0..num_steps] on the sampling grid."""
     spec.validate_dt(dt)
-    steps = _step_series(spec, num_steps)
     if spec.kind == "step":
-        return steps
-    return _tustin(steps, spec.cutoff * dt)
+        y = np.zeros(num_steps + 1)
+        y[spec.start_index:] = spec.amplitude
+        return y
+    return _Tustin(spec.amplitude, spec.start_index, spec.cutoff * dt, num_steps)[0:]
 
 
 @dataclass(frozen=True)
@@ -181,7 +212,10 @@ def cutoff_sweep(scenario: "ScenarioConfig",
     reports the peak object deformation and peak commanded speed, the
     two quantities that decide how fast a transport can be driven.
     Rows come back ordered by cutoff; all cutoffs step as one batch,
-    whose peaks are reduced block by block as it streams.
+    whose peaks are reduced block by block as it streams. The batch reads
+    its references a block at a time from one ``_Tustin`` series, which
+    filters them only as far as they are read: memory and reference work
+    follow the samples stepped, not the duration.
 
     The batch stops early, at the first sample from which the modal tail
     bound (``_first_stop``) proves for every row that no later sample can
@@ -193,7 +227,7 @@ def cutoff_sweep(scenario: "ScenarioConfig",
     or outside the unit circle, a nearly repeated pair of roots, or a cutoff
     whose pole p lies within 1e-6 of a root.
     """
-    from .dynamics import DIVERGENCE_LIMIT_CM, _run, num_steps
+    from .dynamics import DIVERGENCE_LIMIT_CM, MAX_STEP_SAMPLES, _run, num_steps
     from .metrics import Peaks
 
     cutoffs = sorted(float(w) for w in omega_c_values)
@@ -203,17 +237,19 @@ def cutoff_sweep(scenario: "ScenarioConfig",
     for wc in cutoffs:
         replace(scenario.trajectory, kind="filtered_step", cutoff=wc).validate_dt(dt)
     network, controller = scenario.network, scenario.controller
-    steps = _step_series(scenario.trajectory, num_steps(scenario.duration, dt))
+    amplitude, start = scenario.trajectory.amplitude, scenario.trajectory.start_index
+    end = num_steps(scenario.duration, dt)
+    if end > MAX_STEP_SAMPLES:   # where no bound holds, the batch steps every sample
+        raise MemoryError(f"{scenario.duration:g} s at dt = {dt:g} s is {end} samples, "
+                          f"more than a sweep steps ({MAX_STEP_SAMPLES})")
     wd = np.array(cutoffs) * dt
-    references = _tustin(steps, wd)
+    references = _Tustin(amplitude, start, wd, end)
 
     laplacian = build_pinned_laplacian(network)
-    poles = _tustin_pole(wd)
+    poles = references.keep
     roots = tail_roots(laplacian, controller, poles)
     tail = None if roots is None else ModalTail(laplacian, controller, roots)
-    amplitude, start = scenario.trajectory.amplitude, scenario.trajectory.start_index
     peaks = Peaks()   # blocks are (samples, cutoffs, robots): one peak per cutoff
-    end = len(steps) - 1
     ends = {2 ** k for k in range(4, end.bit_length())}   # where the bound is tried
     for m, block in _run(network, controller, references, ends=ends):
         peaks.add(m, block)
@@ -227,5 +263,8 @@ def cutoff_sweep(scenario: "ScenarioConfig",
             break
         if stop is not None:
             ends.add(stop)
+    # a run of no steps yields no block, and its peaks stay 0
+    spreads, moves = (np.broadcast_to(p, len(cutoffs)) for p in (peaks.peak_spread,
+                                                                 peaks.peak_move))
     return [SweepRow(omega_c=wc, max_deformation=float(d), max_speed=float(v / dt))
-            for wc, d, v in zip(cutoffs, peaks.peak_spread, peaks.peak_move)]
+            for wc, d, v in zip(cutoffs, spreads, moves)]

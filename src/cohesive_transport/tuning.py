@@ -53,7 +53,7 @@ where the modal tail bound (``modal``, shared with the cutoff sweep) proves that
 no later sample can change those numbers, so tuning.json keeps its bits
 (``_measure_step_response``). Roots on or outside the unit circle, nearly
 repeated pairs and delays N > 1 have no bound and step to the horizon. A
-target is infeasible if 16 T/dt exceeds _MAX_STEP_SAMPLES, over an hour's
+target is infeasible if 16 T/dt exceeds MAX_STEP_SAMPLES, over an hour's
 stepping (2e8 suffice for the shortest target both controllers reach on a
 1024-robot chain at dt = 0.03).
 """
@@ -65,7 +65,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dynamics import ControllerConfig, _run, num_steps
+from .dynamics import MAX_STEP_SAMPLES, ControllerConfig, _run, num_steps
 # not called here: perfbench's test_tracer_restores_every_rebound_name reads this copy
 from .dynamics import simulate  # noqa: F401
 from .errors import DivergenceError, TuningInfeasibleError, UnstableGainError
@@ -78,7 +78,6 @@ from .stability import (StabilityReport, baseline_gamma_bound, baseline_spectral
 # rounding allowed between the target decay and the root that meets it
 _ROOT_RTOL = 8 * 2.0 ** -52
 SPEED_LIMIT = 5.0          # cm/s, the baseline's commanded-speed cap
-_MAX_STEP_SAMPLES = 10 ** 9  # longest unit step the tuner steps, 16 T/dt
 
 
 @dataclass(frozen=True)
@@ -183,7 +182,7 @@ def _measure_step_response(network: CouplingNetwork,
     """
     horizons = [num_steps(2.0 * max(spec.target_settling, spec.dt) * 2.0 ** k, spec.dt)
                 for k in range(4)]
-    if horizons[-1] > _MAX_STEP_SAMPLES:
+    if horizons[-1] > MAX_STEP_SAMPLES:
         raise TuningInfeasibleError(f"target {spec.target_settling:.9g} s is too long to "
                                     f"verify: its unit step takes {horizons[-1]} samples")
     # samples 0 and 1 are at rest: step from sample 1 on a constant 1, stride 0

@@ -26,6 +26,12 @@ def _bundled_with(name, **values):
 
 _OVERFLOWING_DELAYED = _bundled_with("chain4_dsr.cfg", alpha="1e300", beta="1e300",
                                      delay_multiple="2")
+# raw steps: of one sample, which no step reaches, and of a duration that equals
+# a horizon whose float sum rounds above it (7 * 0.1 is 0.7000000000000001)
+_NO_STEPS = _bundled_with("chain4_baseline.cfg", start_index="0", duration="1e-12").replace(
+    "kind = filtered_step", "kind = step")
+_AT_THE_HORIZON = _bundled_with("chain4_baseline.cfg", dt="0.1", start_index="7",
+                                duration="0.7").replace("kind = filtered_step", "kind = step")
 
 
 @settings(max_examples=60, deadline=None)
@@ -48,6 +54,8 @@ _OVERFLOWING_DELAYED = _bundled_with("chain4_dsr.cfg", alpha="1e300", beta="1e30
 @example((_OVERFLOWING_DELAYED, ["stability"]))
 @example((_OVERFLOWING_DELAYED, ["simulate"]))
 @example((_OVERFLOWING_DELAYED, ["sweep"]))
+@example((_NO_STEPS, ["sweep"]))
+@example((_AT_THE_HORIZON, ["simulate"]))
 # a misspelt key, which once left the delay at its default without a word
 @example(((CONFIG_DIR / "chain4_dsr.cfg").read_text().replace(
     "delay_multiple = 1", "delay_mutliple = 3"), ["stability"]))

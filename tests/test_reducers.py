@@ -1,11 +1,12 @@
 """The fast reducers against their plain definitions, bit for bit: the
-robot-major block peaks and the filter that forms its input once."""
+robot-major block peaks and the filter that forms its input."""
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cohesive_transport.metrics import SETTLING_BAND, Peaks, sample_metrics
-from cohesive_transport.trajectory import _tustin
+from cohesive_transport.trajectory import _Tustin
 
 
 def bits(value):
@@ -73,14 +74,49 @@ def _docstring_recursion(steps, wd):
     return np.array(y)
 
 
+_CUTOFFS = [0.02 * i for i in range(1, 26)]
+
+
+def _expected(amplitude, start, steps, cutoffs):
+    """The docstring recursion of a step of ``amplitude`` from sample ``start``
+    on, for one cutoff, or in a column per cutoff of a list."""
+    step = np.zeros(steps + 1)
+    step[start:] = amplitude
+    if not isinstance(cutoffs, list):
+        return _docstring_recursion(step, cutoffs * 0.03)
+    return np.stack([_docstring_recursion(step, wc * 0.03) for wc in cutoffs], axis=1)
+
+
 def test_tustin_is_the_docstring_recursion_bitwise(rng):
-    steps = np.zeros(2001)
-    steps[1:] = 50.0
-    noisy = rng.normal(0.0, 10.0, 2001)
-    cutoffs = [0.02 * i for i in range(1, 26)]
-    for series in (steps, noisy):
-        assert bits(_tustin(series, 0.1 * 0.03)) == bits(_docstring_recursion(series, 0.1 * 0.03))
-        columns = _tustin(series, np.array(cutoffs) * 0.03)
+    for amplitude, start in ((50.0, 1), (rng.normal(0.0, 10.0), int(rng.integers(0, 50)))):
+        series = _Tustin(amplitude, start, 0.1 * 0.03, 2000)[0:]
+        assert bits(series) == bits(_expected(amplitude, start, 2000, 0.1))
+        columns = _Tustin(amplitude, start, np.array(_CUTOFFS) * 0.03, 2000)[0:]
         assert columns.shape == (2001, 25)
-        for k, wc in enumerate(cutoffs):
-            assert bits(columns[:, k]) == bits(_docstring_recursion(series, wc * 0.03))
+        assert bits(columns) == bits(_expected(amplitude, start, 2000, _CUTOFFS))
+
+
+@settings(deadline=None)
+@given(st.integers(0, 300), st.integers(0, 6),
+       st.sampled_from([50.0, -7.5, -0.0, 1e-310, 1e300]) | st.floats(-100.0, 100.0),
+       st.sampled_from([0.1, _CUTOFFS]),
+       st.lists(st.tuples(st.integers(0, 45), st.integers(0, 45), st.booleans()), max_size=25))
+def test_tustin_read_in_blocks_is_the_docstring_recursion_bitwise(steps, start, amplitude,
+                                                                 cutoffs, reads):
+    """Rows read in order, as slices that overlap the last one and single rows
+    one past it (as ``dynamics._run`` and the sweep read them), have the bits
+    of the whole recursion, and no row past the furthest read is filtered."""
+    expected = _expected(amplitude, start, steps, cutoffs)
+    wd = np.array(cutoffs) * 0.03 if isinstance(cutoffs, list) else cutoffs * 0.03
+    series = _Tustin(amplitude, start, wd, steps)
+    assert series.shape == expected.shape and len(series) == steps + 1
+    at, furthest = 0, 1
+    for advance, rows, single in reads:
+        at = min(at + advance, steps)
+        index = at if single else slice(at, at + rows)
+        assert bits(series[index]) == bits(expected[index])
+        furthest = max(furthest, min(at + (1 if single else rows), steps + 1))
+        assert series.filled == furthest
+    if series.first > 0:
+        with pytest.raises(IndexError):
+            series[series.first - 1]

@@ -112,6 +112,35 @@ def test_validation_duration_grows_with_filter(tmp_path):
         load_config(path)
 
 
+@pytest.mark.parametrize("kind, cutoff, start, duration, refused", [
+    # 7 * 0.1 is 0.7000000000000001 and 3 * 0.1 is 0.30000000000000004
+    ("step", None, 7, "0.7", False),
+    ("step", None, 3, "0.3", False),
+    ("step", None, 7, "0.6", True),
+    ("step", None, 3, "0.2", True),
+    # 3 * 0.1 + 4/10 is 0.7000000000000001
+    ("filtered_step", "10.0", 3, "0.7", False),
+    ("filtered_step", "10.0", 3, "0.6", True),
+])
+def test_validation_horizon_within_float_noise(tmp_path, kind, cutoff, start, duration,
+                                               refused):
+    """A duration equal to the trajectory horizon is accepted even where the
+    horizon's float sum rounds above it; one sample short is refused."""
+    text = (CONFIG_DIR / "chain4_baseline.cfg").read_text()
+    for key, value in (("kind", kind), ("cutoff", cutoff), ("start_index", start),
+                       ("dt", "0.1"), ("duration", duration)):
+        text, count = re.subn(rf"^{key} = (?!baseline).*\n", "" if value is None else
+                              f"{key} = {value}\n", text, flags=re.M)
+        assert count == 1
+    path = tmp_path / "edge.cfg"
+    path.write_text(text)
+    if refused:
+        with pytest.raises(ConfigError, match="shorter than the trajectory horizon"):
+            load_config(path)
+    else:
+        assert load_config(path).duration == float(duration)
+
+
 def test_validation_bad_number(tmp_path):
     text = (CONFIG_DIR / "chain4_baseline.cfg").read_text().replace(
         "gamma = 1.93", "gamma = fast")
@@ -766,7 +795,8 @@ def test_cli_divergent_run_warns_once_and_leaves_no_output(tmp_path, capsys, com
 @pytest.mark.parametrize("command", ["simulate", "sweep"])
 def test_cli_run_too_long_to_hold_is_exit_5(tmp_path, capsys, command):
     # 3e16 samples: more bytes than any address space holds, so the
-    # allocation fails at once
+    # allocation fails at once; the sweep, which holds no trace, refuses
+    # more than MAX_STEP_SAMPLES before any step
     config = tmp_path / "long.cfg"
     config.write_text((CONFIG_DIR / "chain4_baseline.cfg").read_text().replace(
         "duration = 60.0", "duration = 1e15"))

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
@@ -10,11 +11,11 @@ from hypothesis import strategies as st
 
 from cohesive_transport import (ControllerConfig, CouplingNetwork, DivergenceError,
                                 ScenarioConfig, StiffnessChain, SweepRow, TrajectorySpec,
-                                build_pinned_laplacian, cutoff_sweep, load_config, modal,
-                                reference_series, simulate, trajectory)
+                                build_pinned_laplacian, cutoff_sweep, dynamics, load_config,
+                                modal, reference_series, simulate, trajectory)
 from cohesive_transport.benchmark import baseline_scenario, dsr_scenario
 from cohesive_transport.cli import _DEFAULT_SWEEP
-from cohesive_transport.dynamics import _run, num_steps
+from cohesive_transport.dynamics import _BLOCK_VALUES, _run, num_steps
 from cohesive_transport.metrics import Peaks
 
 from conftest import step_counts
@@ -160,6 +161,17 @@ def test_sweep_of_no_cutoffs_is_empty():
     assert cutoff_sweep(baseline_scenario(), []) == []
 
 
+@pytest.mark.parametrize("scenario_fn", [baseline_scenario, dsr_scenario])
+def test_sweep_of_a_run_with_no_steps_has_zero_peaks(scenario_fn):
+    """A 1e-12 s run has sample 0 alone, at rest, as its single run's trace
+    does: each row's deformation and speed are 0."""
+    scenario = replace(scenario_fn(), trajectory=TrajectorySpec("step", 50.0, start_index=0),
+                       duration=1e-12)
+    assert simulate(scenario).num_samples == 1
+    assert cutoff_sweep(scenario, [0.2, 0.1]) == [SweepRow(0.1, 0.0, 0.0),
+                                                  SweepRow(0.2, 0.0, 0.0)]
+
+
 @settings(max_examples=25, deadline=None)
 @given(coupling_networks(max_robots=6), st.sampled_from(["baseline", "dsr"]),
        st.lists(st.floats(0.02, 1.0), max_size=4))
@@ -272,6 +284,41 @@ def test_default_sweep_stops_where_every_row_is_bounded(config, stepped, monkeyp
     rows = cutoff_sweep(scenario, _DEFAULT_SWEEP)
     assert sum(counts.values()) == stepped
     assert rows == _full_horizon(scenario, _DEFAULT_SWEEP)
+
+
+@pytest.mark.parametrize("config, stepped", [
+    ("chain4_baseline.cfg", 530),
+    ("chain4_dsr.cfg", 843),
+])
+def test_sweep_cost_does_not_grow_with_the_duration(config, stepped, monkeypatch):
+    """At 60, 600 and 6,000 s the bundled sweeps step the same samples to the
+    same rows; their references are filtered at most one block and one row past
+    the last sample stepped, and the 6,000 s sweep's traced memory peaks within
+    twice the 60 s sweep's (a table of every sample's references is 40 MB)."""
+    scenario = load_config(CONFIG_DIR / config)
+    series = []
+
+    def run(network, controller, references, ends=(), _run=dynamics._run):
+        series.append(references)
+        return _run(network, controller, references, ends)
+
+    monkeypatch.setattr(dynamics, "_run", run)
+    counts = step_counts(monkeypatch)
+    block = _BLOCK_VALUES // (len(_DEFAULT_SWEEP) * scenario.network.n)
+    rows, peak = {}, {}
+    for duration in (60.0, 600.0, 6000.0):
+        counts.clear()
+        tracemalloc.start()
+        try:
+            rows[duration] = cutoff_sweep(replace(scenario, duration=duration), _DEFAULT_SWEEP)
+            peak[duration] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sum(counts.values()) == stepped
+        assert len(series[-1]) == num_steps(duration, DT) + 1
+        assert series[-1].filled <= stepped + block + 1
+    assert rows[600.0] == rows[60.0] and rows[6000.0] == rows[60.0]
+    assert peak[6000.0] <= 2 * peak[60.0]
 
 
 @pytest.mark.parametrize("config", ["chain4_baseline.cfg", "chain4_dsr.cfg"])
