@@ -19,8 +19,8 @@ transient's amplitudes a_kr fixed by the error less its forced part at c
 transient at c + j and its move from there are at most sum_k |V_ik| sum_r
 |a_kr| |z_kr|**j times 1 and |z_kr - 1|; these and p**j fall with j, so a
 bound built from them holds for every later sample once it holds at one.
-
-Rounding after c is a margin on the bounds (``ModalTail.margins``).
+``first_stop`` finds the first sample from which such bounds, plus margins
+for the rounding after c, pass a caller's test.
 """
 from __future__ import annotations
 
@@ -58,18 +58,6 @@ def tail_roots(laplacian: PinnedLaplacian, controller, poles=()) -> np.ndarray |
     if poles.size and not np.min(np.abs(poles[:, None, None] - roots)) > _NEAR_REPEATED:
         return None
     return roots if np.max(np.abs(roots)) < 1.0 else None
-
-
-def first_holding(holds: Callable[[int], bool], count: int) -> int | None:
-    """The smallest j < ``count`` with holds(j), for a ``holds`` that is false
-    and then true; None if holds(count - 1) is false."""
-    lo, hi = -1, count - 1
-    if hi < 0 or not holds(hi):
-        return None
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        lo, hi = (lo, mid) if holds(mid) else (mid, hi)
-    return hi
 
 
 class ModalTail:
@@ -158,3 +146,92 @@ class ModalTail:
             move_grows = np.min((1.0 + self.moves * sums) * sums[:, ::-1], axis=1)
         return (delta * float(np.max(self.magnitudes @ (self.reach * grows))),
                 delta * float(np.max(self.magnitudes @ (self.reach * move_grows))))
+
+
+def first_stop(tail: ModalTail, now: np.ndarray, prev: np.ndarray, at: int, until: int,
+               end: int, amplitude: float, test: Callable, poles=None,
+               reference=None) -> int | None:
+    """The first sample c, ``at`` <= c < ``until``, from which every sample up
+    to ``end`` passes ``test``; None if there is none. Row b (of a batch, or
+    the one run) has positions ``now[b]`` at ``at`` and ``prev[b]`` before it,
+    and the reference A - C p**j from ``at`` on: A = ``amplitude``, and p =
+    ``poles[b]`` and A - C = ``reference[b]`` for a filtered one; without
+    ``poles`` the reference is the constant A (C = 0). ``test(spread, reach,
+    move)`` judges, per row, bounds from c on of the spread, of max_i |Y_i - A|
+    and of the largest move, rounding margins included.
+
+    Robot i's position at c + j is A plus the forced part p**j (V G)_i plus
+    the transient, so the spread is at most p**j ptp(V G) + 2 max_i T_i(j),
+    |Y_i - A| at most p**j |V G|_i + T_i(j), and the move from there at most
+    p**j (1 - p) |V G|_i + M_i(j), T and M being the transient's bounds
+    (``ModalTail.per_robot``); the DC part moves no robot apart. Two facts need
+    no bound: at n = 1 the spread is exactly 0, and rows whose positions at c
+    and c - 1, A and y_d[c] are all exactly 0 stay exactly 0, so no later
+    sample changes a number: c = ``at`` is then the stop.
+
+    The margins take s = 2 S, S bounding every later |Y| and |y_d| without
+    them: S covers them with the margin if the margin is at most S, which is
+    required. On top of per_sample * s, each sample injects the reference's
+    own rounding, g |B|_i times at most 8 eps max(|A|, |y_d[at]|) min(J, 1/(1 -
+    p)) over the J samples left (the Tustin recursion's rounding and that of its
+    constants, about 4 eps of the larger value a sample); at p = 1, where the
+    pole rounds to 1 for wc dt up to about 2**-53, the min is J, and the
+    recursion ramps the reference by at most |A| wc dt < eps |A| a sample,
+    which that term covers with the rounding. It also injects the rounding of G,
+    at most (n + 18) eps |C| g max_k (|V|^T B)_k a sample. A constant reference
+    has neither. The margin, at least 3 (n + 8) eps s, also covers the
+    evaluation of the bounds, each at most (n + 8) eps times a value below s.
+    """
+    n, left = now.shape[-1], end - at
+    if poles is None:
+        forced, size, gap, step, lag, residual = None, 0.0, 0.0, 0.0, 0.0, 0.0
+        level = abs(amplitude)
+    else:
+        lag = amplitude - reference
+        forced = tail.forced(poles, lag)
+        shape = forced @ tail.vectors.T
+        slack = (n + 2) * _EPS * (np.abs(forced) @ tail.magnitudes.T)
+        size = np.abs(shape) + slack
+        gap = np.ptp(shape, axis=-1) + 2.0 * np.max(slack, axis=-1)
+        step = (1.0 - poles)[:, None] * size   # the forced part's move, times p**j
+        level = np.maximum(abs(amplitude), np.abs(reference))
+        samples = np.divide(1.0, 1.0 - poles, out=np.full_like(poles, np.inf),
+                            where=poles < 1.0)
+        residual = 8.0 * _EPS * level * np.minimum(left, samples)
+    if not (np.any(level) or np.any(now) or np.any(prev)):
+        return at   # every row stays exactly 0
+    amplitudes = tail.amplitudes(now - amplitude, prev - amplitude, forced, poles)
+    known = abs(amplitude) + np.max(size + tail.per_robot(amplitudes, 0), axis=-1)
+    scale = np.maximum(np.maximum(known, level + residual),
+                       np.maximum(np.abs(now), np.abs(prev)).max(axis=-1))
+    # 2**-1022 bounds the absolute rounding of subnormal values
+    margin, move_margin = tail.margins(left, tail.per_sample * (2.0 * scale + 2.0 ** -1022)
+                                       + tail.leader_drive * residual
+                                       + (n + 18) * _EPS * np.abs(lag) * tail.drive_size)
+    if not np.all(margin <= scale):
+        return None
+    weights = np.array([amplitudes, amplitudes * tail.moves])   # T's and M's, bounded at once
+
+    def holds(j: int) -> bool:
+        transient, travel = tail.per_robot(weights, j)
+        if poles is None:
+            reach = transient.max(axis=-1)
+            spread = 2.0 * reach
+        else:
+            decay = poles ** j
+            spread = decay * gap + 2.0 * transient.max(axis=-1)
+            reach = (decay[:, None] * size + transient).max(axis=-1)
+            travel = decay[:, None] * step + travel
+        return bool(test(spread + margin if n > 1 else 0.0, reach + margin,
+                         travel.max(axis=-1) + move_margin).all())
+
+    last = min(until, end) - at - 1
+    if last < 0 or not holds(last):
+        return None
+    if holds(0):   # as it mostly does where a stop found earlier is derived again
+        return at
+    lo, hi = 0, last
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if holds(mid) else (mid, hi)
+    return at + hi

@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
-from .modal import _EPS, ModalTail, first_holding, tail_roots
+from .modal import ModalTail, first_stop, tail_roots
 from .network import build_pinned_laplacian
 
 if TYPE_CHECKING:
@@ -135,75 +135,6 @@ class SweepRow:
     max_speed: float
 
 
-def _first_stop(tail: ModalTail, now: np.ndarray, prev: np.ndarray, at: int, until: int,
-                end: int, peaks: "Peaks", amplitude: float, poles: np.ndarray,
-                reference: np.ndarray, limit: float) -> int | None:
-    """The first sample c, ``at`` <= c < ``until``, from which no later sample
-    up to ``end`` raises any row's peak spread or peak move, or takes a robot
-    past ``limit``; None if there is none. Row b's positions are ``now[b]`` at
-    ``at`` and ``prev[b]`` before it, and its reference is A - C p**j from
-    ``at`` on: A = ``amplitude``, p = ``poles[b]`` and A - C = ``reference[b]``.
-
-    In the terms of ``modal``, robot i's position at c + j is A plus the
-    forced part p**j (V G)_i plus the transient, so the spread is at most
-    p**j ptp(V G) + 2 max_i T_i(j) and the move from there at most
-    max_i [p**j (1 - p) |V G|_i + M_i(j)], T and M being the transient's
-    bounds (``ModalTail.per_robot``); the DC part moves no robot apart. Both
-    bounds, plus the rounding margins, must lie at or below the row's peak
-    spread and below its peak move, and A + the largest |V G|_i p**j + T_i(j),
-    plus the margin, at or below ``limit``.
-
-    The margins take s = 2 S, S bounding every later |Y| and |y_d| without
-    them: S covers them with the margin if the margin is at most S, which is
-    required. On top of per_sample * s, each sample injects the reference's
-    own rounding, g |B|_i times at most 8 eps max(|A|, |y_d[at]|) min(J, 1/(1 -
-    p)) over the J samples left (the Tustin recursion's rounding and that of its
-    constants, about 4 eps of the larger value a sample); at p = 1, where the
-    pole rounds to 1 for wc dt up to about 2**-53, the min is J, and the
-    recursion ramps the reference by at most |A| wc dt < eps |A| a sample,
-    which that term covers with the rounding. It also injects the rounding of G,
-    at most (n + 18) eps |C| g max_k (|V|^T B)_k a sample. The margin, at least
-    3 (n + 8) eps s, also covers the evaluation of the bounds, each at most
-    (n + 8) eps times a value below s.
-    """
-    n = now.shape[-1]
-    lag = amplitude - reference
-    forced = tail.forced(poles, lag)
-    shape = forced @ tail.vectors.T
-    slack = (n + 2) * _EPS * (np.abs(forced) @ tail.magnitudes.T)
-    size = np.abs(shape) + slack
-    spread = np.ptp(shape, axis=-1) + 2.0 * np.max(slack, axis=-1)
-    step = (1.0 - poles)[:, None] * size   # the forced part's move, times p**j
-    amplitudes = tail.amplitudes(now - amplitude, prev - amplitude, forced, poles)
-    moves = amplitudes * tail.moves
-    left = end - at
-    level = np.maximum(abs(amplitude), np.abs(reference))
-    samples = np.divide(1.0, 1.0 - poles, out=np.full_like(poles, np.inf), where=poles < 1.0)
-    residual = 8.0 * _EPS * level * np.minimum(left, samples)
-    known = abs(amplitude) + np.max(size + tail.per_robot(amplitudes, 0), axis=-1)
-    scale = np.maximum.reduce([known, np.max(np.abs(now), axis=-1),
-                               np.max(np.abs(prev), axis=-1), level + residual])
-    # 2**-1022 bounds the absolute rounding of subnormal values
-    margin, move_margin = tail.margins(left, tail.per_sample * (2.0 * scale + 2.0 ** -1022)
-                                       + tail.leader_drive * residual
-                                       + (n + 18) * _EPS * np.abs(lag) * tail.drive_size)
-    if not np.all(margin <= scale):
-        return None
-
-    def holds(j: int) -> bool:
-        decay = poles ** j
-        transient = tail.per_robot(amplitudes, j)
-        travel = decay[:, None] * step + tail.per_robot(moves, j)
-        reach = decay[:, None] * size + transient
-        return bool(np.all(
-            (decay * spread + 2.0 * transient.max(axis=-1) + margin <= peaks.peak_spread)
-            & (travel.max(axis=-1) + move_margin < peaks.peak_move)
-            & (abs(amplitude) + reach.max(axis=-1) + margin <= limit)))
-
-    stop = first_holding(holds, min(until, end) - at)
-    return None if stop is None else at + stop
-
-
 def cutoff_sweep(scenario: "ScenarioConfig",
                  omega_c_values: Iterable[float] | Sequence[float]) -> list[SweepRow]:
     """Rerun one scenario across cutoff frequencies.
@@ -218,7 +149,7 @@ def cutoff_sweep(scenario: "ScenarioConfig",
     follow the samples stepped, not the duration.
 
     The batch stops early, at the first sample from which the modal tail
-    bound (``_first_stop``) proves for every row that no later sample can
+    bound (``modal.first_stop``) proves for every row that no later sample can
     raise its peak deformation or speed, or diverge: the rows keep the bits
     of the whole duration. The bound is tried at samples 16, 32, 64, ..., each
     time for a stop before the next of them; a stop it finds is requested as a
@@ -250,15 +181,19 @@ def cutoff_sweep(scenario: "ScenarioConfig",
     roots = tail_roots(laplacian, controller, poles)
     tail = None if roots is None else ModalTail(laplacian, controller, roots)
     peaks = Peaks()   # blocks are (samples, cutoffs, robots): one peak per cutoff
+
+    def final(spread, reach, move):   # no later sample raises a peak or diverges
+        return ((spread <= peaks.peak_spread) & (move < peaks.peak_move)
+                & (abs(amplitude) + reach <= DIVERGENCE_LIMIT_CM))
+
     ends = {2 ** k for k in range(4, end.bit_length())}   # where the bound is tried
     for m, block in _run(network, controller, references, ends=ends):
         peaks.add(m, block)
         # y_d is A - C p**j from the start sample on
         if tail is None or peaks.end < start or peaks.end not in ends:
             continue
-        stop = _first_stop(tail, block[-1], block[-2], peaks.end, 2 ** peaks.end.bit_length(),
-                           end, peaks, amplitude, poles, references[peaks.end],
-                           DIVERGENCE_LIMIT_CM)
+        stop = first_stop(tail, block[-1], block[-2], peaks.end, 2 ** peaks.end.bit_length(),
+                          end, amplitude, final, poles, references[peaks.end])
         if stop == peaks.end:
             break
         if stop is not None:

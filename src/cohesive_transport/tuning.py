@@ -70,7 +70,7 @@ from .dynamics import MAX_STEP_SAMPLES, ControllerConfig, _run, num_steps
 from .dynamics import simulate  # noqa: F401
 from .errors import DivergenceError, TuningInfeasibleError, UnstableGainError
 from .metrics import SETTLING_BAND, Peaks
-from .modal import ModalTail, first_holding, tail_roots
+from .modal import ModalTail, first_stop, tail_roots
 from .network import CouplingNetwork, PinnedLaplacian, build_pinned_laplacian
 from .stability import (StabilityReport, baseline_gamma_bound, baseline_spectral_radius,
                         closed_form_stable, spectral_radius)
@@ -142,26 +142,6 @@ def dsr_settling_estimate(laplacian: PinnedLaplacian, alpha: float,
         spectral_radius(laplacian, alpha, beta, dt).spectral_radius, dt)
 
 
-def _first_stop(tail: ModalTail, now: np.ndarray, prev: np.ndarray, at: int, end: int,
-                peak_move: float) -> int | None:
-    """The first sample c, ``at`` <= c < ``end``, from which every sample up to
-    ``end`` provably stays inside the band and every move is less than
-    ``peak_move``, from the positions ``now`` at ``at`` and ``prev`` before it;
-    None if there is none."""
-    amplitudes = tail.amplitudes(now - 1.0, prev - 1.0)
-    moves = amplitudes * tail.moves
-    # the later samples' |e| is within the band: s covers them and the step from at
-    margin, move_margin = tail.margins(end - at, tail.per_sample * (1.0 + max(
-        SETTLING_BAND, np.max(np.abs(now - 1.0)), np.max(np.abs(prev - 1.0)))))
-
-    def holds(j: int) -> bool:
-        return (np.max(tail.per_robot(amplitudes, j)) + margin <= SETTLING_BAND
-                and np.max(tail.per_robot(moves, j)) + move_margin < peak_move)
-
-    stop = first_holding(holds, end - at)
-    return None if stop is None else at + stop
-
-
 def _measure_step_response(network: CouplingNetwork,
                            controller: ControllerConfig,
                            spec: TuningSpec) -> tuple[float, float]:
@@ -176,9 +156,7 @@ def _measure_step_response(network: CouplingNetwork,
     rounding before c does not count; where it does not hold yet, the stepped
     state predicts the next c. The tail is not bounded, and every horizon is
     stepped, at roots on or outside the unit circle, nearly repeated pairs and
-    delays N > 1. Rounding after c is a margin on the bound
-    (``ModalTail.margins``), with s = 1 + the largest of the band and |e| at c
-    and c - 1.
+    delays N > 1.
     """
     horizons = [num_steps(2.0 * max(spec.target_settling, spec.dt) * 2.0 ** k, spec.dt)
                 for k in range(4)]
@@ -191,19 +169,25 @@ def _measure_step_response(network: CouplingNetwork,
     laplacian = build_pinned_laplacian(network)
     roots = tail_roots(laplacian, controller)
     tail = None if roots is None else ModalTail(laplacian, controller, roots)
+    peaks, peak_move = Peaks(final_value=1.0), math.inf   # no move is stepped from rest
+
+    def final(spread, reach, move):   # inside the band, and no move reaches the peak
+        return (reach <= SETTLING_BAND) & (move < peak_move)
+
     rest = np.zeros(laplacian.n)
-    stop = None if tail is None else _first_stop(tail, rest, rest, 1, horizons[-1], math.inf)
+    stop = (None if tail is None else
+            first_stop(tail, rest, rest, 1, horizons[-1], horizons[-1], 1.0, final))
     if stop is not None:
         ends.add(stop - 1)
-    peaks = Peaks(final_value=1.0)
     try:
         for m, block in _run(network, controller, reference, ends=ends):
             peaks.add(m + 1, block)
             if peaks.end in horizons and peaks.last_outside < peaks.end:
                 break
             if peaks.end == stop:
-                stop = _first_stop(tail, block[-1], block[-2], stop, horizons[-1],
-                                   peaks.peak_move)
+                peak_move = peaks.peak_move
+                stop = first_stop(tail, block[-1], block[-2], stop, horizons[-1],
+                                  horizons[-1], 1.0, final)
                 if stop == peaks.end and peaks.last_outside < stop:
                     break
                 if stop is not None:

@@ -334,38 +334,65 @@ def test_sweep_where_the_filter_pole_rounds_to_one(config, cutoff):
 
 @settings(deadline=None)
 @given(coupling_networks(max_robots=5), st.sampled_from(["baseline", "dsr"]),
-       st.floats(0.05, 0.95), st.floats(0.05, 2.0), st.floats(0.01, 2.0),
-       st.floats(-100.0, 100.0), st.integers(0, 5), st.floats(0.0, 1.0))
+       st.floats(0.05, 0.95), st.floats(0.05, 2.0), st.sampled_from(["step", "filtered_step"]),
+       st.floats(0.01, 2.0), st.floats(-100.0, 100.0), st.integers(0, 5), st.floats(0.0, 1.0))
 def test_a_stop_is_found_only_where_no_later_sample_raises_a_peak(
-        network, kind, gain, alpha, cutoff, amplitude, start, where):
-    """From any sample c of a 20 s run, ``_first_stop`` finds c only if no sample
-    from c on spreads wider than the peak spread it is given, moves as far as
-    the peak move or reaches the limit: given the largest of these less one
-    ulp (the move exactly), it finds nothing."""
+        network, kind, gain, alpha, reference_kind, cutoff, amplitude, start, where):
+    """From any sample c of a 20 s run, ``modal.first_stop`` finds c only if no
+    sample from c on spreads wider than the peak spread it is given, moves as
+    far as the peak move, reaches the limit or, as the tuner tests, lies
+    outside the band around A: given the largest of these less one ulp (the
+    move exactly), it finds nothing. The reference is the sweep's filtered
+    step, or a raw step, constant A from c on as the tuner's is. A run that
+    stays exactly 0 stops at c whatever the test."""
     controller = _stable_controller(network, kind, gain, alpha)
     lap = build_pinned_laplacian(network)
-    poles = trajectory._tustin_pole(np.array([cutoff]) * DT)
-    roots = modal.tail_roots(lap, controller, poles)
+    filtered = reference_kind == "filtered_step"
+    poles = trajectory._tustin_pole(np.array([cutoff]) * DT) if filtered else None
+    roots = modal.tail_roots(lap, controller, () if poles is None else poles)
     hypothesis.assume(roots is not None)
     tail = modal.ModalTail(lap, controller, roots)
     steps = num_steps(20.0, DT)
-    references = reference_series(TrajectorySpec("filtered_step", amplitude, cutoff, start),
-                                  DT, steps)[:, None]
+    spec = TrajectorySpec(reference_kind, amplitude, cutoff if filtered else None, start)
+    references = reference_series(spec, DT, steps)[:, None]
     positions = np.concatenate([np.zeros((1, 1, lap.n))] + [
         block[1:].copy() for _, block in _run(network, controller, references)])
     c = max(start, 1) + int(where * (steps - 1 - max(start, 1)))
     later = positions[c:, 0]
     spread = np.max(later.max(axis=1) - later.min(axis=1))
     move = np.max(np.abs(np.diff(later, axis=0)))
-    size = np.max(np.abs(later))
-    below = np.nextafter([spread, size], -np.inf)
-    for peak_spread, peak_move, limit in [(below[0], np.inf, np.inf), (np.inf, move, np.inf),
-                                          (np.inf, np.inf, below[1])]:
-        peaks = SimpleNamespace(peak_spread=np.array([peak_spread]),
-                                peak_move=np.array([peak_move]))
-        assert trajectory._first_stop(tail, positions[c], positions[c - 1], c, c + 1, steps,
-                                      peaks, amplitude, poles, references[c], limit) is None
-    everything = SimpleNamespace(peak_spread=np.array([np.inf]), peak_move=np.array([np.inf]))
-    found = trajectory._first_stop(tail, positions[c], positions[c - 1], c, c + 1, steps,
-                                   everything, amplitude, poles, references[c], np.inf)
-    hypothesis.event("a stop with unbounded peaks" if found == c else "no stop even then")
+    size, off = np.max(np.abs(later)), np.max(np.abs(later - amplitude))
+
+    def first_stop(peak_spread=np.inf, peak_move=np.inf, limit=np.inf, band=np.inf):
+        def test(spread, reach, move):
+            return ((spread <= peak_spread) & (move < peak_move)
+                    & (abs(amplitude) + reach <= limit) & (reach <= band))
+        return modal.first_stop(tail, positions[c], positions[c - 1], c, c + 1, steps,
+                                amplitude, test, poles, references[c])
+
+    below = np.nextafter([spread, size, off], -np.inf)
+    for bound in [{"peak_spread": below[0]}, {"peak_move": move}, {"limit": below[1]},
+                  {"band": below[2]}]:
+        assert first_stop(**bound) == (c if amplitude == 0.0 else None)
+    hypothesis.event("a stop with unbounded peaks" if first_stop() == c else
+                     "no stop even then")
+
+
+@pytest.mark.parametrize("scenario, stepped", [
+    # every position is exactly 0: the peaks are 0 from the start and final
+    (replace(load_config(CONFIG_DIR / "chain4_baseline.cfg"), duration=600.0,
+             trajectory=TrajectorySpec("filtered_step", 0.0, 0.1)), 16),
+    # one robot: the spread is exactly 0 at every sample
+    (ScenarioConfig(network=StiffnessChain((), (0.05,)),
+                    controller=ControllerConfig.baseline(1.93, DT),
+                    trajectory=TrajectorySpec("filtered_step", 50.0, 0.1),
+                    duration=600.0), 51),
+])
+def test_sweep_stops_where_a_peak_stays_zero(scenario, stepped, monkeypatch):
+    """A peak that is exactly 0 at every sample cannot be raised; the sweep
+    stops early, not after all 20,000 samples, with the rows of every sample."""
+    cutoffs = _DEFAULT_SWEEP if scenario.network.n > 1 else [0.1, 0.2]
+    counts = step_counts(monkeypatch)
+    rows = cutoff_sweep(scenario, cutoffs)
+    assert sum(counts.values()) == stepped
+    assert rows == _full_horizon(scenario, cutoffs)

@@ -18,6 +18,7 @@ from cohesive_transport import (ControllerConfig, DivergenceError, PinnedLaplaci
 from cohesive_transport import ScenarioConfig, TrajectorySpec, modal, tuning, write_config
 from cohesive_transport.cli import main
 from cohesive_transport.dynamics import _run, num_steps
+from cohesive_transport.metrics import SETTLING_BAND
 from cohesive_transport.stability import _mode_roots
 from cohesive_transport.tuning import dsr_gains_vs_ts_table, ts_vs_gamma_table
 
@@ -302,7 +303,7 @@ def test_streamed_step_response_matches_the_retry_loop_on_any_network(
     bound = baseline_gamma_bound(build_pinned_laplacian(network))
     controller = (_B(gain * bound, DT) if kind == "baseline"
                   else _D(alpha, gain * bound, DT, delay))
-    first_stop, stops = tuning._first_stop, []
+    first_stop, stops = tuning.first_stop, []
 
     def recorded(tail, now, prev, at, *args):
         stop = first_stop(tail, now, prev, at, *args)
@@ -310,7 +311,7 @@ def test_streamed_step_response_matches_the_retry_loop_on_any_network(
         return stop
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(tuning, "_first_stop", recorded)
+        patch.setattr(tuning, "first_stop", recorded)
         stream, oracle = _stream_and_oracle(network, controller, spec_for(target))
     assert stream == oracle
     hypothesis.event("stopped by the tail bound" if any(stops) else
@@ -357,19 +358,24 @@ def test_a_too_early_prediction_costs_a_retry_not_a_number(chain4, monkeypatch):
     stream = [tuning._measure_step_response(chain4, c, spec_for(10.0))
               for c in (_B(1.93, DT), _D(0.39, 10.92, DT))]
     honest = dict(counts)
-    first_stop, stops = tuning._first_stop, []
+    first_stop, stops = tuning.first_stop, []
 
-    def early_from_rest(tail, now, prev, at, end, peak_move):
-        stop = first_stop(tail, now, prev, at, end, peak_move)
+    def early_from_rest(tail, now, prev, at, *args):
+        stop = first_stop(tail, now, prev, at, *args)
         stops.append(stop)
         return (at + stop) // 2 if at == 1 else stop
 
-    monkeypatch.setattr(tuning, "_first_stop", early_from_rest)
+    monkeypatch.setattr(tuning, "first_stop", early_from_rest)
     counts.clear()
     assert [tuning._measure_step_response(chain4, c, spec_for(10.0))
             for c in (_B(1.93, DT), _D(0.39, 10.92, DT))] == stream
     assert dict(counts) == honest
     assert stops == [354, 354, 354, 338, 338, 338]
+
+
+def settled(peak_move):
+    """The tuner's test: inside the band, and no move as large as ``peak_move``."""
+    return lambda spread, reach, move: (reach <= SETTLING_BAND) & (move < peak_move)
 
 
 def test_the_stop_waits_until_no_later_move_can_reach_the_peak(chain4):
@@ -384,9 +390,9 @@ def test_the_stop_waits_until_no_later_move_can_reach_the_peak(chain4):
         chain4, controller, np.broadcast_to(1.0, (end,)))])
     moves = np.max(np.abs(np.diff(positions, axis=0)), axis=1)   # from sample u: moves[u - 1]
     now, prev = positions[353], positions[352]
-    assert tuning._first_stop(tail, now, prev, 354, end, math.inf) == 354
+    assert modal.first_stop(tail, now, prev, 354, end, end, 1.0, settled(math.inf)) == 354
     peak = moves[353] / 5.0
-    stop = tuning._first_stop(tail, now, prev, 354, end, peak)
+    stop = modal.first_stop(tail, now, prev, 354, end, end, 1.0, settled(peak))
     assert stop > 354
     assert np.max(moves[stop - 1:]) < peak
 
