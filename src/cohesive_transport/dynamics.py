@@ -25,14 +25,24 @@ CrosscheckError on a disagreement, also under ``python -O``, and
 DivergenceError past DIVERGENCE_LIMIT_CM.
 
 The stacked law takes K Y as np.matvec(K, Y) for one state and each batch
-row alike. A run builds its constants once, not per sample: the stacked
-law's (gamma*B, or a*b*dt*B, b and N) and the per-robot coefficients, each
-as an array of the state's shape (``_law_constants``), and the spring list
-of a batch of that size; the network keeps only the last of each. A batch's
-references are tiled to its (batch, n) shape once per block of samples. Every
-sample of every row is still checked, within 1e-12 * max(1, the row's
-largest |Y[m+1]|); a batch whose entries all agree within 1e-12, the
-smallest such bound, is accepted without the row-by-row pass.
+row alike, in one numpy expression whichever route checks it. A run builds
+its constants once, not per sample: the stacked law's (gamma*B, or a*b*dt*B,
+b and N) and the per-robot coefficients, each as an array of the state's
+shape (``_law_constants``), and the spring list of a batch of that size; the
+network keeps only the last of each. A batch's references are tiled to its
+(batch, n) shape once per block of samples. Every sample of every row is
+still checked, within 1e-12 * max(1, the row's largest |Y[m+1]|); a batch
+whose entries all agree within 1e-12, the smallest such bound, is accepted
+without the row-by-row pass.
+
+One run (an (n,) state with a scalar reference) on a network of at most
+``network._FLOAT_WORK_LIMIT`` robots plus directed springs, the paper's four
+robots among them, takes its per-robot half robot by robot in Python floats:
+the readings, each robot's law from its coefficients in the same term order,
+and the crosscheck's bound. On four robots numpy's overhead of about 1 us a
+call is most of that half's cost. The floats round as the arrays do, so
+readings, positions and every raised error are the array route's; batches
+and larger networks keep the array route.
 
 Positions are cm, forces N, time s.
 """
@@ -193,16 +203,18 @@ class SimulationTrace:
 
 
 def _law_constants(network: CouplingNetwork, laplacian: PinnedLaplacian, gains: tuple,
-                   shape: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+                   shape: tuple[int, ...]) -> tuple:
     """Constants of the law ("baseline", gamma) or ("dsr", alpha, beta, dt, N)
     for states of ``shape``, each a read-only array of that shape, so that no
     ufunc of a sample broadcasts one: first the stacked law's, made from the
     laplacian's B, then the per-robot coefficients, where robot k's use its
-    own leader spring. The network keeps one entry, for the gains and shape
-    last stepped; other gains, another shape or another laplacian replace it.
-    Gains that overflow a per-robot coefficient raise UnstableGainError, which
-    the update forms, fetching the constants first, raise before any
-    arithmetic on those gains."""
+    own leader spring. Last come the per-robot coefficients as one tuple of
+    Python floats per robot, for one state of a network small enough to be
+    stepped in floats (``network._spring_floats``), else None. The network
+    keeps one entry, for the gains and shape last stepped; other gains,
+    another shape or another laplacian replace it. Gains that overflow a
+    per-robot coefficient raise UnstableGainError, which the update forms,
+    fetching the constants first, raise before any arithmetic on those gains."""
     cache = network._law_coefficients
     cached = cache.get((gains, shape))
     if cached is not None and cached[0] is laplacian:
@@ -227,9 +239,21 @@ def _law_constants(network: CouplingNetwork, laplacian: PinnedLaplacian, gains: 
     constants = tuple(np.broadcast_to(c, shape).copy() for c in stacked + local)
     for arr in constants:
         arr.flags.writeable = False
+    constants += (tuple(zip(*(c.tolist() for c in constants[len(stacked):])))
+                  if len(shape) == 1 and network._spring_floats is not None else None,)
     cache.clear()
     cache[gains, shape] = laplacian, constants
     return constants
+
+
+def _baseline_stacked(y, k, gamma, gamma_b, y_d):
+    return y - gamma * np.matvec(k, y) + gamma_b * y_d
+
+
+def _dsr_stacked(y, y_old, k, rate, rate_b, beta, delay_multiple, y_d):
+    delta = y - y_old
+    return (y - rate * np.matvec(k, y) + rate_b * y_d
+            + (delta - beta * np.matvec(k, delta)) / delay_multiple)
 
 
 def baseline_update_forms(positions, laplacian: PinnedLaplacian,
@@ -238,12 +262,13 @@ def baseline_update_forms(positions, laplacian: PinnedLaplacian,
     """Next positions computed both ways: (stacked, per-robot); a batch
     of states (batch, n) takes one reference per row, ``y_d`` (batch, n) with
     each row's reference in every column (a (batch, 1) column gives the same
-    bits, broadcast on every sample)."""
+    bits, broadcast on every sample). Both are arrays, whatever the state: this
+    is the reference route that ``step_baseline`` takes for a batch."""
     y = np.asarray(positions, dtype=float)
     # every constant is an array of y's shape: gamma, gamma*B, then the per-robot ones
-    gamma, gamma_b, c_y, c_f, c_yd = _law_constants(network, laplacian,
-                                                    ("baseline", gamma), y.shape)
-    stacked = y - gamma * np.matvec(laplacian.matrix, y) + gamma_b * y_d
+    gamma, gamma_b, c_y, c_f, c_yd, _ = _law_constants(network, laplacian,
+                                                       ("baseline", gamma), y.shape)
+    stacked = _baseline_stacked(y, laplacian.matrix, gamma, gamma_b, y_d)
     # Row k reads only robot k's position, force and leader spring.
     local = c_y * y + c_f * measured_force(network, y) + c_yd * y_d
     return stacked, local
@@ -258,17 +283,14 @@ def dsr_update_forms(positions, delayed_positions, laplacian: PinnedLaplacian,
     The per-robot route touches nothing global: each robot combines its
     own position and force, their N-step-old values, and (for leaders)
     the reference. ``force`` and ``delayed_force`` are the robots' readings
-    at the two samples, sensed here if not given. Shapes as in
+    at the two samples, sensed here if not given. Shapes and routes as in
     ``baseline_update_forms``."""
     y = np.asarray(positions, dtype=float)
     y_old = np.asarray(delayed_positions, dtype=float)
     # arrays of y's shape: alpha*beta*dt, alpha*beta*dt*B, beta, N, then the per-robot ones
-    rate, rate_b, beta, delay_multiple, c_y, c_f, c_old, c_fold, c_yd = _law_constants(
+    rate, rate_b, beta, delay_multiple, c_y, c_f, c_old, c_fold, c_yd, _ = _law_constants(
         network, laplacian, ("dsr", alpha, beta, dt, delay_multiple), y.shape)
-    k = laplacian.matrix
-    delta = y - y_old
-    stacked = (y - rate * np.matvec(k, y) + rate_b * y_d
-               + (delta - beta * np.matvec(k, delta)) / delay_multiple)
+    stacked = _dsr_stacked(y, y_old, laplacian.matrix, rate, rate_b, beta, delay_multiple, y_d)
 
     # Row k reads only robot k's quantities, all robots evaluated at once.
     if force is None:
@@ -300,14 +322,44 @@ def _crosscheck(stacked: np.ndarray, local: np.ndarray) -> float:
     return np.maximum.reduce(row_scale, axis=None)
 
 
+def _crosscheck_floats(stacked: np.ndarray, local: list[float]) -> float:
+    """``_crosscheck`` of one state whose per-robot update is a list of floats,
+    robot by robot. Where every robot is within the bound no entry of
+    ``stacked`` is NaN, so the largest |stacked| is numpy's; a robot outside
+    it (a NaN anywhere is) hands the state to ``_crosscheck``, which names the
+    failure as it does for the array route."""
+    values = stacked.tolist()
+    scale = max(map(abs, values))
+    bound = _CROSSCHECK_ATOL * max(1.0, scale)
+    for s, l in zip(values, local):
+        if not abs(s - l) <= bound:
+            return _crosscheck(stacked, np.array(local))
+    return scale
+
+
 def step_baseline(state: NetworkState, laplacian: PinnedLaplacian,
                   network: CouplingNetwork, config: ControllerConfig,
                   y_d) -> np.ndarray:
     """One baseline update; returns the next positions, (n,) or (batch, n).
-    Any beyond DIVERGENCE_LIMIT_CM raises DivergenceError."""
-    stacked, local = baseline_update_forms(state.positions, laplacian, network,
-                                           config.gamma, y_d)
-    if not _crosscheck(stacked, local) <= DIVERGENCE_LIMIT_CM:
+    Any beyond DIVERGENCE_LIMIT_CM raises DivergenceError. One state with a
+    scalar reference on a small network is checked robot by robot in Python
+    floats, with the bits of ``baseline_update_forms``, which checks the rest."""
+    # the route: floats for a small network, a scalar reference and one state;
+    # a large network's step pays one attribute test for the choice
+    if (network._spring_floats is not None and isinstance(y_d, float)
+            and np.ndim(state.positions) == 1):
+        y = np.asarray(state.positions, dtype=float)
+        gamma, gamma_b, *_, per_robot = _law_constants(network, laplacian,
+                                                       ("baseline", config.gamma), y.shape)
+        stacked = _baseline_stacked(y, laplacian.matrix, gamma, gamma_b, y_d)
+        local = [c_y * y_k + c_f * f_k + c_yd * y_d for (c_y, c_f, c_yd), y_k, f_k
+                 in zip(per_robot, y.tolist(), measured_force(network, y).tolist())]
+        scale = _crosscheck_floats(stacked, local)
+    else:
+        stacked, local = baseline_update_forms(state.positions, laplacian, network,
+                                               config.gamma, y_d)
+        scale = _crosscheck(stacked, local)
+    if not scale <= DIVERGENCE_LIMIT_CM:
         raise DivergenceError(step=state.step + 1)
     return stacked
 
@@ -315,11 +367,11 @@ def step_baseline(state: NetworkState, laplacian: PinnedLaplacian,
 def step_dsr(state: NetworkState, laplacian: PinnedLaplacian,
              network: CouplingNetwork, config: ControllerConfig,
              y_d) -> np.ndarray:
-    """One cohesive update; returns and raises as ``step_baseline``. The
-    robots sense only the current positions: the N-step-old reading is the
-    one stored when that sample was stepped on this network object, and is
-    sensed again only if there is none. A state whose history does not hold
-    N samples raises ValueError."""
+    """One cohesive update; returns, raises and picks its route as
+    ``step_baseline``. The robots sense only the current positions: the
+    N-step-old reading is the one stored when that sample was stepped on this
+    network object, and is sensed again only if there is none. A state whose
+    history does not hold N samples raises ValueError."""
     if len(state.history) != config.delay_multiple:
         raise ValueError(f"the state's history holds {len(state.history)} samples; "
                          f"delay_multiple is {config.delay_multiple}")
@@ -327,11 +379,28 @@ def step_dsr(state: NetworkState, laplacian: PinnedLaplacian,
         state.readings, state.sensed_on = (), network
     state.reading = measured_force(network, state.positions)
     stored = state.readings[0] if len(state.readings) == len(state.history) else None
-    stacked, local = dsr_update_forms(state.positions, state.delayed_positions,
-                                      laplacian, network, config.alpha,
-                                      config.beta, config.dt,
-                                      config.delay_multiple, y_d, state.reading, stored)
-    if not _crosscheck(stacked, local) <= DIVERGENCE_LIMIT_CM:
+    if (network._spring_floats is not None and isinstance(y_d, float)
+            and np.ndim(state.positions) == 1):
+        y = np.asarray(state.positions, dtype=float)
+        y_old = np.asarray(state.delayed_positions, dtype=float)
+        rate, rate_b, beta, delay, *_, per_robot = _law_constants(
+            network, laplacian, ("dsr", config.alpha, config.beta, config.dt,
+                                 config.delay_multiple), y.shape)
+        stacked = _dsr_stacked(y, y_old, laplacian.matrix, rate, rate_b, beta, delay, y_d)
+        if stored is None:
+            stored = measured_force(network, y_old)
+        local = [c_y * y_k + c_f * f_k + c_old * o_k + c_fold * g_k + c_yd * y_d
+                 for (c_y, c_f, c_old, c_fold, c_yd), y_k, f_k, o_k, g_k
+                 in zip(per_robot, y.tolist(), state.reading.tolist(),
+                        y_old.tolist(), stored.tolist())]
+        scale = _crosscheck_floats(stacked, local)
+    else:
+        stacked, local = dsr_update_forms(state.positions, state.delayed_positions,
+                                          laplacian, network, config.alpha, config.beta,
+                                          config.dt, config.delay_multiple, y_d,
+                                          state.reading, stored)
+        scale = _crosscheck(stacked, local)
+    if not scale <= DIVERGENCE_LIMIT_CM:
         raise DivergenceError(step=state.step + 1)
     return stacked
 

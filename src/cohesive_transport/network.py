@@ -28,6 +28,11 @@ from .eigensolve import eigen_decompose
 from .errors import CalibrationError, UnpinnedNetworkError
 
 _EIGEN_RECONSTRUCT_RTOL = 1e-10
+# Robots plus directed springs up to which one state is sensed, and one run's
+# robots are stepped and checked (dynamics), in Python floats: there numpy's
+# overhead of about 1 us a call costs more than the vector work saves. Timed,
+# the two routes broke even at 40 to 43 (chains of 14 and 15 robots).
+_FLOAT_WORK_LIMIT = 40
 
 
 @dataclass(frozen=True)
@@ -88,6 +93,16 @@ class CouplingNetwork:
         for arr in springs:
             arr.flags.writeable = False
         return springs
+
+    @cached_property
+    def _spring_floats(self) -> tuple[tuple[int, int, float], ...] | None:
+        """The spring list as (robot, neighbour, stiffness) Python triples, in
+        its order, if the robots plus directed springs are at most
+        _FLOAT_WORK_LIMIT; None for a larger network."""
+        robots, neighbours, stiffness = self._springs
+        if self.n + len(robots) > _FLOAT_WORK_LIMIT:
+            return None
+        return tuple(zip(robots.tolist(), neighbours.tolist(), stiffness.tolist()))
 
     @cached_property
     def _batch_bins(self) -> dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]]:
@@ -219,14 +234,22 @@ def measured_force(network: CouplingNetwork, positions: Sequence[float]) -> np.n
     The virtual-source force on leaders is not included here; update
     laws add it separately. Every robot's reading comes from one pass over
     the spring list; a (batch, n) state takes one pass over every row's
-    springs, gathered from the flattened state. Positions of any other
-    shape raise ValueError.
+    springs, gathered from the flattened state. One state of a small network
+    (``_spring_floats``) takes the pass in Python floats, summing each robot's
+    springs in list order as ``np.bincount`` does, so with the same bits.
+    Positions of any other shape raise ValueError.
     """
     y = np.asarray(positions, dtype=float)
     if y.shape[-1:] != (network.n,) or y.ndim > 2:
         raise ValueError(f"positions of shape {y.shape} for {network.n} robots: "
                          f"need ({network.n},) or (batch, {network.n})")
     if y.ndim == 1:
+        springs = network._spring_floats
+        if springs is not None:
+            ys, forces = y.tolist(), [0.0] * network.n
+            for robot, neighbour, stiffness in springs:
+                forces[robot] += stiffness * (ys[robot] - ys[neighbour])
+            return np.array(forces)
         robots, neighbours, stiffness = network._springs
         flat = y
     else:

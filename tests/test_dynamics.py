@@ -6,6 +6,7 @@ import sys
 import warnings
 from pathlib import Path
 
+import hypothesis
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -21,6 +22,8 @@ from cohesive_transport import (ControllerConfig, CouplingNetwork, CrosscheckErr
 from cohesive_transport.dynamics import (_BLOCK_VALUES, _crosscheck, _run,
                                          baseline_update_forms, dsr_update_forms,
                                          num_steps)
+from cohesive_transport.network import _FLOAT_WORK_LIMIT
+from cohesive_transport.stability import baseline_gamma_bound
 
 from conftest import DT, unit_step_scenario
 from strategies import coupling_networks
@@ -299,15 +302,21 @@ def _crosscheck_pairs(draw):
 @example((np.array([[1.0, 0.5], [1e6, 2.0]]), np.array([[1.0, 0.5 + 1e-9], [1e6, 2.0]])))
 @example((np.array([[1.0, math.inf]]), np.array([[1.0, 5.0]])))
 def test_crosscheck_of_a_batch_is_the_documented_bound_row_by_row(pair):
+    # each row also as one state checked in floats, against the list of its local values
     stacked, local = pair
-    expected_scale, expected_message = _crosscheck_row_by_row(stacked, local)
+    cases = [(_crosscheck, stacked, local)] + [
+        (dynamics._crosscheck_floats, row, local_row.tolist())
+        for row, local_row in zip(stacked, local)]
     with np.errstate(invalid="ignore"):   # inf - inf is a NaN residual
-        if expected_message is None:
-            assert float(_crosscheck(stacked, local)) == expected_scale
-        else:
-            with pytest.raises(CrosscheckError) as exc:
-                _crosscheck(stacked, local)
-            assert str(exc.value) == expected_message
+        for crosscheck, rows, local_rows in cases:
+            expected_scale, expected_message = _crosscheck_row_by_row(
+                np.atleast_2d(rows), np.atleast_2d(local_rows))
+            if expected_message is None:
+                assert float(crosscheck(rows, local_rows)) == expected_scale
+            else:
+                with pytest.raises(CrosscheckError) as exc:
+                    crosscheck(rows, local_rows)
+                assert str(exc.value) == expected_message
 
 
 def _update_forms(state, lap, network, config, y_d):
@@ -479,22 +488,194 @@ def test_batched_run_blocks_equal_single_sample_stepping(chain4, rng, config, ba
     assert lengths == ([2, rows, steps - 2 - rows] if batch == 3 else [1] * steps)
 
 
+def _network_of_work(work):
+    """A chain of as many robots as ``work`` allows, plus couplings (0, k):
+    ``work`` robots plus directed springs."""
+    n = (work + 2) // 3
+    n -= (work - n) % 2
+    couplings = {(i, i + 1): 0.05 + 0.001 * i for i in range(n - 1)}
+    couplings.update({(0, k): 0.04 for k in range(2, 2 + (work - n) // 2 - (n - 1))})
+    network = CouplingNetwork(n, couplings, (0.05,) + (0.0,) * (n - 1))
+    assert network.n + 2 * len(network.couplings) == work
+    return network
+
+
+def _stiffer(network):
+    """The network with its first coupling 1.5 times as stiff."""
+    couplings = dict(network.couplings)
+    couplings[next(iter(couplings))] *= 1.5
+    return CouplingNetwork(network.n, couplings, network.leader_stiffness)
+
+
+def _ramp(network, rows):
+    return np.arange(rows * network.n, dtype=float).reshape(rows, network.n)
+
+
+_AT_THE_LIMIT = [_network_of_work(_FLOAT_WORK_LIMIT + d) for d in (-1, 0, 1)]
+_EDGES = st.sampled_from([-0.0, 1e300, -1e300, math.nan, math.inf, -math.inf, 1e9, -1e9,
+                          math.nextafter(1e9, 0.0), math.nextafter(1e9, math.inf)])
+
+
+def _law(kind, gain, delay):
+    """gamma = gain; or alpha = 0.39 and beta = min(gain, 11), but alpha = gain
+    for the overflowing gain 1e308."""
+    return (ControllerConfig.baseline(gain, DT) if kind == "baseline"
+            else ControllerConfig.dsr(0.39 if gain < 1e300 else gain, min(gain, 11.0), DT,
+                                      delay))
+
+
+@st.composite
+def _single_runs(draw, networks=coupling_networks(max_robots=20)):
+    """(network, the network stepped on, law, positions then history oldest
+    first as rows, references): the network stepped on may have one spring
+    stiffer than the Laplacian's, the state sits near 0 or near 1e9 cm with up
+    to two edge values, the references likewise, and a gain of 1e308
+    overflows the per-robot coefficients of strong leader springs."""
+    network = draw(networks)
+    gain = draw(st.sampled_from([None] * 7 + [1e308])) or draw(st.floats(0.01, 5.0))
+    config = _law(draw(st.sampled_from(["baseline", "dsr"])), gain, draw(st.integers(1, 3)))
+    stepped_on = network
+    if network.couplings and draw(st.booleans()):
+        stepped_on = _stiffer(network)
+    offset = draw(st.sampled_from([0.0, 0.9999e9]))
+    size = (config.delay_multiple + 1) * network.n
+    values = [v + offset for v in draw(st.lists(st.floats(-100.0, 100.0),
+                                                min_size=size, max_size=size))]
+    for _ in range(draw(st.integers(0, 2))):
+        values[draw(st.integers(0, size - 1))] = draw(_EDGES)
+    references = draw(st.lists(st.floats(-100.0, 100.0).map(lambda v: v + offset) | _EDGES,
+                               min_size=1, max_size=6))
+    return network, stepped_on, config, np.reshape(values, (-1, network.n)), references
+
+
+def _outcome(step, state, lap, network, config, y_d):
+    try:
+        return step(state, lap, network, config, y_d)
+    except (CrosscheckError, DivergenceError, UnstableGainError) as exc:
+        return type(exc), str(exc)
+
+
+def _same_bits(a, b):
+    """Bitwise equal arrays, every NaN counted as one value."""
+    a, b = (np.where(np.isnan(x), np.nan, x) for x in (a, b))
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@settings(deadline=None)
+@given(_single_runs())
+@example((_AT_THE_LIMIT[0], _AT_THE_LIMIT[0], _law("dsr", 5.0, 3), _ramp(_AT_THE_LIMIT[0], 4),
+          [1.0, 2.0, -0.0]))
+@example((_AT_THE_LIMIT[1], _AT_THE_LIMIT[1], _law("baseline", 1.0, 1),
+          _ramp(_AT_THE_LIMIT[1], 2), [1.0, math.nan]))
+@example((_AT_THE_LIMIT[2], _AT_THE_LIMIT[2], _law("dsr", 5.0, 2), _ramp(_AT_THE_LIMIT[2], 3),
+          [1.0, 2.0, 3.0]))
+@example((_AT_THE_LIMIT[1], _stiffer(_AT_THE_LIMIT[1]), _law("dsr", 5.0, 1),
+          _ramp(_AT_THE_LIMIT[1], 2), [1.0]))
+@example((_AT_THE_LIMIT[2], _stiffer(_AT_THE_LIMIT[2]), _law("baseline", 1.0, 1),
+          _ramp(_AT_THE_LIMIT[2], 2), [1.0]))
+def test_single_run_routes_match_their_batch_row(case):
+    """One state steps, reads and fails as its row in a (1, n) batch, which
+    takes the array route: the same bits, the same error and message. On a
+    small network its per-robot law is checked in floats, with the bits of
+    the array route's per-robot law."""
+    network, stepped_on, config, rows, references = case
+    small = stepped_on.n + 2 * len(stepped_on.couplings) <= _FLOAT_WORK_LIMIT
+    hypothesis.event("floats" if small else "arrays")
+    lap = build_pinned_laplacian(network)
+    step = step_baseline if config.kind == "baseline" else step_dsr
+    single = NetworkState(rows[0], tuple(rows[1:]))
+    batch = NetworkState(rows[0][None], tuple(row[None] for row in rows[1:]))
+    checked, crosscheck_floats = [], dynamics._crosscheck_floats
+
+    def recorded(stacked, local):
+        checked.append(np.array(local))
+        return crosscheck_floats(stacked, local)
+
+    with np.errstate(all="ignore"), pytest.MonkeyPatch.context() as patch:
+        patch.setattr(dynamics, "_crosscheck_floats", recorded)
+        for y_d in references:
+            assert _same_bits(measured_force(stepped_on, single.positions),
+                              measured_force(stepped_on, batch.positions)[0])
+            try:   # the array route's per-robot law
+                local = _update_forms(single, lap, stepped_on, config, y_d)[1]
+            except UnstableGainError:
+                local = None
+            checked.clear()
+            got = _outcome(step, single, lap, stepped_on, config, y_d)
+            assert len(checked) == (small and local is not None)
+            assert not checked or _same_bits(checked[0], local)
+            want = _outcome(step, batch, lap, stepped_on, config, np.full((1, 1), y_d))
+            if config.kind == "dsr":   # the stored reading is the batch route's
+                assert _same_bits(single.reading, batch.reading[0])
+            if isinstance(want, tuple):
+                assert got == want
+                hypothesis.event(want[0].__name__)
+                return
+            assert _same_bits(got, want[0])
+            single, batch = single.advanced(got), batch.advanced(want)
+
+
+@settings(deadline=None)
+@given(coupling_networks(max_robots=20), st.sampled_from(["baseline", "dsr"]),
+       st.integers(1, 3), st.floats(0.5e9, 3e9), st.floats(0.1, 3.0))
+@example(StiffnessChain((0.05,) * 3, (0.05, 0.0, 0.0, 0.0)), "baseline", 1, 1.5e9, 1.0)
+@example(StiffnessChain((0.05,) * 3, (0.05, 0.0, 0.0, 0.0)), "dsr", 2, 1.5e9, 2.5)
+@example(_AT_THE_LIMIT[0], "dsr", 3, 1.5e9, 1.0)
+@example(_AT_THE_LIMIT[1], "baseline", 1, 2e9, 2.0)
+@example(_AT_THE_LIMIT[2], "dsr", 1, 1.5e9, 1.0)
+def test_single_run_routes_diverge_at_their_batch_rows_step(network, kind, delay,
+                                                            amplitude, gain):
+    """Driven towards ``amplitude`` past 1e9 cm, a single run (Python-float
+    references, the float route on a small network) steps the same samples
+    as its batch of one and raises the same error at the same step."""
+    lap = build_pinned_laplacian(network)
+    config = _law(kind, gain * baseline_gamma_bound(lap), delay)
+    references = np.full(301, amplitude)
+    runs = []
+    with np.errstate(all="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("ignore", UnstableControllerWarning)
+        for refs in (references, references[:, None]):
+            samples = []
+            try:
+                for _, block in _run(network, config, refs):
+                    samples.append(block[1:].reshape(-1, network.n).copy())
+                error = None
+            except (CrosscheckError, DivergenceError) as exc:
+                error = (type(exc), str(exc))
+            runs.append((np.concatenate(samples) if samples else None, error))
+    (single, single_error), (batch, batch_error) = runs
+    assert single_error == batch_error
+    assert (single is None and batch is None) or _same_bits(single, batch)
+    hypothesis.event("diverged" if single_error else "stayed below 1e9 cm")
+
+
 _OPTIMIZED_SCRIPT = """
 assert False, "asserts are still on"
 import numpy as np
 from cohesive_transport import *
+from cohesive_transport.network import _FLOAT_WORK_LIMIT
 chain = StiffnessChain((0.05, 0.05, 0.05), (0.05, 0, 0, 0))
 stiffer = StiffnessChain((0.05, 0.06, 0.05), (0.05, 0, 0, 0))
 lap = build_pinned_laplacian(chain)
 single = NetworkState.at_rest([0.0, 1.0, 3.0, 6.0], delay_multiple=2)
 batch = NetworkState.at_rest([[0.0] * 4, [0.0, 1.0, 3.0, 6.0]], delay_multiple=2)
-for label, state, y_d in (("", single, 1.0), ("batched ", batch, np.ones((2, 1)))):
+# a chain of 3 n - 2 > _FLOAT_WORK_LIMIT robots plus directed springs
+n = _FLOAT_WORK_LIMIT // 3 + 2
+leaders = (0.05,) + (0.0,) * (n - 1)
+large_lap = build_pinned_laplacian(StiffnessChain((0.05,) * (n - 1), leaders))
+large = StiffnessChain((0.06,) + (0.05,) * (n - 2), leaders)
+large_single = NetworkState.at_rest(np.arange(n) ** 2.0, delay_multiple=2)
+for label, network, laplacian, state, y_d in (
+        ("", stiffer, lap, single, 1.0), ("large ", large, large_lap, large_single, 1.0),
+        ("batched ", stiffer, lap, batch, np.ones((2, 1)))):
     for step, config in ((step_baseline, ControllerConfig.baseline(1.93, 0.03)),
                          (step_dsr, ControllerConfig.dsr(0.39, 10.92, 0.03, 2))):
         try:
-            step(state, lap, stiffer, config, y_d)
+            step(state, laplacian, network, config, y_d)
         except CrosscheckError:
-            print(label + step.__name__, "raised")
+            (_, constants), = network._law_coefficients.values()
+            route = "arrays" if constants[-1] is None else "floats"
+            print(label + step.__name__, "raised on the", route, "route")
 """
 
 
@@ -504,9 +685,13 @@ def test_crosscheck_survives_optimized_python():
                             capture_output=True, text=True, timeout=120,
                             env={**os.environ, "PYTHONPATH": str(src)})
     assert result.returncode == 0, result.stderr
-    assert result.stdout.splitlines() == ["step_baseline raised", "step_dsr raised",
-                                          "batched step_baseline raised",
-                                          "batched step_dsr raised"]
+    # one state of four robots is checked in floats, a larger one and a batch as arrays
+    assert result.stdout.splitlines() == [
+        "step_baseline raised on the floats route", "step_dsr raised on the floats route",
+        "large step_baseline raised on the arrays route",
+        "large step_dsr raised on the arrays route",
+        "batched step_baseline raised on the arrays route",
+        "batched step_dsr raised on the arrays route"]
 
 
 def test_multisample_delay_matches_manual_form(chain4, lap4, rng):

@@ -18,7 +18,7 @@ from cohesive_transport import (ControllerConfig, DivergenceError, PinnedLaplaci
 from cohesive_transport import ScenarioConfig, TrajectorySpec, modal, tuning, write_config
 from cohesive_transport.cli import main
 from cohesive_transport.dynamics import _run, num_steps
-from cohesive_transport.metrics import SETTLING_BAND
+from cohesive_transport.metrics import SETTLING_BAND, Peaks
 from cohesive_transport.stability import _mode_roots
 from cohesive_transport.tuning import dsr_gains_vs_ts_table, ts_vs_gamma_table
 
@@ -371,6 +371,33 @@ def test_a_too_early_prediction_costs_a_retry_not_a_number(chain4, monkeypatch):
             for c in (_B(1.93, DT), _D(0.39, 10.92, DT))] == stream
     assert dict(counts) == honest
     assert stops == [354, 354, 354, 338, 338, 338]
+
+
+def test_the_tuners_test_holds_the_band_and_the_peak_move_exactly(chain4, monkeypatch):
+    """The test the tuner hands ``first_stop`` accepts a reach of exactly
+    SETTLING_BAND and a move one ulp below the peak move so far, and rejects
+    the next float above the band and the peak move itself: inf from rest,
+    where no move is stepped, then the stepped peak."""
+    first_stop, made, judged = tuning.first_stop, [], []
+
+    class RecordedPeaks(Peaks):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    def judging(tail, now, prev, at, until, end, amplitude, test, *args):
+        peak = math.inf if at == 1 else float(made[-1].peak_move)
+        above, below = math.nextafter(SETTLING_BAND, math.inf), math.nextafter(peak, 0.0)
+        judged.append((bool(test(0.0, SETTLING_BAND, 0.0)), bool(test(0.0, above, 0.0)),
+                       bool(test(0.0, 0.0, below)), bool(test(0.0, 0.0, peak))))
+        return first_stop(tail, now, prev, at, until, end, amplitude, test, *args)
+
+    monkeypatch.setattr(tuning, "Peaks", RecordedPeaks)
+    monkeypatch.setattr(tuning, "first_stop", judging)
+    for controller in (_B(1.93, DT), _D(0.39, 10.92, DT)):
+        tuning._measure_step_response(chain4, controller, spec_for(10.0))
+    assert len(judged) == 4   # per law: from rest, and at the stop it predicts
+    assert set(judged) == {(True, False, True, False)}
 
 
 def settled(peak_move):
