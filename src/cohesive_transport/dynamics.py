@@ -59,7 +59,7 @@ import numpy as np
 
 from . import metrics, stability
 from .errors import CrosscheckError, DivergenceError, UnstableGainError
-from .network import (CouplingNetwork, PinnedLaplacian,
+from .network import (CouplingNetwork, PinnedLaplacian, _shape_error,
                       build_pinned_laplacian, measured_force, neighbor_forces)
 from .trajectory import reference_series
 
@@ -214,11 +214,15 @@ def _law_constants(network: CouplingNetwork, laplacian: PinnedLaplacian, gains: 
     keeps one entry, for the gains and shape last stepped; other gains,
     another shape or another laplacian replace it. Gains that overflow a
     per-robot coefficient raise UnstableGainError, which the update forms,
-    fetching the constants first, raise before any arithmetic on those gains."""
+    fetching the constants first, raise before any arithmetic on those gains.
+    States of a shape other than (n,) and (batch, n) raise ``measured_force``'s
+    ValueError, checked only where an entry is built."""
     cache = network._law_coefficients
     cached = cache.get((gains, shape))
     if cached is not None and cached[0] is laplacian:
         return cached[1]
+    if shape[-1:] != (network.n,) or len(shape) > 2:
+        raise _shape_error(network, shape)
     leaders = np.asarray(network.leader_stiffness)
     with np.errstate(over="ignore", invalid="ignore"):
         if gains[0] == "baseline":   # stacked: gamma, gamma*B; local: multiply y, f, y_d

@@ -227,6 +227,12 @@ def build_pinned_laplacian(network: CouplingNetwork) -> PinnedLaplacian:
     return network._laplacian
 
 
+def _shape_error(network: CouplingNetwork, shape: tuple[int, ...]) -> ValueError:
+    """The error for positions of ``shape`` where (n,) or (batch, n) is needed."""
+    return ValueError(f"positions of shape {shape} for {network.n} robots: "
+                      f"need ({network.n},) or (batch, {network.n})")
+
+
 def measured_force(network: CouplingNetwork, positions: Sequence[float]) -> np.ndarray:
     """Local object force on each robot: the sum of its neighbor spring forces.
 
@@ -241,8 +247,7 @@ def measured_force(network: CouplingNetwork, positions: Sequence[float]) -> np.n
     """
     y = np.asarray(positions, dtype=float)
     if y.shape[-1:] != (network.n,) or y.ndim > 2:
-        raise ValueError(f"positions of shape {y.shape} for {network.n} robots: "
-                         f"need ({network.n},) or (batch, {network.n})")
+        raise _shape_error(network, y.shape)
     if y.ndim == 1:
         springs = network._spring_floats
         if springs is not None:

@@ -19,8 +19,8 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
-from .modal import ModalTail, first_stop, tail_roots
 from .network import build_pinned_laplacian
+from .stability import ModalTail, first_stop, tail_roots
 
 if TYPE_CHECKING:
     from .metrics import Peaks
@@ -149,8 +149,8 @@ def cutoff_sweep(scenario: "ScenarioConfig",
     follow the samples stepped, not the duration.
 
     The batch stops early, at the first sample from which the modal tail
-    bound (``modal.first_stop``) proves for every row that no later sample can
-    raise its peak deformation or speed, or diverge: the rows keep the bits
+    bound (``stability.first_stop``) proves for every row that no later sample
+    can raise its peak deformation or speed, or diverge: the rows keep the bits
     of the whole duration. The bound is tried at samples 16, 32, 64, ..., each
     time for a stop before the next of them; a stop it finds is requested as a
     block end, where the bound is derived again from the stepped positions.

@@ -49,13 +49,13 @@ F = 2*T(gamma*); a capped beta raises F.
 The unit step is stepped once, up to 16 T, keeping only its last sample
 outside the band and its largest move per sample. It is judged at the first
 horizon 2*T*2**k (k = 0..3) that ends inside the band; stepping stops earlier
-where the modal tail bound (``modal``, shared with the cutoff sweep) proves that
-no later sample can change those numbers, so tuning.json keeps its bits
-(``_measure_step_response``). Roots on or outside the unit circle, nearly
-repeated pairs and delays N > 1 have no bound and step to the horizon. A
-target is infeasible if 16 T/dt exceeds MAX_STEP_SAMPLES, over an hour's
-stepping (2e8 suffice for the shortest target both controllers reach on a
-1024-robot chain at dt = 0.03).
+where the modal tail bound (``stability.first_stop``, shared with the cutoff
+sweep) proves that no later sample can change those numbers, so tuning.json
+keeps its bits (``_measure_step_response``). Roots on or outside the unit
+circle, nearly repeated pairs and delays N > 1 have no bound and step to the
+horizon. A target is infeasible if 16 T/dt exceeds MAX_STEP_SAMPLES, over an
+hour's stepping (2e8 suffice for the shortest target both controllers reach on
+a 1024-robot chain at dt = 0.03).
 """
 from __future__ import annotations
 
@@ -70,10 +70,10 @@ from .dynamics import MAX_STEP_SAMPLES, ControllerConfig, _run, num_steps
 from .dynamics import simulate  # noqa: F401
 from .errors import DivergenceError, TuningInfeasibleError, UnstableGainError
 from .metrics import SETTLING_BAND, Peaks
-from .modal import ModalTail, first_stop, tail_roots
 from .network import CouplingNetwork, PinnedLaplacian, build_pinned_laplacian
-from .stability import (StabilityReport, baseline_gamma_bound, baseline_spectral_radius,
-                        closed_form_stable, spectral_radius)
+from .stability import (ModalTail, StabilityReport, baseline_gamma_bound,
+                        baseline_spectral_radius, closed_form_stable, first_stop,
+                        spectral_radius, tail_roots)
 
 # rounding allowed between the target decay and the root that meets it
 _ROOT_RTOL = 8 * 2.0 ** -52
@@ -149,12 +149,12 @@ def _measure_step_response(network: CouplingNetwork,
     inside the band, else (inf, max speed) up to the last.
 
     Stepping stops earlier, at the first sample c from which the modal tail
-    bound (``modal``, with A = 1 and C = 0) proves that every sample up to the
-    last horizon stays inside the band and moves less than the peak move so
-    far: no later sample can then change the numbers. The first c is predicted
-    from rest. At c the bound is derived again from the stepped positions, so
-    rounding before c does not count; where it does not hold yet, the stepped
-    state predicts the next c. The tail is not bounded, and every horizon is
+    bound (``stability.first_stop``, with A = 1 and C = 0) proves that every
+    sample up to the last horizon stays inside the band and moves less than the
+    peak move so far: no later sample can then change the numbers. The first c
+    is predicted from rest. At c the bound is derived again from the stepped
+    positions, so rounding before c does not count; where it does not hold yet,
+    the stepped state predicts the next c. The tail is not bounded, and every horizon is
     stepped, at roots on or outside the unit circle, nearly repeated pairs and
     delays N > 1.
     """

@@ -411,6 +411,29 @@ def test_step_dsr_rejects_a_history_of_another_delay(chain4, lap4, rows):
     step_dsr(NetworkState.at_rest(np.zeros(rows + (4,)), 3), lap4, chain4, config, y_d)
 
 
+@pytest.mark.parametrize("offset", [-1, 1], ids=["n-1", "n+1"])
+@pytest.mark.parametrize("robots, rows", [(4, ()), (15, ()), (4, (2,))],
+                         ids=["chain4-floats", "chain15-arrays", "chain4-batch"])
+@pytest.mark.parametrize("step, config", [
+    (step_baseline, ControllerConfig.baseline(1.93, DT)),
+    (step_dsr, ControllerConfig.dsr(0.39, 10.92, DT)),
+], ids=["baseline", "dsr"])
+def test_both_laws_name_a_state_of_the_wrong_width(step, config, robots, rows, offset):
+    # one chain4 state takes the float route, one of 15 robots (15 + 28 springs) the arrays
+    network = StiffnessChain((0.05,) * (robots - 1), (0.05,) + (0.0,) * (robots - 1))
+    assert (network._spring_floats is None) == (robots == 15)
+    lap = build_pinned_laplacian(network)
+    y_d = np.ones(rows + (1,)) if rows else 1.0
+    step(NetworkState.at_rest(np.zeros(rows + (robots,))), lap, network, config, y_d)
+    shape = rows + (robots + offset,)   # stepped after a state of the right width
+    with pytest.raises(ValueError) as exc:
+        step(NetworkState.at_rest(np.zeros(shape)), lap, network, config, y_d)
+    assert str(exc.value) == (f"positions of shape {shape} for {robots} robots: "
+                              f"need ({robots},) or (batch, {robots})")
+    with pytest.raises(ValueError, match=re.escape(str(exc.value))):
+        measured_force(network, np.zeros(shape))
+
+
 @pytest.mark.parametrize("step, config", [
     (step_baseline, ControllerConfig.baseline(1.93, DT)),
     (step_dsr, ControllerConfig.dsr(0.39, 10.92, DT)),

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from cohesive_transport import (ControllerConfig, CouplingNetwork, DivergenceError,
                                 ScenarioConfig, StiffnessChain, SweepRow, TrajectorySpec,
                                 build_pinned_laplacian, cutoff_sweep, dynamics, load_config,
-                                modal, reference_series, simulate, trajectory)
+                                reference_series, simulate, stability, trajectory)
 from cohesive_transport.benchmark import baseline_scenario, dsr_scenario
 from cohesive_transport.cli import _DEFAULT_SWEEP
 from cohesive_transport.dynamics import _BLOCK_VALUES, _run, num_steps
@@ -265,7 +265,7 @@ def test_sweep_matches_the_full_horizon_on_any_network(network, kind, delay, gai
     assert swept == _outcome(_full_horizon, scenario, cutoffs)
     stepped, steps = sum(counts.values()), num_steps(scenario.duration, DT)
     poles = trajectory._tustin_pole(np.array(cutoffs) * DT)
-    if modal.tail_roots(build_pinned_laplacian(network), controller, poles) is None:
+    if stability.tail_roots(build_pinned_laplacian(network), controller, poles) is None:
         assert stepped == steps or swept[0] == "diverged"
     hypothesis.event("diverged" if swept[0] == "diverged" else
                      "stopped early" if stepped < steps else "stepped to the end")
@@ -338,7 +338,7 @@ def test_sweep_where_the_filter_pole_rounds_to_one(config, cutoff):
        st.floats(0.01, 2.0), st.floats(-100.0, 100.0), st.integers(0, 5), st.floats(0.0, 1.0))
 def test_a_stop_is_found_only_where_no_later_sample_raises_a_peak(
         network, kind, gain, alpha, reference_kind, cutoff, amplitude, start, where):
-    """From any sample c of a 20 s run, ``modal.first_stop`` finds c only if no
+    """From any sample c of a 20 s run, ``stability.first_stop`` finds c only if no
     sample from c on spreads wider than the peak spread it is given, moves as
     far as the peak move, reaches the limit or, as the tuner tests, lies
     outside the band around A: given the largest of these less one ulp (the
@@ -349,9 +349,9 @@ def test_a_stop_is_found_only_where_no_later_sample_raises_a_peak(
     lap = build_pinned_laplacian(network)
     filtered = reference_kind == "filtered_step"
     poles = trajectory._tustin_pole(np.array([cutoff]) * DT) if filtered else None
-    roots = modal.tail_roots(lap, controller, () if poles is None else poles)
+    roots = stability.tail_roots(lap, controller, () if poles is None else poles)
     hypothesis.assume(roots is not None)
-    tail = modal.ModalTail(lap, controller, roots)
+    tail = stability.ModalTail(lap, controller, roots)
     steps = num_steps(20.0, DT)
     spec = TrajectorySpec(reference_kind, amplitude, cutoff if filtered else None, start)
     references = reference_series(spec, DT, steps)[:, None]
@@ -367,7 +367,7 @@ def test_a_stop_is_found_only_where_no_later_sample_raises_a_peak(
         def test(spread, reach, move):
             return ((spread <= peak_spread) & (move < peak_move)
                     & (abs(amplitude) + reach <= limit) & (reach <= band))
-        return modal.first_stop(tail, positions[c], positions[c - 1], c, c + 1, steps,
+        return stability.first_stop(tail, positions[c], positions[c - 1], c, c + 1, steps,
                                 amplitude, test, poles, references[c])
 
     below = np.nextafter([spread, size, off], -np.inf)

@@ -15,7 +15,7 @@ from cohesive_transport import (ControllerConfig, DivergenceError, PinnedLaplaci
                                 build_pinned_laplacian, dsr_settling_estimate,
                                 closed_form_stable, settling_time_estimate,
                                 simulate, summarize, tune, tune_gamma)
-from cohesive_transport import ScenarioConfig, TrajectorySpec, modal, tuning, write_config
+from cohesive_transport import ScenarioConfig, TrajectorySpec, stability, tuning, write_config
 from cohesive_transport.cli import main
 from cohesive_transport.dynamics import _run, num_steps
 from cohesive_transport.metrics import SETTLING_BAND, Peaks
@@ -339,7 +339,7 @@ def test_unbounded_tails_step_as_the_horizons_do(chain4, controller, target, ste
     """Where no tail bound exists the unit step is stepped as the oracle steps
     its first horizon: the same samples, but for the oracle's step from sample
     0 to 1 at rest, to the same divergence or the horizon's end."""
-    assert modal.tail_roots(build_pinned_laplacian(chain4), controller) is None
+    assert stability.tail_roots(build_pinned_laplacian(chain4), controller) is None
     counts = step_counts(monkeypatch)
     outcomes, stepped = [], []
     for measure in (tuning._measure_step_response, _retry_loop):
@@ -411,15 +411,15 @@ def test_the_stop_waits_until_no_later_move_can_reach_the_peak(chain4):
     up to the end reaches that peak."""
     lap = build_pinned_laplacian(chain4)
     controller = _B(1.93, DT)
-    tail = modal.ModalTail(lap, controller, modal.tail_roots(lap, controller))
+    tail = stability.ModalTail(lap, controller, stability.tail_roots(lap, controller))
     end = 1000   # positions[u - 1] is the unit step's sample u
     positions = np.vstack([np.zeros(lap.n)] + [block[1:].copy() for _, block in _run(
         chain4, controller, np.broadcast_to(1.0, (end,)))])
     moves = np.max(np.abs(np.diff(positions, axis=0)), axis=1)   # from sample u: moves[u - 1]
     now, prev = positions[353], positions[352]
-    assert modal.first_stop(tail, now, prev, 354, end, end, 1.0, settled(math.inf)) == 354
+    assert stability.first_stop(tail, now, prev, 354, end, end, 1.0, settled(math.inf)) == 354
     peak = moves[353] / 5.0
-    stop = modal.first_stop(tail, now, prev, 354, end, end, 1.0, settled(peak))
+    stop = stability.first_stop(tail, now, prev, 354, end, end, 1.0, settled(peak))
     assert stop > 354
     assert np.max(moves[stop - 1:]) < peak
 
@@ -467,9 +467,9 @@ def test_tail_margin_covers_the_rounding_of_every_later_sample(network, kind, ga
     lap = build_pinned_laplacian(network)
     controller = (_B(gain * baseline_gamma_bound(lap), DT) if kind == "baseline"
                   else _D(alpha, gain * baseline_gamma_bound(lap), DT))
-    roots = modal.tail_roots(lap, controller)
+    roots = stability.tail_roots(lap, controller)
     assume(roots is not None)
-    tail = modal.ModalTail(lap, controller, roots)
+    tail = stability.ModalTail(lap, controller, roots)
     stepped = np.concatenate([block[1:].copy() for _, block in _run(
         network, controller, np.broadcast_to(1.0, (samples + 1,)))])
     error = np.vstack([np.zeros(lap.n), stepped]) - 1.0       # samples 0..samples
