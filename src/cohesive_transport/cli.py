@@ -40,7 +40,8 @@ from .dynamics import SimulationTrace, simulate
 from .errors import CohesiveTransportError, ConfigError, DivergenceError
 from .network import build_pinned_laplacian
 from .scenario import ScenarioConfig, load_config
-from .stability import baseline_gamma_bound, baseline_spectral_radius, spectral_radius
+from .stability import (baseline_gamma_bound, baseline_spectral_radius, mode_roots,
+                        spectral_radius)
 from .trajectory import cutoff_sweep
 
 _DEFAULT_SWEEP = [round(0.02 * i, 10) for i in range(1, 26)]  # 0.02 .. 0.5 rad/s
@@ -332,7 +333,7 @@ def cmd_stability(args) -> int:
         payload = spectral_radius(lap, ctl.alpha, ctl.beta, ctl.dt,
                                   ctl.delay_multiple).as_dict()
     else:
-        bound, multipliers = baseline_gamma_bound(lap), 1.0 - ctl.gamma * lap.eigenvalues
+        bound, multipliers = baseline_gamma_bound(lap), mode_roots(lap, ctl)[:, 0]
         payload = {"stable": ctl.gamma < bound,
                    "spectral_radius": baseline_spectral_radius(lap, ctl.gamma),
                    "gamma_bound": bound,

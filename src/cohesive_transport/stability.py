@@ -27,7 +27,8 @@ Root magnitudes within MARGINAL_TOL of 1 (and Jury quantities within
 MARGINAL_TOL of their boundaries) are treated as unstable: the closed
 form is an open set, and a marginal system is useless in practice.
 
-The tail bound takes R <= 2: the baseline, or N = 1. Let the reference be
+``ModalTail.of`` builds the tail bound on ``mode_roots``, and lists where there
+is none. Let the reference be
 
     y_d[c + j] = A - C p**j        (j >= 0),
 
@@ -212,35 +213,25 @@ def spectral_radius(laplacian: PinnedLaplacian, alpha: float, beta: float,
                            binding_mode=binding, marginal=abs(sigma - 1.0) <= MARGINAL_TOL)
 
 
-def tail_roots(laplacian: PinnedLaplacian, controller, poles=()) -> np.ndarray | None:
-    """Each mode's roots as a (modes, R) array: 1 - gamma*lam_k for the
-    baseline (R = 1), the quadratic's pair for the cohesive law at N = 1
-    (R = 2). None where the tail is not bounded: a delay N > 1, a root on or
-    outside the unit circle, a nearly repeated pair, or a reference pole in
-    ``poles`` as near a root, apart by _NEAR_REPEATED or less."""
+def mode_roots(laplacian: PinnedLaplacian, controller) -> np.ndarray:
+    """Each mode's roots, largest magnitude first, as a (modes, R) array: the
+    baseline's 1 - gamma*lam_k (R = 1), or the cohesive law's two largest (R =
+    2, as ``spectral_radius`` reports them)."""
     if controller.kind == "baseline":
-        roots = _baseline_roots(laplacian, controller.gamma)
-    elif controller.delay_multiple == 1:
-        z1, z2 = _mode_roots(laplacian.eigenvalues, controller.alpha, controller.beta,
-                             controller.dt)
-        if not np.min(_magnitude(z1 - z2)) > _NEAR_REPEATED:
-            return None
-        roots = np.stack([z1, z2], axis=1)
-    else:
-        return None
-    poles = np.asarray(poles, dtype=float)
-    if poles.size and not np.min(np.abs(poles[:, None, None] - roots)) > _NEAR_REPEATED:
-        return None
-    return roots if np.max(np.abs(roots)) < 1.0 else None
+        return _baseline_roots(laplacian, controller.gamma)
+    return np.stack(_mode_roots(laplacian.eigenvalues, controller.alpha, controller.beta,
+                                controller.dt, controller.delay_multiple), axis=1)
 
 
 class ModalTail:
-    """The modal algebra of one network and controller with bounded roots
-    (``tail_roots``): forced parts, transient amplitudes, their bounds per
-    robot, and the rounding margins. States may carry leading batch axes, one
-    run per row, as ``dynamics._run`` steps them."""
+    """The modal algebra of one network and controller with bounded roots,
+    for a reference A - C p**j with one pole p per run (``of``): forced parts,
+    transient amplitudes, their bounds per robot, and the rounding margins.
+    States may carry leading batch axes, one run per row, as ``dynamics._run``
+    steps them."""
 
-    def __init__(self, laplacian: PinnedLaplacian, controller, roots: np.ndarray):
+    def __init__(self, laplacian: PinnedLaplacian, controller, roots: np.ndarray, poles):
+        self.poles = poles   # one per run, or None for a constant reference
         self.vectors, self.magnitudes = laplacian.eigenvectors, np.abs(laplacian.eigenvectors)
         self.roots, self.rates, self.moves = roots, np.abs(roots), np.abs(roots - 1.0)
         if controller.kind == "baseline":
@@ -260,23 +251,38 @@ class ModalTail:
         self.leader_drive = drive * float(np.max(leaders))
         self.drive_size = drive * float(np.max(leaders @ self.magnitudes))
 
-    def forced(self, pole: np.ndarray, lag: np.ndarray) -> np.ndarray:
-        """G_k, (..., modes), of the reference A - ``lag`` * ``pole``**j, one
-        pole and lag per run."""
-        pole = np.asarray(pole, dtype=float)[..., None]
+    @classmethod
+    def of(cls, laplacian: PinnedLaplacian, controller, poles=None) -> ModalTail | None:
+        """The tail of ``controller`` on ``laplacian``, from ``mode_roots``, for a
+        reference with one pole per run in the array ``poles`` (None: constant,
+        C = 0). None in the cases without a bound, listed here alone: a delay N > 1,
+        a root on or outside the unit circle, a nearly repeated pair of roots,
+        or a pole as near a root (apart by _NEAR_REPEATED or less)."""
+        if controller.kind != "baseline" and controller.delay_multiple != 1:
+            return None
+        roots = mode_roots(laplacian, controller)
+        gaps = [_magnitude(roots[:, :-1] - roots[:, 1:])]   # the pair's, if any
+        if poles is not None:
+            gaps.append(np.abs(poles[:, None, None] - roots))
+        bounded = np.max(np.abs(roots)) < 1.0 and all(np.all(g > _NEAR_REPEATED) for g in gaps)
+        return cls(laplacian, controller, roots, poles) if bounded else None
+
+    def forced(self, lag: np.ndarray) -> np.ndarray:
+        """G_k, (..., modes), of the reference A - ``lag`` * p**j, one pole and
+        lag per run."""
+        pole = self.poles[..., None]
         response = np.prod(pole[..., None] - self.roots, axis=-1).real
         lead = pole ** (self.roots.shape[1] - 1)
         return -np.asarray(lag)[..., None] * lead * self.drive / response
 
-    def amplitudes(self, now: np.ndarray, prev: np.ndarray, forced=None,
-                   pole=None) -> np.ndarray:
+    def amplitudes(self, now: np.ndarray, prev: np.ndarray, forced=None) -> np.ndarray:
         """|a_kr|, (..., modes, R), from the errors Y - A at c (``now``) and
-        c - 1 (``prev``), less the forced part G (``forced``, with ``pole``) if
-        given, widened by their rounding."""
+        c - 1 (``prev``), less the forced part G (``forced``) if given, widened
+        by their rounding."""
         at_now, at_prev = now @ self.vectors, prev @ self.vectors
         slack = (now.shape[-1] + 2) * _EPS * ((np.abs(now) + np.abs(prev)) @ self.magnitudes)
         if forced is not None:
-            back = forced / np.asarray(pole)[..., None]
+            back = forced / self.poles[..., None]
             at_now, at_prev = at_now - forced, at_prev - back
             slack = slack + _EPS * (np.abs(back) + np.abs(at_now) + np.abs(at_prev))
         if self.roots.shape[1] == 1:
@@ -311,28 +317,25 @@ class ModalTail:
         moves' margin sums |h_k(j) - h_k(j - 1)| instead.
         """
         # per root, sum_{j < left} |z|**j at most; then per mode the sums of
-        # |h(j)| and of |h(j) - h(j - 1)|, h its response to a unit injection
+        # |h(j)| and of |h(j) - h(j - 1)|, h its response to a unit injection,
+        # the latter times the other roots' sums (their product is 1 at R = 1)
         sums = np.minimum(left, 1.0 / (1.0 - self.rates))
-        if sums.shape[1] == 1:
-            grows, move_grows = sums[:, 0], 1.0 + self.moves[:, 0] * sums[:, 0]
-        else:
-            grows = sums[:, 0] * sums[:, 1]
-            move_grows = np.min((1.0 + self.moves * sums) * sums[:, ::-1], axis=1)
+        others = np.where(np.eye(sums.shape[1], dtype=bool), 1.0, sums[:, None]).prod(axis=-1)
+        grows, move_grows = sums.prod(axis=1), ((1.0 + self.moves * sums) * others).min(axis=1)
         return (delta * float(np.max(self.magnitudes @ (self.reach * grows))),
                 delta * float(np.max(self.magnitudes @ (self.reach * move_grows))))
 
 
 def first_stop(tail: ModalTail, now: np.ndarray, prev: np.ndarray, at: int, until: int,
-               end: int, amplitude: float, test: Callable, poles=None,
-               reference=None) -> int | None:
+               end: int, amplitude: float, test: Callable, reference=None) -> int | None:
     """The first sample c, ``at`` <= c < ``until``, from which every sample up
     to ``end`` passes ``test``; None if there is none. Row b (of a batch, or
     the one run) has positions ``now[b]`` at ``at`` and ``prev[b]`` before it,
     and the reference A - C p**j from ``at`` on: A = ``amplitude``, and p =
-    ``poles[b]`` and A - C = ``reference[b]`` for a filtered one; without
-    ``poles`` the reference is the constant A (C = 0). ``test(spread, reach,
-    move)`` judges, per row, bounds from c on of the spread, of max_i |Y_i - A|
-    and of the largest move, rounding margins included.
+    ``tail.poles[b]`` and A - C = ``reference[b]`` for a filtered one; for a
+    tail without poles the reference is the constant A (C = 0). ``test(spread,
+    reach, move)`` judges, per row, bounds from c on of the spread, of max_i
+    |Y_i - A| and of the largest move, rounding margins included.
 
     Robot i's position at c + j is A plus the forced part p**j (V G)_i plus
     the transient, so the spread is at most p**j ptp(V G) + 2 max_i T_i(j),
@@ -356,13 +359,13 @@ def first_stop(tail: ModalTail, now: np.ndarray, prev: np.ndarray, at: int, unti
     has neither. The margin, at least 3 (n + 8) eps s, also covers the
     evaluation of the bounds, each at most (n + 8) eps times a value below s.
     """
-    n, left = now.shape[-1], end - at
+    n, left, poles = now.shape[-1], end - at, tail.poles
     if poles is None:
         forced, size, gap, step, lag, residual = None, 0.0, 0.0, 0.0, 0.0, 0.0
         level = abs(amplitude)
     else:
         lag = amplitude - reference
-        forced = tail.forced(poles, lag)
+        forced = tail.forced(lag)
         shape = forced @ tail.vectors.T
         slack = (n + 2) * _EPS * (np.abs(forced) @ tail.magnitudes.T)
         size = np.abs(shape) + slack
@@ -374,7 +377,7 @@ def first_stop(tail: ModalTail, now: np.ndarray, prev: np.ndarray, at: int, unti
         residual = 8.0 * _EPS * level * np.minimum(left, samples)
     if not (np.any(level) or np.any(now) or np.any(prev)):
         return at   # every row stays exactly 0
-    amplitudes = tail.amplitudes(now - amplitude, prev - amplitude, forced, poles)
+    amplitudes = tail.amplitudes(now - amplitude, prev - amplitude, forced)
     known = abs(amplitude) + np.max(size + tail.per_robot(amplitudes, 0), axis=-1)
     scale = np.maximum(np.maximum(known, level + residual),
                        np.maximum(np.abs(now), np.abs(prev)).max(axis=-1))

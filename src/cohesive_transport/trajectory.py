@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 import numpy as np
 
 from .network import build_pinned_laplacian
-from .stability import ModalTail, first_stop, tail_roots
+from .stability import ModalTail, first_stop
 
 if TYPE_CHECKING:
     from .metrics import Peaks
@@ -154,9 +154,7 @@ def cutoff_sweep(scenario: "ScenarioConfig",
     of the whole duration. The bound is tried at samples 16, 32, 64, ..., each
     time for a stop before the next of them; a stop it finds is requested as a
     block end, where the bound is derived again from the stepped positions.
-    The batch steps to the end where no bound exists: a delay N > 1, a root on
-    or outside the unit circle, a nearly repeated pair of roots, or a cutoff
-    whose pole p lies within 1e-6 of a root.
+    The batch steps to the end where ``ModalTail.of`` finds no bound.
     """
     from .dynamics import DIVERGENCE_LIMIT_CM, MAX_STEP_SAMPLES, _run, num_steps
     from .metrics import Peaks
@@ -176,10 +174,7 @@ def cutoff_sweep(scenario: "ScenarioConfig",
     wd = np.array(cutoffs) * dt
     references = _Tustin(amplitude, start, wd, end)
 
-    laplacian = build_pinned_laplacian(network)
-    poles = references.keep
-    roots = tail_roots(laplacian, controller, poles)
-    tail = None if roots is None else ModalTail(laplacian, controller, roots)
+    tail = ModalTail.of(build_pinned_laplacian(network), controller, references.keep)
     peaks = Peaks()   # blocks are (samples, cutoffs, robots): one peak per cutoff
 
     def final(spread, reach, move):   # no later sample raises a peak or diverges
@@ -193,7 +188,7 @@ def cutoff_sweep(scenario: "ScenarioConfig",
         if tail is None or peaks.end < start or peaks.end not in ends:
             continue
         stop = first_stop(tail, block[-1], block[-2], peaks.end, 2 ** peaks.end.bit_length(),
-                          end, amplitude, final, poles, references[peaks.end])
+                          end, amplitude, final, references[peaks.end])
         if stop == peaks.end:
             break
         if stop is not None:

@@ -51,9 +51,9 @@ outside the band and its largest move per sample. It is judged at the first
 horizon 2*T*2**k (k = 0..3) that ends inside the band; stepping stops earlier
 where the modal tail bound (``stability.first_stop``, shared with the cutoff
 sweep) proves that no later sample can change those numbers, so tuning.json
-keeps its bits (``_measure_step_response``). Roots on or outside the unit
-circle, nearly repeated pairs and delays N > 1 have no bound and step to the
-horizon. A target is infeasible if 16 T/dt exceeds MAX_STEP_SAMPLES, over an
+keeps its bits (``_measure_step_response``). Where ``stability.ModalTail.of``
+finds no bound, the step runs to the horizon; ``tune`` builds N = 1 controllers
+only. A target is infeasible if 16 T/dt exceeds MAX_STEP_SAMPLES, over an
 hour's stepping (2e8 suffice for the shortest target both controllers reach on
 a 1024-robot chain at dt = 0.03).
 """
@@ -73,7 +73,7 @@ from .metrics import SETTLING_BAND, Peaks
 from .network import CouplingNetwork, PinnedLaplacian, build_pinned_laplacian
 from .stability import (ModalTail, StabilityReport, baseline_gamma_bound,
                         baseline_spectral_radius, closed_form_stable, first_stop,
-                        spectral_radius, tail_roots)
+                        spectral_radius)
 
 # rounding allowed between the target decay and the root that meets it
 _ROOT_RTOL = 8 * 2.0 ** -52
@@ -154,9 +154,8 @@ def _measure_step_response(network: CouplingNetwork,
     peak move so far: no later sample can then change the numbers. The first c
     is predicted from rest. At c the bound is derived again from the stepped
     positions, so rounding before c does not count; where it does not hold yet,
-    the stepped state predicts the next c. The tail is not bounded, and every horizon is
-    stepped, at roots on or outside the unit circle, nearly repeated pairs and
-    delays N > 1.
+    the stepped state predicts the next c. Where ``ModalTail.of`` finds no
+    bound, every horizon is stepped.
     """
     horizons = [num_steps(2.0 * max(spec.target_settling, spec.dt) * 2.0 ** k, spec.dt)
                 for k in range(4)]
@@ -167,8 +166,7 @@ def _measure_step_response(network: CouplingNetwork,
     reference = np.broadcast_to(1.0, (horizons[-1],))
     ends = {h - 1 for h in horizons}   # _run's sample m is the unit step's m + 1
     laplacian = build_pinned_laplacian(network)
-    roots = tail_roots(laplacian, controller)
-    tail = None if roots is None else ModalTail(laplacian, controller, roots)
+    tail = ModalTail.of(laplacian, controller)
     peaks, peak_move = Peaks(final_value=1.0), math.inf   # no move is stepped from rest
 
     def final(spread, reach, move):   # inside the band, and no move reaches the peak
@@ -265,9 +263,11 @@ def _dsr_gains(laplacian: PinnedLaplacian,
         floor = _decay_to_settling(math.sqrt(c_min), spec.dt) if c_min > 0.0 else 0.0
         raise TuningInfeasibleError(
             f"no feasible rate gain: target {spec.target_settling:.6g} s not "
-            f"reachable with beta = {beta:.6g}; at alpha = {alpha:.6g}, where "
-            "the lambda_max mode decays at the target rate, the settling "
-            f"estimate is {reached:.6g} s"
+            f"reachable with beta = {beta:.6g}; "
+            + (f"at alpha = {alpha:.6g}, where the lambda_max mode decays at the target "
+               f"rate, the settling estimate is {reached:.6g} s" if alpha > 0.0 else
+               "no positive rate gain brings the lambda_max mode's root down to the "
+               "target decay at this beta")
             + (f"; no rate gain settles faster than the cohesive floor {floor:.6g} s "
                "at this beta" if spec.target_settling < floor else ""))
     if not closed_form_stable(laplacian, alpha, beta, spec.dt):

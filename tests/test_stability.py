@@ -15,9 +15,12 @@ from cohesive_transport import (ControllerConfig, StiffnessChain,
                                 jury_stable, closed_form_stable, simulate,
                                 spectral_radius)
 from cohesive_transport.cli import main
-from cohesive_transport.stability import _mode_roots
+from cohesive_transport.stability import ModalTail, _mode_roots, mode_roots
+from cohesive_transport.trajectory import _tustin_pole
 
 from conftest import unit_step_scenario
+from test_trajectory import _POLE_AT_ROOT, _POLE_NEAR_ROOT
+from test_tuning import _NEARLY_REPEATED_ALPHA, _REPEATED_ALPHA
 
 DT = 0.03
 
@@ -419,3 +422,48 @@ def test_stability_json_keeps_its_bytes(tmp_path, config, edits, digest):
     assert main(["stability", "--config", str(tmp_path / "edited.cfg"),
                  "--out", str(tmp_path)]) == 0
     assert hashlib.sha256((tmp_path / "stability.json").read_bytes()).hexdigest() == digest
+
+
+def test_mode_roots_are_the_multipliers_and_the_reported_roots(lap4):
+    """The baseline's one column is 1 - gamma*lam_k, and the cohesive law's two
+    are the z1 and z2 that ``spectral_radius`` reports, at every delay: bit for
+    bit."""
+    roots = mode_roots(lap4, ControllerConfig.baseline(1.93, DT))
+    assert roots.shape == (lap4.n, 1)
+    assert roots[:, 0].tobytes() == (1.0 - 1.93 * lap4.eigenvalues).tobytes()
+    for delay in (1, 2, 3):
+        roots = mode_roots(lap4, ControllerConfig.dsr(0.39, 10.92, DT, delay))
+        report = spectral_radius(lap4, 0.39, 10.92, DT, delay)
+        assert roots.shape == (lap4.n, 2)
+        assert roots[:, 0].tobytes() == report.z1.tobytes()
+        assert roots[:, 1].tobytes() == report.z2.tobytes()
+
+
+@pytest.mark.parametrize("controller", [ControllerConfig.baseline(1.93, DT),
+                                        ControllerConfig.dsr(0.39, 10.92, DT)])   # bundled
+@pytest.mark.parametrize("poles", [None, _tustin_pole(np.array([0.1, 0.4]) * DT)])
+def test_modal_tail_keeps_the_roots_and_the_poles_it_was_built_for(lap4, controller, poles):
+    tail = ModalTail.of(lap4, controller, poles)
+    assert tail is not None
+    assert tail.roots.tobytes() == mode_roots(lap4, controller).tobytes()
+    assert tail.poles is poles
+
+
+@pytest.mark.parametrize("controller", [
+    ControllerConfig.dsr(0.39, 10.92, DT, 2),                # N = 2
+    ControllerConfig.baseline(15.0, DT),                     # a root outside the circle
+    ControllerConfig.dsr(_REPEATED_ALPHA, 8.0, DT),          # a repeated pair
+    ControllerConfig.dsr(_NEARLY_REPEATED_ALPHA, 10.92, DT),  # one apart by 2.1e-8
+])
+def test_modal_tail_of_is_none_where_no_bound_holds(lap4, controller):
+    assert ModalTail.of(lap4, controller) is None
+
+
+@pytest.mark.parametrize("cutoff, bounded", [(_POLE_NEAR_ROOT, True), (_POLE_AT_ROOT, False)])
+def test_modal_tail_of_a_pole_near_a_root(lap4, cutoff, bounded):
+    """At half its bound the baseline's slowest root is 0.96585172: a pole 3e-6
+    from it is bounded, one 5e-7 from it is not, and the roots alone are."""
+    controller = ControllerConfig.baseline(0.5 * 2.0 / lap4.lambda_max, DT)
+    assert ModalTail.of(lap4, controller) is not None
+    assert (ModalTail.of(lap4, controller, _tustin_pole(np.array([cutoff]) * DT))
+            is not None) == bounded

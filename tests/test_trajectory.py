@@ -265,7 +265,7 @@ def test_sweep_matches_the_full_horizon_on_any_network(network, kind, delay, gai
     assert swept == _outcome(_full_horizon, scenario, cutoffs)
     stepped, steps = sum(counts.values()), num_steps(scenario.duration, DT)
     poles = trajectory._tustin_pole(np.array(cutoffs) * DT)
-    if stability.tail_roots(build_pinned_laplacian(network), controller, poles) is None:
+    if stability.ModalTail.of(build_pinned_laplacian(network), controller, poles) is None:
         assert stepped == steps or swept[0] == "diverged"
     hypothesis.event("diverged" if swept[0] == "diverged" else
                      "stopped early" if stepped < steps else "stepped to the end")
@@ -349,9 +349,8 @@ def test_a_stop_is_found_only_where_no_later_sample_raises_a_peak(
     lap = build_pinned_laplacian(network)
     filtered = reference_kind == "filtered_step"
     poles = trajectory._tustin_pole(np.array([cutoff]) * DT) if filtered else None
-    roots = stability.tail_roots(lap, controller, () if poles is None else poles)
-    hypothesis.assume(roots is not None)
-    tail = stability.ModalTail(lap, controller, roots)
+    tail = stability.ModalTail.of(lap, controller, poles)
+    hypothesis.assume(tail is not None)
     steps = num_steps(20.0, DT)
     spec = TrajectorySpec(reference_kind, amplitude, cutoff if filtered else None, start)
     references = reference_series(spec, DT, steps)[:, None]
@@ -368,7 +367,7 @@ def test_a_stop_is_found_only_where_no_later_sample_raises_a_peak(
             return ((spread <= peak_spread) & (move < peak_move)
                     & (abs(amplitude) + reach <= limit) & (reach <= band))
         return stability.first_stop(tail, positions[c], positions[c - 1], c, c + 1, steps,
-                                amplitude, test, poles, references[c])
+                                amplitude, test, references[c])
 
     below = np.nextafter([spread, size, off], -np.inf)
     for bound in [{"peak_spread": below[0]}, {"peak_move": move}, {"limit": below[1]},

@@ -339,7 +339,7 @@ def test_unbounded_tails_step_as_the_horizons_do(chain4, controller, target, ste
     """Where no tail bound exists the unit step is stepped as the oracle steps
     its first horizon: the same samples, but for the oracle's step from sample
     0 to 1 at rest, to the same divergence or the horizon's end."""
-    assert stability.tail_roots(build_pinned_laplacian(chain4), controller) is None
+    assert stability.ModalTail.of(build_pinned_laplacian(chain4), controller) is None
     counts = step_counts(monkeypatch)
     outcomes, stepped = [], []
     for measure in (tuning._measure_step_response, _retry_loop):
@@ -411,7 +411,7 @@ def test_the_stop_waits_until_no_later_move_can_reach_the_peak(chain4):
     up to the end reaches that peak."""
     lap = build_pinned_laplacian(chain4)
     controller = _B(1.93, DT)
-    tail = stability.ModalTail(lap, controller, stability.tail_roots(lap, controller))
+    tail = stability.ModalTail.of(lap, controller)
     end = 1000   # positions[u - 1] is the unit step's sample u
     positions = np.vstack([np.zeros(lap.n)] + [block[1:].copy() for _, block in _run(
         chain4, controller, np.broadcast_to(1.0, (end,)))])
@@ -467,9 +467,9 @@ def test_tail_margin_covers_the_rounding_of_every_later_sample(network, kind, ga
     lap = build_pinned_laplacian(network)
     controller = (_B(gain * baseline_gamma_bound(lap), DT) if kind == "baseline"
                   else _D(alpha, gain * baseline_gamma_bound(lap), DT))
-    roots = stability.tail_roots(lap, controller)
-    assume(roots is not None)
-    tail = stability.ModalTail(lap, controller, roots)
+    tail = stability.ModalTail.of(lap, controller)
+    assume(tail is not None)
+    roots = tail.roots
     stepped = np.concatenate([block[1:].copy() for _, block in _run(
         network, controller, np.broadcast_to(1.0, (samples + 1,)))])
     error = np.vstack([np.zeros(lap.n), stepped]) - 1.0       # samples 0..samples
@@ -611,6 +611,24 @@ def test_cohesive_floor_extends_the_estimate_in_the_error(lap4):
         "at alpha = 1.95517, where the lambda_max mode decays at the target rate, "
         "the settling estimate is 12.1708 s; no rate gain settles faster than "
         "the cohesive floor 3.43546 s at this beta")
+
+
+def test_a_negative_rate_gain_is_not_quoted(chain4, tmp_path, capsys):
+    """Under about two samples the rate gain at which the lambda_max mode would
+    decay at the target is negative: at 0.01 s it is -1.01415e7. tune exits 1
+    saying that no positive rate gain reaches the target decay, and names the
+    cohesive floor, without quoting that gain."""
+    config = tmp_path / "chain4.cfg"
+    write_config(unit_step_scenario(chain4, ControllerConfig.baseline(1.93, DT)), config)
+    assert main(["tune", "--config", str(config), "--target-ts", "0.01",
+                 "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert "alpha = -" not in err
+    assert err == (
+        "error: no feasible rate gain: target 0.01 s not reachable with beta = 1.64891; "
+        "no positive rate gain brings the lambda_max mode's root down to the target "
+        "decay at this beta; no rate gain settles faster than the cohesive floor "
+        "23.4865 s at this beta\n")
 
 
 def test_rate_gain_matches_the_grid_oracle_on_chain4(lap4):
