@@ -10,7 +10,8 @@ Subcommands
 
 Exit codes: 0 success, 1 other package error (infeasible tuning, failed
 per-robot crosscheck), 2 config problem (also an --out directory that
-cannot be created), 3 simulation divergence, 4 reproduce mismatch, 5 out
+cannot be created, and ``tune`` on a cohesive controller with
+delay_multiple > 1), 3 simulation divergence, 4 reproduce mismatch, 5 out
 of memory (a run too long or too wide to hold). A failed run creates no
 output directory.
 
@@ -349,6 +350,9 @@ def cmd_stability(args) -> int:
 
 def cmd_tune(args) -> int:
     scenario = load_config(args.config)
+    if scenario.controller.kind == "dsr" and scenario.controller.delay_multiple > 1:
+        raise ConfigError(f"controller.delay_multiple: tune tunes a one-sample delay only, "
+                          f"got {scenario.controller.delay_multiple}")
     try:
         spec = tuning.TuningSpec(target_settling=args.target_ts,
                                  dt=scenario.controller.dt)

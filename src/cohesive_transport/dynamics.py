@@ -16,33 +16,33 @@ ideal all-leader first-order response without any communication:
 with rate gain ``a`` (1/s), reinforcement gain ``b`` (cm/N), and delay of
 N samples. Every robot can evaluate its own row of this update from local
 measurements only: the row needs y_k, f_k, the values of both the robot
-stored N samples earlier, and y_d if the robot is a leader. Both laws are
-implemented twice, per-robot from local quantities and stacked via K, and
-cross-checked on every step of every run (``_run``, which hands samples
-out in blocks that the sweep and the tuner reduce as they come); that
-check certifies the laws as decentralized. The step functions raise
-CrosscheckError on a disagreement, also under ``python -O``, and
+stored N samples earlier, and y_d if the robot is a leader. Each law is
+written twice, once per robot from local quantities (``_robot_row``) and
+once stacked via K (``_stacked_law``), and the two are cross-checked on
+every step of every run (``_run``, which hands samples out in blocks that
+the sweep and the tuner reduce as they come); that check certifies the laws
+as decentralized. Both step functions share one core (``_step``), which
+raises CrosscheckError on a disagreement, also under ``python -O``, and
 DivergenceError past DIVERGENCE_LIMIT_CM.
 
 The stacked law takes K Y as np.matvec(K, Y) for one state and each batch
-row alike, in one numpy expression whichever route checks it. A run builds
-its constants once, not per sample: the stacked law's (gamma*B, or a*b*dt*B,
-b and N) and the per-robot coefficients, each as an array of the state's
-shape (``_law_constants``), and the spring list of a batch of that size; the
-network keeps only the last of each. A batch's references are tiled to its
-(batch, n) shape once per block of samples. Every sample of every row is
-still checked, within 1e-12 * max(1, the row's largest |Y[m+1]|); a batch
-whose entries all agree within 1e-12, the smallest such bound, is accepted
-without the row-by-row pass.
+row alike. A run builds its constants once, not per sample: the stacked
+law's (gamma*B, or a*b*dt*B, b and N) and the per-robot coefficients, each
+as an array of the state's shape (``_law_constants``), and the spring list
+of a batch of that size; the network keeps only the last of each. A batch's
+references are tiled to its (batch, n) shape once per block of samples.
+Every sample of every row is still checked, within 1e-12 * max(1, the row's
+largest |Y[m+1]|); a batch whose entries all agree within 1e-12, the
+smallest such bound, is accepted without the row-by-row pass.
 
-One run (an (n,) state with a scalar reference) on a network of at most
-``network._FLOAT_WORK_LIMIT`` robots plus directed springs, the paper's four
-robots among them, takes its per-robot half robot by robot in Python floats:
-the readings, each robot's law from its coefficients in the same term order,
-and the crosscheck's bound. On four robots numpy's overhead of about 1 us a
-call is most of that half's cost. The floats round as the arrays do, so
-readings, positions and every raised error are the array route's; batches
-and larger networks keep the array route.
+``_robot_row`` evaluates every robot at once on arrays, or one robot on
+Python floats. One run (an (n,) state with a scalar reference) on a network
+of at most ``network._FLOAT_WORK_LIMIT`` robots plus directed springs, the
+paper's four robots among them, takes its per-robot half robot by robot in
+floats: the readings, each robot's row and the crosscheck's bound. On four
+robots numpy's overhead of about 1 us a call is most of that half's cost.
+The floats round as the arrays do, so readings, positions and every raised
+error are the array route's; batches and larger networks keep the arrays.
 
 Positions are cm, forces N, time s.
 """
@@ -138,9 +138,10 @@ class NetworkState:
     starts at rest).
 
     The robots also keep their force readings, all taken on the network
-    object ``sensed_on``: ``step_dsr`` stores the one at ``positions`` in
-    ``reading``, and ``advanced`` moves it into ``readings``, which holds
+    object ``sensed_on``: either law's step stores the one at ``positions``
+    in ``reading``, and ``advanced`` moves it into ``readings``, which holds
     those of the newest ``history`` samples (None where none was taken).
+    Only the cohesive law reads them, or ``history``, again.
     """
 
     positions: np.ndarray
@@ -205,17 +206,17 @@ class SimulationTrace:
 def _law_constants(network: CouplingNetwork, laplacian: PinnedLaplacian, gains: tuple,
                    shape: tuple[int, ...]) -> tuple:
     """Constants of the law ("baseline", gamma) or ("dsr", alpha, beta, dt, N)
-    for states of ``shape``, each a read-only array of that shape, so that no
-    ufunc of a sample broadcasts one: first the stacked law's, made from the
-    laplacian's B, then the per-robot coefficients, where robot k's use its
-    own leader spring. Last come the per-robot coefficients as one tuple of
-    Python floats per robot, for one state of a network small enough to be
+    for states of ``shape``, in three parts, (stacked, local, per_robot).
+    ``stacked`` holds the stacked law's, made from the laplacian's B, and
+    ``local`` the per-robot coefficients, where robot k's use its own leader
+    spring: each a read-only array of ``shape``, so that no ufunc of a sample
+    broadcasts one. ``per_robot`` holds the per-robot coefficients as one tuple
+    of Python floats per robot, for one state of a network small enough to be
     stepped in floats (``network._spring_floats``), else None. The network
     keeps one entry, for the gains and shape last stepped; other gains,
     another shape or another laplacian replace it. Gains that overflow a
-    per-robot coefficient raise UnstableGainError, which the update forms,
-    fetching the constants first, raise before any arithmetic on those gains.
-    States of a shape other than (n,) and (batch, n) raise ``measured_force``'s
+    per-robot coefficient raise UnstableGainError before any arithmetic on
+    them. States of a shape other than (n,) and (batch, n) raise ``measured_force``'s
     ValueError, checked only where an entry is built."""
     cache = network._law_coefficients
     cached = cache.get((gains, shape))
@@ -240,24 +241,40 @@ def _law_constants(network: CouplingNetwork, laplacian: PinnedLaplacian, gains: 
             named = f"(alpha, beta) = ({alpha:.6g}, {beta:.6g}) (alpha*beta*dt = {rate:.6g})"
     if not all(np.isfinite(c).all() for c in local):
         raise UnstableGainError(f"{named} overflow the per-robot law coefficients")
-    constants = tuple(np.broadcast_to(c, shape).copy() for c in stacked + local)
-    for arr in constants:
+    stacked, local = (tuple(np.broadcast_to(c, shape).copy() for c in part)
+                      for part in (stacked, local))
+    for arr in stacked + local:
         arr.flags.writeable = False
-    constants += (tuple(zip(*(c.tolist() for c in constants[len(stacked):])))
-                  if len(shape) == 1 and network._spring_floats is not None else None,)
+    per_robot = (tuple(zip(*(c.tolist() for c in local)))
+                 if len(shape) == 1 and network._spring_floats is not None else None)
     cache.clear()
-    cache[gains, shape] = laplacian, constants
-    return constants
+    cache[gains, shape] = laplacian, (stacked, local, per_robot)
+    return stacked, local, per_robot
 
 
-def _baseline_stacked(y, k, gamma, gamma_b, y_d):
-    return y - gamma * np.matvec(k, y) + gamma_b * y_d
-
-
-def _dsr_stacked(y, y_old, k, rate, rate_b, beta, delay_multiple, y_d):
+def _stacked_law(k, constants, y, y_d, y_old=None):
+    """Next positions by the stacked law, from ``_law_constants``'s stacked
+    part: (gamma, gamma*B) for the baseline, which gives no ``y_old``, or
+    (a*b*dt, a*b*dt*B, b, N) for the cohesive law."""
+    nxt = y - constants[0] * np.matvec(k, y) + constants[1] * y_d
+    if y_old is None:
+        return nxt
     delta = y - y_old
-    return (y - rate * np.matvec(k, y) + rate_b * y_d
-            + (delta - beta * np.matvec(k, delta)) / delay_multiple)
+    return nxt + (delta - constants[2] * np.matvec(k, delta)) / constants[3]
+
+
+def _robot_row(c, y_d, y, f, y_old=None, f_old=None):
+    """Next positions by the per-robot law: row k reads only robot k's
+    position ``y`` and force reading ``f``, for the cohesive law also their
+    N-step-old values, and the reference, with ``_law_constants``'s local
+    coefficients ``c``. The same expression takes every robot at once as
+    arrays, or one robot as Python floats; its terms are added left to
+    right, not by ``sum``, whose float addition Python 3.12 changed."""
+    if y_old is None:
+        c_y, c_f, c_yd = c
+        return c_y * y + c_f * f + c_yd * y_d
+    c_y, c_f, c_old, c_fold, c_yd = c
+    return c_y * y + c_f * f + c_old * y_old + c_fold * f_old + c_yd * y_d
 
 
 def baseline_update_forms(positions, laplacian: PinnedLaplacian,
@@ -266,43 +283,28 @@ def baseline_update_forms(positions, laplacian: PinnedLaplacian,
     """Next positions computed both ways: (stacked, per-robot); a batch
     of states (batch, n) takes one reference per row, ``y_d`` (batch, n) with
     each row's reference in every column (a (batch, 1) column gives the same
-    bits, broadcast on every sample). Both are arrays, whatever the state: this
-    is the reference route that ``step_baseline`` takes for a batch."""
+    bits, broadcast on every sample). Both are arrays, whatever the state:
+    the reference that the tests hold ``step_baseline``'s routes to."""
     y = np.asarray(positions, dtype=float)
-    # every constant is an array of y's shape: gamma, gamma*B, then the per-robot ones
-    gamma, gamma_b, c_y, c_f, c_yd, _ = _law_constants(network, laplacian,
-                                                       ("baseline", gamma), y.shape)
-    stacked = _baseline_stacked(y, laplacian.matrix, gamma, gamma_b, y_d)
-    # Row k reads only robot k's position, force and leader spring.
-    local = c_y * y + c_f * measured_force(network, y) + c_yd * y_d
-    return stacked, local
+    stacked, local, _ = _law_constants(network, laplacian, ("baseline", gamma), y.shape)
+    return (_stacked_law(laplacian.matrix, stacked, y, y_d),
+            _robot_row(local, y_d, y, measured_force(network, y)))
 
 
 def dsr_update_forms(positions, delayed_positions, laplacian: PinnedLaplacian,
                      network: CouplingNetwork, alpha: float, beta: float, dt: float,
-                     delay_multiple: int, y_d, force=None,
-                     delayed_force=None) -> tuple[np.ndarray, np.ndarray]:
-    """Next positions via the stacked law and via local measurements.
-
-    The per-robot route touches nothing global: each robot combines its
-    own position and force, their N-step-old values, and (for leaders)
-    the reference. ``force`` and ``delayed_force`` are the robots' readings
-    at the two samples, sensed here if not given. Shapes and routes as in
-    ``baseline_update_forms``."""
+                     delay_multiple: int, y_d) -> tuple[np.ndarray, np.ndarray]:
+    """Next positions via the stacked law and via local measurements: each
+    robot combines its own position and force, their N-step-old values, and
+    (for leaders) the reference, both readings sensed here. Shapes and use as
+    in ``baseline_update_forms``."""
     y = np.asarray(positions, dtype=float)
     y_old = np.asarray(delayed_positions, dtype=float)
-    # arrays of y's shape: alpha*beta*dt, alpha*beta*dt*B, beta, N, then the per-robot ones
-    rate, rate_b, beta, delay_multiple, c_y, c_f, c_old, c_fold, c_yd, _ = _law_constants(
+    stacked, local, _ = _law_constants(
         network, laplacian, ("dsr", alpha, beta, dt, delay_multiple), y.shape)
-    stacked = _dsr_stacked(y, y_old, laplacian.matrix, rate, rate_b, beta, delay_multiple, y_d)
-
-    # Row k reads only robot k's quantities, all robots evaluated at once.
-    if force is None:
-        force = measured_force(network, y)
-    if delayed_force is None:
-        delayed_force = measured_force(network, y_old)
-    local = c_y * y + c_f * force + c_old * y_old + c_fold * delayed_force + c_yd * y_d
-    return stacked, local
+    return (_stacked_law(laplacian.matrix, stacked, y, y_d, y_old),
+            _robot_row(local, y_d, y, measured_force(network, y), y_old,
+                       measured_force(network, y_old)))
 
 
 def _crosscheck(stacked: np.ndarray, local: np.ndarray) -> float:
@@ -341,72 +343,61 @@ def _crosscheck_floats(stacked: np.ndarray, local: list[float]) -> float:
     return scale
 
 
+def _step(state: NetworkState, laplacian: PinnedLaplacian, network: CouplingNetwork,
+          gains: tuple, y_d) -> np.ndarray:
+    """The one update of both laws, for the gains of ``_law_constants``. The
+    robots sense the current positions and store the reading on the state;
+    the cohesive law also reads the one stored N samples earlier on this
+    network object, sensed again only if there is none. One state with a
+    scalar reference on a small network is checked robot by robot in Python
+    floats, anything else as arrays, with the same bits."""
+    if state.sensed_on is not network:
+        state.readings, state.sensed_on = (), network
+    y = np.asarray(state.positions, dtype=float)
+    state.reading = force = measured_force(network, y)
+    stacked_c, local_c, per_robot = _law_constants(network, laplacian, gains, y.shape)
+    y_old = f_old = None
+    if gains[0] == "dsr":
+        y_old = np.asarray(state.delayed_positions, dtype=float)
+        f_old = (state.readings[0] if len(state.readings) == len(state.history)
+                 else measured_force(network, y_old))
+    stacked = _stacked_law(laplacian.matrix, stacked_c, y, y_d, y_old)
+    # one comprehension per law: star-unpacking each robot's values is ~10% slower on chain4
+    if per_robot is None or not isinstance(y_d, float):
+        scale = _crosscheck(stacked, _robot_row(local_c, y_d, y, force, y_old, f_old))
+    elif y_old is None:
+        scale = _crosscheck_floats(stacked, [
+            _robot_row(c, y_d, y_k, f_k)
+            for c, y_k, f_k in zip(per_robot, y.tolist(), force.tolist())])
+    else:
+        scale = _crosscheck_floats(stacked, [
+            _robot_row(c, y_d, y_k, f_k, o_k, g_k) for c, y_k, f_k, o_k, g_k
+            in zip(per_robot, y.tolist(), force.tolist(), y_old.tolist(), f_old.tolist())])
+    if not scale <= DIVERGENCE_LIMIT_CM:
+        raise DivergenceError(step=state.step + 1)
+    return stacked
+
+
 def step_baseline(state: NetworkState, laplacian: PinnedLaplacian,
                   network: CouplingNetwork, config: ControllerConfig,
                   y_d) -> np.ndarray:
     """One baseline update; returns the next positions, (n,) or (batch, n).
-    Any beyond DIVERGENCE_LIMIT_CM raises DivergenceError. One state with a
-    scalar reference on a small network is checked robot by robot in Python
-    floats, with the bits of ``baseline_update_forms``, which checks the rest."""
-    # the route: floats for a small network, a scalar reference and one state;
-    # a large network's step pays one attribute test for the choice
-    if (network._spring_floats is not None and isinstance(y_d, float)
-            and np.ndim(state.positions) == 1):
-        y = np.asarray(state.positions, dtype=float)
-        gamma, gamma_b, *_, per_robot = _law_constants(network, laplacian,
-                                                       ("baseline", config.gamma), y.shape)
-        stacked = _baseline_stacked(y, laplacian.matrix, gamma, gamma_b, y_d)
-        local = [c_y * y_k + c_f * f_k + c_yd * y_d for (c_y, c_f, c_yd), y_k, f_k
-                 in zip(per_robot, y.tolist(), measured_force(network, y).tolist())]
-        scale = _crosscheck_floats(stacked, local)
-    else:
-        stacked, local = baseline_update_forms(state.positions, laplacian, network,
-                                               config.gamma, y_d)
-        scale = _crosscheck(stacked, local)
-    if not scale <= DIVERGENCE_LIMIT_CM:
-        raise DivergenceError(step=state.step + 1)
-    return stacked
+    Any beyond DIVERGENCE_LIMIT_CM raises DivergenceError. The robots' reading
+    is stored on the state, as ``step_dsr`` stores it."""
+    return _step(state, laplacian, network, ("baseline", config.gamma), y_d)
 
 
 def step_dsr(state: NetworkState, laplacian: PinnedLaplacian,
              network: CouplingNetwork, config: ControllerConfig,
              y_d) -> np.ndarray:
-    """One cohesive update; returns, raises and picks its route as
-    ``step_baseline``. The robots sense only the current positions: the
-    N-step-old reading is the one stored when that sample was stepped on this
-    network object, and is sensed again only if there is none. A state whose
+    """One cohesive update; returns and raises as ``step_baseline``, and
+    reuses the readings stored on the state (``_step``). A state whose
     history does not hold N samples raises ValueError."""
     if len(state.history) != config.delay_multiple:
         raise ValueError(f"the state's history holds {len(state.history)} samples; "
                          f"delay_multiple is {config.delay_multiple}")
-    if state.sensed_on is not network:
-        state.readings, state.sensed_on = (), network
-    state.reading = measured_force(network, state.positions)
-    stored = state.readings[0] if len(state.readings) == len(state.history) else None
-    if (network._spring_floats is not None and isinstance(y_d, float)
-            and np.ndim(state.positions) == 1):
-        y = np.asarray(state.positions, dtype=float)
-        y_old = np.asarray(state.delayed_positions, dtype=float)
-        rate, rate_b, beta, delay, *_, per_robot = _law_constants(
-            network, laplacian, ("dsr", config.alpha, config.beta, config.dt,
-                                 config.delay_multiple), y.shape)
-        stacked = _dsr_stacked(y, y_old, laplacian.matrix, rate, rate_b, beta, delay, y_d)
-        if stored is None:
-            stored = measured_force(network, y_old)
-        local = [c_y * y_k + c_f * f_k + c_old * o_k + c_fold * g_k + c_yd * y_d
-                 for (c_y, c_f, c_old, c_fold, c_yd), y_k, f_k, o_k, g_k
-                 in zip(per_robot, y.tolist(), state.reading.tolist(),
-                        y_old.tolist(), stored.tolist())]
-        scale = _crosscheck_floats(stacked, local)
-    else:
-        stacked, local = dsr_update_forms(state.positions, state.delayed_positions,
-                                          laplacian, network, config.alpha, config.beta,
-                                          config.dt, config.delay_multiple, y_d,
-                                          state.reading, stored)
-        scale = _crosscheck(stacked, local)
-    if not scale <= DIVERGENCE_LIMIT_CM:
-        raise DivergenceError(step=state.step + 1)
-    return stacked
+    return _step(state, laplacian, network, ("dsr", config.alpha, config.beta, config.dt,
+                                             config.delay_multiple), y_d)
 
 
 def _warn_if_unstable(laplacian: PinnedLaplacian, config: ControllerConfig) -> None:

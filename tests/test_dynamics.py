@@ -187,14 +187,29 @@ def test_each_robot_reads_its_force_once_per_sample(chain4, monkeypatch, delay):
     assert steps < len(sensed) <= steps + delay
 
 
-def test_stored_readings_are_the_readings_sensed_again(chain4, lap4, rng):
-    config = ControllerConfig.dsr(0.39, 10.92, DT, 2)
+@pytest.mark.parametrize("step, config", [
+    (step_baseline, ControllerConfig.baseline(1.93, DT)),
+    (step_dsr, ControllerConfig.dsr(0.39, 10.92, DT, 2)),
+], ids=["baseline", "dsr"])
+def test_stored_readings_are_the_readings_sensed_again(chain4, lap4, rng, step, config):
+    # both laws store their reading; only the cohesive law reads it again
     state = NetworkState.at_rest(np.zeros(4), delay_multiple=2)
     for y_d in rng.normal(0.0, 10.0, 12):
-        state = state.advanced(step_dsr(state, lap4, chain4, config, y_d))
+        state = state.advanced(step(state, lap4, chain4, config, y_d))
         if len(state.readings) == len(state.history):
             assert np.array_equal(state.readings[0],
                                   measured_force(chain4, state.delayed_positions))
+    assert len(state.readings) == 2 and state.sensed_on is chain4
+
+
+@pytest.mark.parametrize("rows", [(), (1,)], ids=["floats", "arrays"])
+def test_the_baseline_reads_no_history(chain4, lap4, rows):
+    # an empty history: a step that read the delayed positions would raise IndexError
+    y = np.reshape([0.0, 1.0, 3.0, 6.0], rows + (4,))
+    y_d = np.full(rows + (1,), 2.5) if rows else 2.5
+    config = ControllerConfig.baseline(1.93, DT)
+    assert np.array_equal(step_baseline(NetworkState.at_rest(y, 0), lap4, chain4, config, y_d),
+                          baseline_update_forms(y, lap4, chain4, 1.93, y_d)[0])
 
 
 def test_no_reading_crosses_networks(chain4, lap4):
@@ -628,8 +643,7 @@ def test_single_run_routes_match_their_batch_row(case):
             assert len(checked) == (small and local is not None)
             assert not checked or _same_bits(checked[0], local)
             want = _outcome(step, batch, lap, stepped_on, config, np.full((1, 1), y_d))
-            if config.kind == "dsr":   # the stored reading is the batch route's
-                assert _same_bits(single.reading, batch.reading[0])
+            assert _same_bits(single.reading, batch.reading[0])   # the stored reading
             if isinstance(want, tuple):
                 assert got == want
                 hypothesis.event(want[0].__name__)

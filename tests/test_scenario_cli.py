@@ -543,6 +543,29 @@ def test_cli_tune_decomposes_the_network_once(tmp_path, monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("delay", [1, 3])
+def test_cli_tune_refuses_a_cohesive_delay_it_does_not_tune(tmp_path, capsys, monkeypatch,
+                                                           delay):
+    # tune builds N = 1 gains; at N = 3 it used to write the N = 1 tables
+    config = tmp_path / "delayed.cfg"
+    config.write_text((CONFIG_DIR / "chain4_dsr.cfg").read_text()
+                      .replace("delay_multiple = 1", f"delay_multiple = {delay}"))
+    args = ["tune", "--config", str(config), "--target-ts", "10", "--out", str(tmp_path / "t")]
+    if delay == 1:
+        assert main(args) == 0 and (tmp_path / "t" / "tuning.json").exists()
+        return
+
+    def no_tuning(*args, **kwargs):
+        raise AssertionError("tuned before the delay was checked")
+
+    monkeypatch.setattr(tuning, "tune", no_tuning)
+    assert main(args) == 2
+    assert capsys.readouterr().err == (
+        "config error: controller.delay_multiple: tune tunes a one-sample delay only, "
+        "got 3\n")
+    assert not (tmp_path / "t").exists()
+
+
 @pytest.mark.parametrize("target", ["0", "-1", "nan", "inf"])
 def test_cli_tune_bad_target_is_a_config_error(tmp_path, capsys, target):
     assert main(["tune", "--config", str(CONFIG_DIR / "chain4_baseline.cfg"),
