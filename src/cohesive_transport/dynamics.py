@@ -38,11 +38,13 @@ smallest such bound, is accepted without the row-by-row pass.
 ``_robot_row`` evaluates every robot at once on arrays, or one robot on
 Python floats. One run (an (n,) state with a scalar reference) on a network
 of at most ``network._FLOAT_WORK_LIMIT`` robots plus directed springs, the
-paper's four robots among them, takes its per-robot half robot by robot in
-floats: the readings, each robot's row and the crosscheck's bound. On four
-robots numpy's overhead of about 1 us a call is most of that half's cost.
-The floats round as the arrays do, so readings, positions and every raised
-error are the array route's; batches and larger networks keep the arrays.
+paper's four robots among them, is stepped robot by robot in floats: the
+readings, each robot's stacked value in ``_stacked_law``'s order (only K Y,
+and K (Y - Y[m-N]), stay numpy products), its per-robot row and the
+crosscheck's bound. On four robots numpy's overhead of about 1 us a call is
+most of a step's cost. The floats round as the arrays do, so readings,
+positions and every raised error are the array route's; batches and larger
+networks keep the arrays.
 
 Positions are cm, forces N, time s.
 """
@@ -210,14 +212,14 @@ def _law_constants(network: CouplingNetwork, laplacian: PinnedLaplacian, gains: 
     ``stacked`` holds the stacked law's, made from the laplacian's B, and
     ``local`` the per-robot coefficients, where robot k's use its own leader
     spring: each a read-only array of ``shape``, so that no ufunc of a sample
-    broadcasts one. ``per_robot`` holds the per-robot coefficients as one tuple
-    of Python floats per robot, for one state of a network small enough to be
-    stepped in floats (``network._spring_floats``), else None. The network
-    keeps one entry, for the gains and shape last stepped; other gains,
-    another shape or another laplacian replace it. Gains that overflow a
-    per-robot coefficient raise UnstableGainError before any arithmetic on
-    them. States of a shape other than (n,) and (batch, n) raise ``measured_force``'s
-    ValueError, checked only where an entry is built."""
+    broadcasts one. ``per_robot`` holds one tuple of Python floats per robot,
+    its stacked constants then a tuple of its local ones, for one state of a
+    network small enough to be stepped in floats (``network._spring_floats``),
+    else None. The network keeps one entry, for the gains and shape last
+    stepped; other gains, another shape or another laplacian replace it. Gains
+    that overflow a per-robot coefficient raise UnstableGainError before any
+    arithmetic on them. States of a shape other than (n,) and (batch, n) raise
+    ``measured_force``'s ValueError, checked only where an entry is built."""
     cache = network._law_coefficients
     cached = cache.get((gains, shape))
     if cached is not None and cached[0] is laplacian:
@@ -245,7 +247,7 @@ def _law_constants(network: CouplingNetwork, laplacian: PinnedLaplacian, gains: 
                       for part in (stacked, local))
     for arr in stacked + local:
         arr.flags.writeable = False
-    per_robot = (tuple(zip(*(c.tolist() for c in local)))
+    per_robot = (tuple(zip(*(c.tolist() for c in stacked), zip(*(c.tolist() for c in local))))
                  if len(shape) == 1 and network._spring_floats is not None else None)
     cache.clear()
     cache[gains, shape] = laplacian, (stacked, local, per_robot)
@@ -328,19 +330,20 @@ def _crosscheck(stacked: np.ndarray, local: np.ndarray) -> float:
     return np.maximum.reduce(row_scale, axis=None)
 
 
-def _crosscheck_floats(stacked: np.ndarray, local: list[float]) -> float:
-    """``_crosscheck`` of one state whose per-robot update is a list of floats,
-    robot by robot. Where every robot is within the bound no entry of
-    ``stacked`` is NaN, so the largest |stacked| is numpy's; a robot outside
-    it (a NaN anywhere is) hands the state to ``_crosscheck``, which names the
-    failure as it does for the array route."""
-    values = stacked.tolist()
-    scale = max(map(abs, values))
+def _crosscheck_floats(rows: list[tuple[float, float]]) -> tuple[np.ndarray, float]:
+    """``_crosscheck`` of one state evaluated robot by robot: ``rows`` holds
+    each robot's (stacked, per-robot) next position as Python floats. Returns
+    the stacked positions as an array and the largest |stacked|. Where every
+    robot is within the bound no stacked value is NaN, so the largest is
+    numpy's; a robot outside it (a NaN anywhere is) hands the state to
+    ``_crosscheck``, which names the failure as it does for the array route."""
+    values = [s for s, _ in rows]
+    stacked, scale = np.array(values), max(map(abs, values))
     bound = _CROSSCHECK_ATOL * max(1.0, scale)
-    for s, l in zip(values, local):
+    for s, l in rows:
         if not abs(s - l) <= bound:
-            return _crosscheck(stacked, np.array(local))
-    return scale
+            return stacked, _crosscheck(stacked, np.array([l for _, l in rows]))
+    return stacked, scale
 
 
 def _step(state: NetworkState, laplacian: PinnedLaplacian, network: CouplingNetwork,
@@ -349,8 +352,8 @@ def _step(state: NetworkState, laplacian: PinnedLaplacian, network: CouplingNetw
     robots sense the current positions and store the reading on the state;
     the cohesive law also reads the one stored N samples earlier on this
     network object, sensed again only if there is none. One state with a
-    scalar reference on a small network is checked robot by robot in Python
-    floats, anything else as arrays, with the same bits."""
+    scalar reference on a small network steps both laws robot by robot in
+    Python floats, anything else as arrays, with the same bits."""
     if state.sensed_on is not network:
         state.readings, state.sensed_on = (), network
     y = np.asarray(state.positions, dtype=float)
@@ -361,18 +364,26 @@ def _step(state: NetworkState, laplacian: PinnedLaplacian, network: CouplingNetw
         y_old = np.asarray(state.delayed_positions, dtype=float)
         f_old = (state.readings[0] if len(state.readings) == len(state.history)
                  else measured_force(network, y_old))
-    stacked = _stacked_law(laplacian.matrix, stacked_c, y, y_d, y_old)
-    # one comprehension per law: star-unpacking each robot's values is ~10% slower on chain4
     if per_robot is None or not isinstance(y_d, float):
+        stacked = _stacked_law(laplacian.matrix, stacked_c, y, y_d, y_old)
         scale = _crosscheck(stacked, _robot_row(local_c, y_d, y, force, y_old, f_old))
+    # each robot's stacked value in _stacked_law's order, from the numpy products
+    # K y (and K delta); one comprehension per law: star-unpacking is ~10% slower
     elif y_old is None:
-        scale = _crosscheck_floats(stacked, [
-            _robot_row(c, y_d, y_k, f_k)
-            for c, y_k, f_k in zip(per_robot, y.tolist(), force.tolist())])
+        stacked, scale = _crosscheck_floats([
+            (y_k - g_k * ky_k + gb_k * y_d, _robot_row(c, y_d, y_k, f_k))
+            for (g_k, gb_k, c), y_k, ky_k, f_k in zip(
+                per_robot, y.tolist(), np.matvec(laplacian.matrix, y).tolist(),
+                force.tolist())])
     else:
-        scale = _crosscheck_floats(stacked, [
-            _robot_row(c, y_d, y_k, f_k, o_k, g_k) for c, y_k, f_k, o_k, g_k
-            in zip(per_robot, y.tolist(), force.tolist(), y_old.tolist(), f_old.tolist())])
+        delta = y - y_old
+        stacked, scale = _crosscheck_floats([
+            (y_k - r_k * ky_k + rb_k * y_d + (d_k - b_k * kd_k) / n_k,
+             _robot_row(c, y_d, y_k, f_k, o_k, g_k))
+            for (r_k, rb_k, b_k, n_k, c), y_k, ky_k, d_k, kd_k, f_k, o_k, g_k in zip(
+                per_robot, y.tolist(), np.matvec(laplacian.matrix, y).tolist(),
+                delta.tolist(), np.matvec(laplacian.matrix, delta).tolist(), force.tolist(),
+                y_old.tolist(), f_old.tolist())])
     if not scale <= DIVERGENCE_LIMIT_CM:
         raise DivergenceError(step=state.step + 1)
     return stacked

@@ -29,10 +29,10 @@ from .errors import CalibrationError, UnpinnedNetworkError
 
 _EIGEN_RECONSTRUCT_RTOL = 1e-10
 # Robots plus directed springs up to which one state is sensed, and one run's
-# robots are stepped and checked (dynamics), in Python floats: there numpy's
-# overhead of about 1 us a call costs more than the vector work saves. Timed,
-# the two routes broke even at 40 to 43 (chains of 14 and 15 robots).
-_FLOAT_WORK_LIMIT = 40
+# robots are stepped by both laws and checked (dynamics), in Python floats: there
+# numpy's overhead of about 1 us a call costs more than the vector work saves.
+# Timed, the two routes broke even at 37 to 40 (chains of 13 and 14 robots).
+_FLOAT_WORK_LIMIT = 37
 
 
 @dataclass(frozen=True)

@@ -108,10 +108,11 @@ class _Tustin:
             # new m at once, so the loop does one multiply and one add per sample
             steps = np.where(np.arange(self.filled - 1, b) >= self.start, self.amplitude, 0.0)
             np.multiply.outer(steps[1:] + steps[:-1], self.feed, out=rows[old:])
-            keep = self.keep
+            # one cutoff runs the recursion on Python floats, several on rows, in one order
+            filtered, keep = rows.tolist() if rows.ndim == 1 else rows, self.keep
             for m in range(old, len(rows)):
-                rows[m] += keep * rows[m - 1]
-            self.rows, self.filled = rows, b
+                filtered[m] += keep * filtered[m - 1]
+            self.rows, self.filled = np.asarray(filtered, dtype=float), b
         else:
             self.rows = self.rows[kept - self.first:]
         self.first = kept

@@ -4,6 +4,7 @@ import re
 import subprocess
 import sys
 import warnings
+from collections import Counter
 from pathlib import Path
 
 import hypothesis
@@ -17,15 +18,15 @@ from cohesive_transport import dynamics
 from cohesive_transport import (ControllerConfig, CouplingNetwork, CrosscheckError,
                                 DivergenceError, NetworkState, ScenarioConfig,
                                 StiffnessChain, TrajectorySpec, UnstableControllerWarning,
-                                UnstableGainError, build_pinned_laplacian, measured_force,
-                                simulate, step_baseline, step_dsr)
+                                UnstableGainError, build_pinned_laplacian, load_config,
+                                measured_force, simulate, step_baseline, step_dsr)
 from cohesive_transport.dynamics import (_BLOCK_VALUES, _crosscheck, _run,
                                          baseline_update_forms, dsr_update_forms,
                                          num_steps)
 from cohesive_transport.network import _FLOAT_WORK_LIMIT
 from cohesive_transport.stability import baseline_gamma_bound
 
-from conftest import DT, unit_step_scenario
+from conftest import DT, grid_network, unit_step_scenario
 from strategies import coupling_networks
 
 
@@ -317,11 +318,16 @@ def _crosscheck_pairs(draw):
 @example((np.array([[1.0, 0.5], [1e6, 2.0]]), np.array([[1.0, 0.5 + 1e-9], [1e6, 2.0]])))
 @example((np.array([[1.0, math.inf]]), np.array([[1.0, 5.0]])))
 def test_crosscheck_of_a_batch_is_the_documented_bound_row_by_row(pair):
-    # each row also as one state checked in floats, against the list of its local values
+    # each row also as one state checked in floats, from its (stacked, local) pairs
     stacked, local = pair
+
+    def crosscheck_floats(row, local_row):
+        checked, scale = dynamics._crosscheck_floats(list(zip(row.tolist(), local_row)))
+        assert _same_bits(checked, row)
+        return scale
+
     cases = [(_crosscheck, stacked, local)] + [
-        (dynamics._crosscheck_floats, row, local_row.tolist())
-        for row, local_row in zip(stacked, local)]
+        (crosscheck_floats, row, local_row.tolist()) for row, local_row in zip(stacked, local)]
     with np.errstate(invalid="ignore"):   # inf - inf is a NaN residual
         for crosscheck, rows, local_rows in cases:
             expected_scale, expected_message = _crosscheck_row_by_row(
@@ -614,8 +620,8 @@ def _same_bits(a, b):
 def test_single_run_routes_match_their_batch_row(case):
     """One state steps, reads and fails as its row in a (1, n) batch, which
     takes the array route: the same bits, the same error and message. On a
-    small network its per-robot law is checked in floats, with the bits of
-    the array route's per-robot law."""
+    small network both laws are evaluated robot by robot in floats, each with
+    the bits of the array route's form."""
     network, stepped_on, config, rows, references = case
     small = stepped_on.n + 2 * len(stepped_on.couplings) <= _FLOAT_WORK_LIMIT
     hypothesis.event("floats" if small else "arrays")
@@ -625,23 +631,23 @@ def test_single_run_routes_match_their_batch_row(case):
     batch = NetworkState(rows[0][None], tuple(row[None] for row in rows[1:]))
     checked, crosscheck_floats = [], dynamics._crosscheck_floats
 
-    def recorded(stacked, local):
-        checked.append(np.array(local))
-        return crosscheck_floats(stacked, local)
+    def recorded(pairs):
+        checked.append(np.array(pairs).T)   # the stacked values, then the per-robot ones
+        return crosscheck_floats(pairs)
 
     with np.errstate(all="ignore"), pytest.MonkeyPatch.context() as patch:
         patch.setattr(dynamics, "_crosscheck_floats", recorded)
         for y_d in references:
             assert _same_bits(measured_force(stepped_on, single.positions),
                               measured_force(stepped_on, batch.positions)[0])
-            try:   # the array route's per-robot law
-                local = _update_forms(single, lap, stepped_on, config, y_d)[1]
+            try:   # the array route's two forms
+                forms = np.array(_update_forms(single, lap, stepped_on, config, y_d))
             except UnstableGainError:
-                local = None
+                forms = None
             checked.clear()
             got = _outcome(step, single, lap, stepped_on, config, y_d)
-            assert len(checked) == (small and local is not None)
-            assert not checked or _same_bits(checked[0], local)
+            assert len(checked) == (small and forms is not None)
+            assert not checked or _same_bits(checked[0], forms)
             want = _outcome(step, batch, lap, stepped_on, config, np.full((1, 1), y_d))
             assert _same_bits(single.reading, batch.reading[0])   # the stored reading
             if isinstance(want, tuple):
@@ -684,6 +690,34 @@ def test_single_run_routes_diverge_at_their_batch_rows_step(network, kind, delay
     assert single_error == batch_error
     assert (single is None and batch is None) or _same_bits(single, batch)
     hypothesis.event("diverged" if single_error else "stayed below 1e9 cm")
+
+
+def _route_scenario(name):
+    """A bundled chain4 config, or one law on the 64-robot mesh (3 s)."""
+    if name.endswith(".cfg"):
+        return load_config(Path(__file__).resolve().parents[1] / "configs" / name)
+    mesh = grid_network(8, 1)
+    gain = 0.25 * baseline_gamma_bound(build_pinned_laplacian(mesh))
+    controller = (ControllerConfig.baseline(gain, DT) if name == "mesh64-baseline"
+                  else ControllerConfig.dsr(0.39, gain, DT))
+    return ScenarioConfig(network=mesh, controller=controller, duration=3.0,
+                          trajectory=TrajectorySpec("filtered_step", 50.0, 0.1))
+
+
+@pytest.mark.parametrize("name, route", [
+    ("chain4_baseline.cfg", "floats"), ("chain4_dsr.cfg", "floats"),
+    ("mesh64-baseline", "arrays"), ("mesh64-dsr", "arrays")])
+def test_simulate_steps_every_sample_on_its_route(monkeypatch, name, route):
+    # chain4 (10 robots plus directed springs) is stepped in floats, the mesh
+    # (64 + 224) as arrays; a float step that falls back to the arrays counts both
+    checks = Counter()
+    for check, counted_as in (("_crosscheck_floats", "floats"), ("_crosscheck", "arrays")):
+        def counted(*args, _check=getattr(dynamics, check), _as=counted_as):
+            checks[_as] += 1
+            return _check(*args)
+        monkeypatch.setattr(dynamics, check, counted)
+    trace = simulate(_route_scenario(name))
+    assert checks == {route: trace.num_samples - 1}
 
 
 _OPTIMIZED_SCRIPT = """
