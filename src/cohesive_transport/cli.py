@@ -41,8 +41,7 @@ from .dynamics import SimulationTrace, simulate
 from .errors import CohesiveTransportError, ConfigError, DivergenceError
 from .network import build_pinned_laplacian
 from .scenario import ScenarioConfig, load_config
-from .stability import (baseline_gamma_bound, baseline_spectral_radius, mode_roots,
-                        spectral_radius)
+from .stability import baseline_gamma_bound, mode_roots, spectral_radius
 from .trajectory import cutoff_sweep
 
 _DEFAULT_SWEEP = [round(0.02 * i, 10) for i in range(1, 26)]  # 0.02 .. 0.5 rad/s
@@ -70,7 +69,7 @@ _E_MIN, _E_MAX = -300, 300                  # decimal exponents of the table row
 _E_ZERO = _E_MAX - _E_MIN + 1               # the frame row of 0 and -0
 _WIDE_LOW, _WIDE_HIGH = -100 - _E_MIN, 100 - _E_MIN   # 3-digit exponents: rows <=, >=
 _POW10 = np.array([float(f"1e{8 - e}") for e in range(_E_MIN, _E_MAX + 1)])
-_TIE = 1e-5                                 # declined: |frac(s) - 1/2| below this
+_TIE = 1e-6                                 # declined: |frac(s) - 1/2| below this
 
 
 def _g9_tables() -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
@@ -141,9 +140,9 @@ class _G9Kernel:
     = fl(10**(8-E)) from a table of correctly rounded powers: two roundings,
     each of relative error at most u = 2**-53, so |s - S| < 2u * S < 2.3e-7.
     Hence rint(s) = round(S) unless S lies within 2.3e-7 of a half-integer;
-    the kernel declines every value with |s - rint(s)| > 1/2 - 1e-5 and
-    formats those through '%.9g' itself, as it does NaN, +-inf, subnormals and
-    |x| outside the range. E is the floor of numpy's log10|x|; a log10
+    the kernel declines every value with |s - rint(s)| > 1/2 - 1e-6, a margin
+    four times that bound, and formats those through '%.9g' itself, as it
+    does NaN, +-inf, subnormals and |x| outside the range. E is the floor of numpy's log10|x|; a log10
     accurate to about 1e-10 absolute puts it off by one only for |x| within
     5e-10 relative of a power of ten. There S, taken at the E the kernel
     uses, lies within 0.05 below 1e8 (E one too high) or within 0.5 above
@@ -336,7 +335,7 @@ def cmd_stability(args) -> int:
     else:
         bound, multipliers = baseline_gamma_bound(lap), mode_roots(lap, ctl)[:, 0]
         payload = {"stable": ctl.gamma < bound,
-                   "spectral_radius": baseline_spectral_radius(lap, ctl.gamma),
+                   "spectral_radius": float(np.max(np.abs(multipliers))),
                    "gamma_bound": bound,
                    "per_mode": [{"eigenvalue": lam, "multiplier": mu} for lam, mu in
                                 zip(lap.eigenvalues.tolist(), multipliers.tolist())]}

@@ -17,8 +17,8 @@ with rate gain ``a`` (1/s), reinforcement gain ``b`` (cm/N), and delay of
 N samples. Every robot can evaluate its own row of this update from local
 measurements only: the row needs y_k, f_k, the values of both the robot
 stored N samples earlier, and y_d if the robot is a leader. Each law is
-written twice, once per robot from local quantities (``_robot_row``) and
-once stacked via K (``_stacked_law``), and the two are cross-checked on
+written once, in one function (``_law``) that gives both its forms: per
+robot from local quantities, and stacked via K. The two are cross-checked on
 every step of every run (``_run``, which hands samples out in blocks that
 the sweep and the tuner reduce as they come); that check certifies the laws
 as decentralized. Both step functions share one core (``_step``), which
@@ -35,16 +35,15 @@ Every sample of every row is still checked, within 1e-12 * max(1, the row's
 largest |Y[m+1]|); a batch whose entries all agree within 1e-12, the
 smallest such bound, is accepted without the row-by-row pass.
 
-``_robot_row`` evaluates every robot at once on arrays, or one robot on
-Python floats. One run (an (n,) state with a scalar reference) on a network
-of at most ``network._FLOAT_WORK_LIMIT`` robots plus directed springs, the
-paper's four robots among them, is stepped robot by robot in floats: the
-readings, each robot's stacked value in ``_stacked_law``'s order (only K Y,
-and K (Y - Y[m-N]), stay numpy products), its per-robot row and the
-crosscheck's bound. On four robots numpy's overhead of about 1 us a call is
-most of a step's cost. The floats round as the arrays do, so readings,
-positions and every raised error are the array route's; batches and larger
-networks keep the arrays.
+``_law`` evaluates every robot at once on arrays, or one robot on Python
+floats. One run (an (n,) state with a scalar reference) on a network of at
+most ``network._FLOAT_WORK_LIMIT`` robots plus directed springs, the paper's
+four robots among them, is stepped robot by robot in floats: the readings,
+both forms of the law, from one flat tuple of constants per robot (only K Y,
+and K (Y - Y[m-N]), stay numpy products), and the crosscheck's bound. On
+four robots numpy's overhead of about 1 us a call is most of a step's cost.
+The floats round as the arrays do, so readings, positions and every raised
+error are the array route's; batches and larger networks keep the arrays.
 
 Positions are cm, forces N, time s.
 """
@@ -55,6 +54,7 @@ import operator
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import repeat
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -208,17 +208,17 @@ class SimulationTrace:
 def _law_constants(network: CouplingNetwork, laplacian: PinnedLaplacian, gains: tuple,
                    shape: tuple[int, ...]) -> tuple:
     """Constants of the law ("baseline", gamma) or ("dsr", alpha, beta, dt, N)
-    for states of ``shape``, in three parts, (stacked, local, per_robot).
-    ``stacked`` holds the stacked law's, made from the laplacian's B, and
-    ``local`` the per-robot coefficients, where robot k's use its own leader
-    spring: each a read-only array of ``shape``, so that no ufunc of a sample
-    broadcasts one. ``per_robot`` holds one tuple of Python floats per robot,
-    its stacked constants then a tuple of its local ones, for one state of a
-    network small enough to be stepped in floats (``network._spring_floats``),
-    else None. The network keeps one entry, for the gains and shape last
-    stepped; other gains, another shape or another laplacian replace it. Gains
-    that overflow a per-robot coefficient raise UnstableGainError before any
-    arithmetic on them. States of a shape other than (n,) and (batch, n) raise
+    for states of ``shape``, in two parts, (constants, per_robot), as ``_law``
+    reads them. ``constants`` holds the stacked law's, made from the
+    laplacian's B, then the per-robot coefficients, where robot k's use its
+    own leader spring: each a read-only array of ``shape``, so that no ufunc
+    of a sample broadcasts one. ``per_robot`` holds each robot's entries of
+    them as one flat tuple of Python floats, for one state of a network small
+    enough to be stepped in floats (``network._spring_floats``), else None.
+    The network keeps one entry, for the gains and shape last stepped; other
+    gains, another shape or another laplacian replace it. Gains that overflow
+    a per-robot coefficient raise UnstableGainError before any arithmetic on
+    them. States of a shape other than (n,) and (batch, n) raise
     ``measured_force``'s ValueError, checked only where an entry is built."""
     cache = network._law_coefficients
     cached = cache.get((gains, shape))
@@ -243,40 +243,31 @@ def _law_constants(network: CouplingNetwork, laplacian: PinnedLaplacian, gains: 
             named = f"(alpha, beta) = ({alpha:.6g}, {beta:.6g}) (alpha*beta*dt = {rate:.6g})"
     if not all(np.isfinite(c).all() for c in local):
         raise UnstableGainError(f"{named} overflow the per-robot law coefficients")
-    stacked, local = (tuple(np.broadcast_to(c, shape).copy() for c in part)
-                      for part in (stacked, local))
-    for arr in stacked + local:
+    constants = tuple(np.broadcast_to(c, shape).copy() for c in stacked + local)
+    for arr in constants:
         arr.flags.writeable = False
-    per_robot = (tuple(zip(*(c.tolist() for c in stacked), zip(*(c.tolist() for c in local))))
+    per_robot = (tuple(zip(*(c.tolist() for c in constants)))
                  if len(shape) == 1 and network._spring_floats is not None else None)
     cache.clear()
-    cache[gains, shape] = laplacian, (stacked, local, per_robot)
-    return stacked, local, per_robot
+    cache[gains, shape] = laplacian, (constants, per_robot)
+    return constants, per_robot
 
 
-def _stacked_law(k, constants, y, y_d, y_old=None):
-    """Next positions by the stacked law, from ``_law_constants``'s stacked
-    part: (gamma, gamma*B) for the baseline, which gives no ``y_old``, or
-    (a*b*dt, a*b*dt*B, b, N) for the cohesive law."""
-    nxt = y - constants[0] * np.matvec(k, y) + constants[1] * y_d
-    if y_old is None:
-        return nxt
-    delta = y - y_old
-    return nxt + (delta - constants[2] * np.matvec(k, delta)) / constants[3]
-
-
-def _robot_row(c, y_d, y, f, y_old=None, f_old=None):
-    """Next positions by the per-robot law: row k reads only robot k's
-    position ``y`` and force reading ``f``, for the cohesive law also their
-    N-step-old values, and the reference, with ``_law_constants``'s local
-    coefficients ``c``. The same expression takes every robot at once as
-    arrays, or one robot as Python floats; its terms are added left to
-    right, not by ``sum``, whose float addition Python 3.12 changed."""
-    if y_old is None:
-        c_y, c_f, c_yd = c
-        return c_y * y + c_f * f + c_yd * y_d
-    c_y, c_f, c_old, c_fold, c_yd = c
-    return c_y * y + c_f * f + c_old * y_old + c_fold * f_old + c_yd * y_d
+def _law(c, y_d, y, ky, f, d=None, kd=None, y_old=None, f_old=None):
+    """Next positions by both forms of a law, (stacked, per-robot), with
+    ``_law_constants``'s constants ``c``. The stacked form reads K y as
+    ``ky``, and for the cohesive law d = y - y_old and K d as ``kd``. The
+    per-robot form reads only each robot's own position ``y`` and force
+    reading ``f``, for the cohesive law also their N-step-old values, and the
+    reference. The same expressions take every robot at once as arrays, or
+    one robot as Python floats, with the same bits: their terms are added
+    left to right, not by ``sum``, whose float addition Python 3.12 changed."""
+    if d is None:
+        gamma, gamma_b, c_y, c_f, c_yd = c
+        return y - gamma * ky + gamma_b * y_d, c_y * y + c_f * f + c_yd * y_d
+    rate, rate_b, beta, delay, c_y, c_f, c_old, c_fold, c_yd = c
+    return (y - rate * ky + rate_b * y_d + (d - beta * kd) / delay,
+            c_y * y + c_f * f + c_old * y_old + c_fold * f_old + c_yd * y_d)
 
 
 def baseline_update_forms(positions, laplacian: PinnedLaplacian,
@@ -288,9 +279,8 @@ def baseline_update_forms(positions, laplacian: PinnedLaplacian,
     bits, broadcast on every sample). Both are arrays, whatever the state:
     the reference that the tests hold ``step_baseline``'s routes to."""
     y = np.asarray(positions, dtype=float)
-    stacked, local, _ = _law_constants(network, laplacian, ("baseline", gamma), y.shape)
-    return (_stacked_law(laplacian.matrix, stacked, y, y_d),
-            _robot_row(local, y_d, y, measured_force(network, y)))
+    constants, _ = _law_constants(network, laplacian, ("baseline", gamma), y.shape)
+    return _law(constants, y_d, y, np.matvec(laplacian.matrix, y), measured_force(network, y))
 
 
 def dsr_update_forms(positions, delayed_positions, laplacian: PinnedLaplacian,
@@ -302,11 +292,11 @@ def dsr_update_forms(positions, delayed_positions, laplacian: PinnedLaplacian,
     in ``baseline_update_forms``."""
     y = np.asarray(positions, dtype=float)
     y_old = np.asarray(delayed_positions, dtype=float)
-    stacked, local, _ = _law_constants(
+    constants, _ = _law_constants(
         network, laplacian, ("dsr", alpha, beta, dt, delay_multiple), y.shape)
-    return (_stacked_law(laplacian.matrix, stacked, y, y_d, y_old),
-            _robot_row(local, y_d, y, measured_force(network, y), y_old,
-                       measured_force(network, y_old)))
+    delta = y - y_old
+    return _law(constants, y_d, y, np.matvec(laplacian.matrix, y), measured_force(network, y),
+                delta, np.matvec(laplacian.matrix, delta), y_old, measured_force(network, y_old))
 
 
 def _crosscheck(stacked: np.ndarray, local: np.ndarray) -> float:
@@ -358,32 +348,27 @@ def _step(state: NetworkState, laplacian: PinnedLaplacian, network: CouplingNetw
         state.readings, state.sensed_on = (), network
     y = np.asarray(state.positions, dtype=float)
     state.reading = force = measured_force(network, y)
-    stacked_c, local_c, per_robot = _law_constants(network, laplacian, gains, y.shape)
-    y_old = f_old = None
-    if gains[0] == "dsr":
+    constants, per_robot = _law_constants(network, laplacian, gains, y.shape)
+    ky = np.matvec(laplacian.matrix, y)
+    floats = per_robot is not None and isinstance(y_d, float)
+    # one map per law over its named lists: building them in a loop costs ~0.4 us
+    # of a 7-10 us chain4 step
+    if gains[0] == "baseline":
+        forms = (map(_law, per_robot, repeat(y_d), y.tolist(), ky.tolist(), force.tolist())
+                 if floats else _law(constants, y_d, y, ky, force))
+    else:
         y_old = np.asarray(state.delayed_positions, dtype=float)
         f_old = (state.readings[0] if len(state.readings) == len(state.history)
                  else measured_force(network, y_old))
-    if per_robot is None or not isinstance(y_d, float):
-        stacked = _stacked_law(laplacian.matrix, stacked_c, y, y_d, y_old)
-        scale = _crosscheck(stacked, _robot_row(local_c, y_d, y, force, y_old, f_old))
-    # each robot's stacked value in _stacked_law's order, from the numpy products
-    # K y (and K delta); one comprehension per law: star-unpacking is ~10% slower
-    elif y_old is None:
-        stacked, scale = _crosscheck_floats([
-            (y_k - g_k * ky_k + gb_k * y_d, _robot_row(c, y_d, y_k, f_k))
-            for (g_k, gb_k, c), y_k, ky_k, f_k in zip(
-                per_robot, y.tolist(), np.matvec(laplacian.matrix, y).tolist(),
-                force.tolist())])
-    else:
         delta = y - y_old
-        stacked, scale = _crosscheck_floats([
-            (y_k - r_k * ky_k + rb_k * y_d + (d_k - b_k * kd_k) / n_k,
-             _robot_row(c, y_d, y_k, f_k, o_k, g_k))
-            for (r_k, rb_k, b_k, n_k, c), y_k, ky_k, d_k, kd_k, f_k, o_k, g_k in zip(
-                per_robot, y.tolist(), np.matvec(laplacian.matrix, y).tolist(),
-                delta.tolist(), np.matvec(laplacian.matrix, delta).tolist(), force.tolist(),
-                y_old.tolist(), f_old.tolist())])
+        k_delta = np.matvec(laplacian.matrix, delta)
+        forms = (map(_law, per_robot, repeat(y_d), y.tolist(), ky.tolist(), force.tolist(),
+                     delta.tolist(), k_delta.tolist(), y_old.tolist(), f_old.tolist())
+                 if floats else _law(constants, y_d, y, ky, force, delta, k_delta, y_old, f_old))
+    if floats:
+        stacked, scale = _crosscheck_floats(list(forms))
+    else:
+        stacked, scale = forms[0], _crosscheck(*forms)
     if not scale <= DIVERGENCE_LIMIT_CM:
         raise DivergenceError(step=state.step + 1)
     return stacked

@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cohesive_transport
-from cohesive_transport import dynamics
+from cohesive_transport import cli, dynamics
 from cohesive_transport import (ControllerConfig, CouplingNetwork, CrosscheckError,
                                 DivergenceError, NetworkState, ScenarioConfig,
                                 StiffnessChain, TrajectorySpec, UnstableControllerWarning,
@@ -25,6 +25,8 @@ from cohesive_transport.dynamics import (_BLOCK_VALUES, _crosscheck, _run,
                                          num_steps)
 from cohesive_transport.network import _FLOAT_WORK_LIMIT
 from cohesive_transport.stability import baseline_gamma_bound
+from cohesive_transport.trajectory import cutoff_sweep
+from cohesive_transport.tuning import TuningSpec, tune
 
 from conftest import DT, grid_network, unit_step_scenario
 from strategies import coupling_networks
@@ -709,15 +711,36 @@ def _route_scenario(name):
     ("mesh64-baseline", "arrays"), ("mesh64-dsr", "arrays")])
 def test_simulate_steps_every_sample_on_its_route(monkeypatch, name, route):
     # chain4 (10 robots plus directed springs) is stepped in floats, the mesh
-    # (64 + 224) as arrays; a float step that falls back to the arrays counts both
+    # (64 + 224) as arrays
+    checks = _counted_checks(monkeypatch)
+    trace = simulate(_route_scenario(name))
+    assert checks == {route: trace.num_samples - 1}
+
+
+@pytest.mark.parametrize("command, route, samples", [
+    ("tune", "floats", 352 + 336), ("sweep", "arrays", 530)])
+def test_tune_and_sweep_step_on_their_routes(monkeypatch, chain4, command, route, samples):
+    # the tuner steps chain4's unit responses one run at a time, in floats (the
+    # baseline's 352 samples, then the cohesive law's 336); the sweep steps its
+    # 25 cutoffs as one batch, as arrays, until it stops at sample 530
+    checks = _counted_checks(monkeypatch)
+    if command == "tune":
+        tune(chain4, TuningSpec(10, 0.03))
+    else:
+        cutoff_sweep(_route_scenario("chain4_baseline.cfg"), cli._DEFAULT_SWEEP)
+    assert checks == {route: samples}
+
+
+def _counted_checks(monkeypatch):
+    """Counts the checked steps by route from here on; a float step that
+    falls back to the arrays counts on both."""
     checks = Counter()
     for check, counted_as in (("_crosscheck_floats", "floats"), ("_crosscheck", "arrays")):
         def counted(*args, _check=getattr(dynamics, check), _as=counted_as):
             checks[_as] += 1
             return _check(*args)
         monkeypatch.setattr(dynamics, check, counted)
-    trace = simulate(_route_scenario(name))
-    assert checks == {route: trace.num_samples - 1}
+    return checks
 
 
 _OPTIMIZED_SCRIPT = """

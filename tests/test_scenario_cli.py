@@ -326,7 +326,7 @@ def test_csv_writer_matches_percent_g_on_every_layout(tmp_path, kernels):
 
 def _documented_declines(values: np.ndarray) -> tuple[int, int]:
     """How many ``values`` README's declined set holds: NaN, infinities,
-    nonzero |v| outside [1e-298, 1e298), and values within 1e-5 of a tie in
+    nonzero |v| outside [1e-298, 1e298), and values within 1e-6 of a tie in
     their 9th significant digit by more than 2.3e-7, the kernel's bound on
     its own rounding (found exactly); and how many lie within 2.3e-7 of that
     margin, where the kernel may decide either way."""
@@ -334,9 +334,9 @@ def _documented_declines(values: np.ndarray) -> tuple[int, int]:
     inside = (magnitude >= 1e-298) & (magnitude < 1e298)
     declined, borderline = np.count_nonzero(~inside & (values != 0)), 0
     scaled = magnitude[inside] * 10.0 ** (8 - np.floor(np.log10(magnitude[inside])))
-    for v in values[inside][np.abs(scaled - np.floor(scaled) - 0.5) < 2e-5]:   # float prefilter
+    for v in values[inside][np.abs(scaled - np.floor(scaled) - 0.5) < 2e-6]:   # float prefilter
         exact = abs(Fraction(float(v))) * Fraction(10) ** (8 - Decimal(float(v)).adjusted())
-        gap = abs(exact - math.floor(exact) - Fraction(1, 2)) - Fraction(1, 10**5)
+        gap = abs(exact - math.floor(exact) - Fraction(1, 2)) - Fraction(1, 10**6)
         declined += gap < -Fraction(23, 10**8)
         borderline += abs(gap) <= Fraction(23, 10**8)
     return declined, borderline
@@ -345,7 +345,7 @@ def _documented_declines(values: np.ndarray) -> tuple[int, int]:
 def test_kernel_declines_only_near_ties_of_the_reference_traces(tmp_path, kernels):
     """The bundled chain4 traces and the seeded 64-robot mesh traces of the
     benchmark are formatted in numpy apart from their few values within
-    1e-5 of a tie (README's declined set): no notation, exponent or sign
+    1e-6 of a tie (README's declined set): no notation, exponent or sign
     falls back to '%.9g'."""
     mesh = grid_network(8, 1)
     gain = 0.5 / max(sum(k for pair, k in mesh.couplings.items() if i in pair) + lead
