@@ -17,33 +17,34 @@ with rate gain ``a`` (1/s), reinforcement gain ``b`` (cm/N), and delay of
 N samples. Every robot can evaluate its own row of this update from local
 measurements only: the row needs y_k, f_k, the values of both the robot
 stored N samples earlier, and y_d if the robot is a leader. Each law is
-written once, in one function (``_law``) that gives both its forms: per
-robot from local quantities, and stacked via K. The two are cross-checked on
-every step of every run (``_run``, which hands samples out in blocks that
-the sweep and the tuner reduce as they come); that check certifies the laws
-as decentralized. Both step functions share one core (``_step``), which
-raises CrosscheckError on a disagreement, also under ``python -O``, and
-DivergenceError past DIVERGENCE_LIMIT_CM.
+written once, in one function (``_law``) that gives both its forms, or either
+alone: per robot from local quantities, and stacked via K. The two are
+cross-checked on every sample of every run (``_run``, which hands samples
+out in blocks that the sweep and the tuner reduce as they come); that check
+certifies the laws as decentralized. Both step functions share one core
+(``_step``), which raises CrosscheckError on a disagreement, also under
+``python -O``, and DivergenceError past DIVERGENCE_LIMIT_CM.
 
 The stacked law takes K Y as np.matvec(K, Y) for one state and each batch
 row alike. A run builds its constants once, not per sample: the stacked
 law's (gamma*B, or a*b*dt*B, b and N) and the per-robot coefficients, each
-as an array of the state's shape (``_law_constants``), and the spring list
-of a batch of that size; the network keeps only the last of each. A batch's
-references are tiled to its (batch, n) shape once per block of samples.
-Every sample of every row is still checked, within 1e-12 * max(1, the row's
-largest |Y[m+1]|); a batch whose entries all agree within 1e-12, the
-smallest such bound, is accepted without the row-by-row pass.
+as an array of the state's shape (``_law_constants``); the network keeps
+only the last. Every sample of every row is checked, within 1e-12 * max(1,
+the row's largest |Y[m+1]|); a batch whose entries all agree within 1e-12,
+the smallest such bound, is accepted without the row-by-row pass.
 
 ``_law`` evaluates every robot at once on arrays, or one robot on Python
 floats. One run (an (n,) state with a scalar reference) on a network of at
 most ``network._FLOAT_WORK_LIMIT`` robots plus directed springs, the paper's
-four robots among them, is stepped robot by robot in floats: the readings,
-both forms of the law, from one flat tuple of constants per robot (only K Y,
-and K (Y - Y[m-N]), stay numpy products), and the crosscheck's bound. On
-four robots numpy's overhead of about 1 us a call is most of a step's cost.
-The floats round as the arrays do, so readings, positions and every raised
-error are the array route's; batches and larger networks keep the arrays.
+four robots among them, is stepped sample by sample through the public step,
+robot by robot in floats: the readings, both forms of the law, from one flat
+tuple of constants per robot (only K Y, and K (Y - Y[m-N]), stay numpy
+products), and the crosscheck's bound. Batches and larger networks step only
+the stacked form per sample, as arrays, and check a block of samples at a
+time before it is yielded: one reading of each sample, the per-robot form
+of the whole block, and each (sample, run) row's bound. Both round as the
+public steps' arrays do, so readings, positions and every raised error,
+at the sample it is raised at, are those of stepping sample by sample.
 
 Positions are cm, forces N, time s.
 """
@@ -259,15 +260,18 @@ def _law(c, y_d, y, ky, f, d=None, kd=None, y_old=None, f_old=None):
     ``ky``, and for the cohesive law d = y - y_old and K d as ``kd``. The
     per-robot form reads only each robot's own position ``y`` and force
     reading ``f``, for the cohesive law also their N-step-old values, and the
-    reference. The same expressions take every robot at once as arrays, or
-    one robot as Python floats, with the same bits: their terms are added
-    left to right, not by ``sum``, whose float addition Python 3.12 changed."""
-    if d is None:
+    reference. Either form is None where its K y or its reading is: one form
+    alone costs no work on the other. The same expressions take every robot
+    at once as arrays, or one robot as Python floats, with the same bits:
+    their terms are added left to right, not by ``sum``, whose float addition
+    Python 3.12 changed."""
+    if len(c) == 5:
         gamma, gamma_b, c_y, c_f, c_yd = c
-        return y - gamma * ky + gamma_b * y_d, c_y * y + c_f * f + c_yd * y_d
+        return (ky if ky is None else y - gamma * ky + gamma_b * y_d,
+                f if f is None else c_y * y + c_f * f + c_yd * y_d)
     rate, rate_b, beta, delay, c_y, c_f, c_old, c_fold, c_yd = c
-    return (y - rate * ky + rate_b * y_d + (d - beta * kd) / delay,
-            c_y * y + c_f * f + c_old * y_old + c_fold * f_old + c_yd * y_d)
+    return (ky if ky is None else y - rate * ky + rate_b * y_d + (d - beta * kd) / delay,
+            f if f is None else c_y * y + c_f * f + c_old * y_old + c_fold * f_old + c_yd * y_d)
 
 
 def baseline_update_forms(positions, laplacian: PinnedLaplacian,
@@ -334,6 +338,21 @@ def _crosscheck_floats(rows: list[tuple[float, float]]) -> tuple[np.ndarray, flo
         if not abs(s - l) <= bound:
             return stacked, _crosscheck(stacked, np.array([l for _, l in rows]))
     return stacked, scale
+
+
+def _check_block(stacked: np.ndarray, local: np.ndarray, first: int) -> None:
+    """``_step``'s checks of samples ``first``.. at once: row i of ``stacked``
+    and ``local`` holds sample first + i's two forms, each of its runs held to
+    its own bound. Where any sample fails, the first one that does raises
+    what ``_step`` raises there."""
+    try:
+        if _crosscheck(stacked, local) <= DIVERGENCE_LIMIT_CM:
+            return
+    except CrosscheckError:
+        pass
+    for i, forms in enumerate(zip(stacked, local)):
+        if not _crosscheck(*forms) <= DIVERGENCE_LIMIT_CM:
+            raise DivergenceError(step=first + i)
 
 
 def _step(state: NetworkState, laplacian: PinnedLaplacian, network: CouplingNetwork,
@@ -431,34 +450,68 @@ def _run(network: CouplingNetwork, config: ControllerConfig, references: np.ndar
     runs at once as a state (batch, n). Yields (m, block): samples m.. in block[1:],
     sample m - 1 in block[0]. A block holds about _BLOCK_VALUES positions, at least
     one sample, ends at each sample in ``ends``, and is overwritten by the next.
-    ``ends`` is read as the run goes: a caller may add to it between blocks.
-    ``references`` is read only through ``shape``, ``len`` and the row slices
-    [m - 1, m - 1 + rows) of the blocks, in order, each starting on the row
-    after the last block's last sample: an object that forms its rows as they
-    are read (a stride-0 broadcast, the sweep's ``trajectory._Tustin``) serves."""
+    ``ends`` is read at the start of each block: a caller may add to it between
+    blocks. ``references`` is read only through ``shape``, ``len`` and the row
+    slices [m - 1, last) of the blocks of samples m..last, in order: an object
+    that forms its rows as they are read (a stride-0 broadcast, the sweep's
+    ``trajectory._Tustin``) serves.
+
+    One run of a small network (``_law_constants``'s ``per_robot``) calls the
+    public step once per sample, in floats. Any other state steps only the
+    stacked form per sample, and checks each block before it is yielded: one
+    reading of each sample stepped from, the per-robot form of the whole block
+    as one array evaluation, and ``_check_block``. A failing sample raises what
+    its step would, and no sample stepped past it reaches a caller."""
     laplacian = build_pinned_laplacian(network)
     _warn_if_unstable(laplacian, config)
-    stepper = step_baseline if config.kind == "baseline" else step_dsr
-    state = NetworkState.at_rest(np.zeros(references.shape[1:] + (laplacian.n,)),
-                                 config.delay_multiple)
     steps = len(references) - 1
-    rows = max(1, _BLOCK_VALUES // state.positions.size)
-    block = np.zeros((rows + 1,) + state.positions.shape)
-    first = 1
-    for m in range(1, steps + 1):
-        if m == first:
-            # the block's references: one run reads Python floats, made one at a
-            # time; a batch reads rows of the state's shape, tiled once per block
-            y_ds = references[m - 1:m - 1 + rows]
-            y_ds = (memoryview(y_ds) if y_ds.ndim == 1
-                    else np.repeat(y_ds[:, :, None], laplacian.n, axis=2))
-        nxt = stepper(state, laplacian, network, config, y_ds[m - first])
-        state = state.advanced(nxt)
-        block[m - first + 1] = nxt
-        if m - first + 1 == rows or m == steps or m in ends:
-            yield first, block[:m - first + 2]
-            block[0] = nxt
-            first = m + 1
+    if steps < 1:
+        return   # a run of no steps evaluates no law, so none of its gains can fail
+    shape = references.shape[1:] + (laplacian.n,)
+    gains = (("baseline", config.gamma) if config.kind == "baseline" else   # as the steps key it
+             ("dsr", config.alpha, config.beta, config.dt, config.delay_multiple))
+    constants, per_robot = _law_constants(network, laplacian, gains, shape)
+    if per_robot is not None:
+        stepper = step_baseline if config.kind == "baseline" else step_dsr
+        state = NetworkState.at_rest(np.zeros(shape), config.delay_multiple)
+    rows = max(1, _BLOCK_VALUES // math.prod(shape))
+    # block rows lag.. are yielded; the lag rows before them are the cohesive
+    # law's delayed samples, and ``sensed`` holds each row's reading
+    lag = config.delay_multiple if config.kind == "dsr" and per_robot is None else 0
+    block = np.zeros((lag + rows + 1,) + shape)
+    sensed = np.empty_like(block)
+    matrix, first = laplacian.matrix, 1
+    while first <= steps:
+        last = min(first + rows - 1, steps, *(m for m in ends if m >= first))
+        k = last - first + 1
+        y_ds = references[first - 1:last]
+        if per_robot is not None:   # Python floats, made one at a time
+            y_ds = memoryview(y_ds)
+            for i in range(k):
+                state = state.advanced(stepper(state, laplacian, network, config, y_ds[i]))
+                block[i + 1] = state.positions
+        else:
+            # rows of the state's shape, tiled once per block; samples stepped
+            # past a failing one warn of nothing
+            y_ds = np.repeat(y_ds[..., None], laplacian.n, axis=-1)
+            y, f = block[lag:lag + k], sensed[lag:lag + k]   # the samples stepped from
+            with np.errstate(all="ignore"):
+                for i in range(lag, lag + k):
+                    y_i, d, kd = block[i], None, None
+                    if lag:
+                        d = y_i - block[i - lag]
+                        kd = np.matvec(matrix, d)
+                    block[i + 1] = _law(constants, y_ds[i - lag], y_i, np.matvec(matrix, y_i),
+                                        None, d, kd)[0]
+                f[:] = measured_force(network, y.reshape(-1, laplacian.n)).reshape(y.shape)
+                if first == 1:
+                    sensed[:lag] = f[0]   # the rest padding reads as sample 0
+                local = _law(constants, y_ds, y, None, f, None, None, block[:k], sensed[:k])[1]
+                _check_block(block[lag + 1:lag + k + 1], local, first)
+        yield first, block[lag:lag + k + 1]
+        block[:lag + 1] = block[k:k + lag + 1]
+        sensed[:lag] = sensed[k:k + lag]
+        first = last + 1
 
 
 def simulate(scenario: "ScenarioConfig") -> SimulationTrace:

@@ -29,9 +29,10 @@ from .errors import CalibrationError, UnpinnedNetworkError
 
 _EIGEN_RECONSTRUCT_RTOL = 1e-10
 # Robots plus directed springs up to which one state is sensed, and one run's
-# robots are stepped by both laws and checked (dynamics), in Python floats: there
-# numpy's overhead of about 1 us a call costs more than the vector work saves.
-# Timed, the two routes broke even at 37 to 40 (chains of 13 and 14 robots).
+# robots are stepped by both laws and checked (dynamics), in Python floats, one
+# public step per sample. A run on chains of 4, 8 and 13 robots took 1.8-4.0x
+# as long in floats as on the block route that batches and larger networks
+# take, with the same bits; floats stay while the benchmark pins that route.
 _FLOAT_WORK_LIMIT = 37
 
 

@@ -16,13 +16,21 @@ settings.register_profile("ci", max_examples=400, deadline=None)
 
 
 def step_counts(monkeypatch):
-    """Calls of each step function from here on, counted by a wrapper."""
+    """Samples stepped from here on, by route: one per call of each public
+    step function (a single run of a small network, or a state stepped by
+    hand), and under "block" each sample of the blocks that ``dynamics._run``
+    steps and checks at once (batches and larger networks)."""
     counts = Counter()
     for name in ("step_baseline", "step_dsr"):
         def counted(*args, _step=getattr(dynamics, name), _name=name, **kwargs):
             counts[_name] += 1
             return _step(*args, **kwargs)
         monkeypatch.setattr(dynamics, name, counted)
+
+    def checked(stacked, local, first, _check=dynamics._check_block):
+        counts["block"] += len(stacked)
+        return _check(stacked, local, first)
+    monkeypatch.setattr(dynamics, "_check_block", checked)
     return counts
 
 

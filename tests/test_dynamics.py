@@ -28,7 +28,7 @@ from cohesive_transport.stability import baseline_gamma_bound
 from cohesive_transport.trajectory import cutoff_sweep
 from cohesive_transport.tuning import TuningSpec, tune
 
-from conftest import DT, grid_network, unit_step_scenario
+from conftest import DT, grid_network, step_counts, unit_step_scenario
 from strategies import coupling_networks
 
 
@@ -175,19 +175,30 @@ def test_batched_steps_reject_springs_that_disagree_with_the_laplacian(chain4, l
 
 
 @pytest.mark.parametrize("delay", [1, 3])
-def test_each_robot_reads_its_force_once_per_sample(chain4, monkeypatch, delay):
+@pytest.mark.parametrize("runs", ["chain4", "mesh64", "chain4-batch"])
+def test_each_robot_reads_its_force_once_per_sample(chain4, monkeypatch, delay, runs):
+    # chain4 is read sample by sample (floats); the 64-robot mesh and a batch
+    # of three chain4 runs a block at a time
+    network = grid_network(8, 1) if runs == "mesh64" else chain4
+    beta = 0.25 * baseline_gamma_bound(build_pinned_laplacian(network))
+    config = ControllerConfig.dsr(0.39, beta, DT, delay)
     sensed = []
 
     def counting(network, positions):
-        sensed.append(positions)
+        sensed.append(np.array(positions))
         return measured_force(network, positions)
 
     monkeypatch.setattr(dynamics, "measured_force", counting)
-    scenario = unit_step_scenario(chain4, ControllerConfig.dsr(0.39, 10.92, DT, delay),
-                                  duration=3.0)
-    steps = simulate(scenario).num_samples - 1
-    # one reading per step, plus at most one of each at-rest padding sample
-    assert steps < len(sensed) <= steps + delay
+    if runs == "chain4-batch":
+        positions = _joined_blocks(network, config, np.tile([1.0, 2.0, 3.0], (101, 1)))[0]
+    else:
+        positions = simulate(unit_step_scenario(network, config, duration=3.0)).positions
+    rows = np.concatenate([np.reshape(p, (-1, network.n)) for p in sensed])
+    stepped_from, runs = positions[:-1].reshape(-1, network.n), positions[0].size // network.n
+    # each sample stepped from is read once, plus at most one reading of each
+    # at-rest padding sample: the rows read that are not at rest are theirs
+    assert len(stepped_from) <= len(rows) <= len(stepped_from) + delay * runs
+    assert np.array_equal(rows[rows.any(axis=1)], stepped_from[stepped_from.any(axis=1)])
 
 
 @pytest.mark.parametrize("step, config", [
@@ -487,16 +498,27 @@ def test_batched_steps_match_single_runs_row_by_row(chain4, lap4, rng):
 
 def _stepped_one_at_a_time(network, config, references):
     """Samples 0..steps of ``references`` from rest, one public step call each."""
-    lap = build_pinned_laplacian(network)
+    samples, error = _stepped_to_the_first_error(network, build_pinned_laplacian(network),
+                                                 config, references)
+    assert error is None
+    return samples
+
+
+def _stepped_to_the_first_error(network, lap, config, references):
+    """(samples from rest, one public step call each, up to the first that
+    raises; that error as (class, message, step) or None)."""
     step = step_baseline if config.kind == "baseline" else step_dsr
     state = NetworkState.at_rest(np.zeros(references.shape[1:] + (network.n,)),
                                  config.delay_multiple)
     samples = [state.positions]
-    for y_d in references[:-1]:
-        y_d = float(y_d) if references.ndim == 1 else y_d[:, None]
-        state = state.advanced(step(state, lap, network, config, y_d))
-        samples.append(state.positions)
-    return np.array(samples)
+    try:
+        for y_d in references[:-1]:
+            y_d = float(y_d) if references.ndim == 1 else y_d[:, None]
+            state = state.advanced(step(state, lap, network, config, y_d))
+            samples.append(state.positions)
+    except (CrosscheckError, DivergenceError) as exc:
+        return np.array(samples), (type(exc), str(exc), getattr(exc, "step", None))
+    return np.array(samples), None
 
 
 def _joined_blocks(network, config, references, ends=()):
@@ -694,6 +716,84 @@ def test_single_run_routes_diverge_at_their_batch_rows_step(network, kind, delay
     hypothesis.event("diverged" if single_error else "stayed below 1e9 cm")
 
 
+_CHAIN4 = StiffnessChain((0.05,) * 3, (0.05, 0.0, 0.0, 0.0))
+_LARGE = _AT_THE_LIMIT[2]   # one more than the float route's limit
+
+
+def _refs(values, batch=None):
+    """References of a single run, or of ``batch`` runs that share them."""
+    values = np.array(values, dtype=float)
+    return values if batch is None else np.repeat(values[:, None], batch, axis=1)
+
+
+@st.composite
+def _block_runs(draw):
+    """(network, the network stepped on, law, references, samples a block): a
+    batch of 1-3 runs on a network of up to 5 robots, or one run on a network
+    above the float route's limit; the network stepped on may have one spring
+    stiffer than the Laplacian's, the references sit near 0 or near 1e9 cm
+    with up to two edge values, and a block holds 1-3 samples, fewer than the
+    delay of up to 3 samples or more."""
+    batch = draw(st.sampled_from([None, 1, 2, 3]))
+    network = draw(coupling_networks(max_robots=5) if batch else st.sampled_from(
+        [_LARGE, grid_network(4, 2)]))
+    stepped_on = _stiffer(network) if network.couplings and draw(st.booleans()) else network
+    gain = draw(st.floats(0.05, 1.5)) * baseline_gamma_bound(build_pinned_laplacian(network))
+    config = _law(draw(st.sampled_from(["baseline", "dsr"])), gain, draw(st.integers(1, 3)))
+    offset = draw(st.sampled_from([0.0, 0.9999e9]))
+    values = draw(st.lists(st.floats(-100.0, 100.0).map(lambda v: v + offset),
+                           min_size=2, max_size=10))
+    for _ in range(draw(st.integers(0, 2))):
+        values[draw(st.integers(0, len(values) - 1))] = draw(_EDGES)
+    return network, stepped_on, config, _refs(values, batch), draw(st.integers(1, 3))
+
+
+@settings(deadline=None)
+@given(_block_runs())
+# NaN, +inf and -inf references, a 1e9 cm divergence and a stiffer spring, each
+# failing at a block's first sample, then at its last
+@example((_CHAIN4, _CHAIN4, _law("baseline", 1.93, 1), _refs([1, 2, math.nan, 4, 5], 2), 2))
+@example((_LARGE, _LARGE, _law("dsr", 5.0, 3), _refs([1, 2, 3, math.nan, 5, 6]), 2))
+@example((_LARGE, _LARGE, _law("baseline", 1.0, 1), _refs([1, 2, 3, math.inf, 5, 6]), 3))
+@example((_CHAIN4, _CHAIN4, _law("dsr", 10.92, 2), _refs([1, 2, 3, 4, 5, -math.inf, 7], 3), 3))
+@example((_CHAIN4, _CHAIN4, _law("dsr", 10.92, 1), _refs([1, 2, 2e11, 2e11, 2e11], 1), 2))
+@example((_LARGE, _LARGE, _law("baseline", 1.0, 1), _refs([1, 2, 3, 3e10, 3e10, 3e10]), 2))
+@example((_CHAIN4, _stiffer(_CHAIN4), _law("baseline", 1.93, 1), _refs([0, 1, 1, 1, 1], 3), 2))
+@example((_LARGE, _stiffer(_LARGE), _law("dsr", 5.0, 3), _refs([0, 0, 1, 1, 1, 1]), 2))
+def test_block_check_matches_per_sample_steps(case):
+    """Batches and large networks step only the stacked law per sample and
+    check a block at a time. They yield the positions of the public step
+    called sample by sample, bitwise, and raise its error, with its message
+    and step, at the same sample; no sample from the failing one on reaches
+    the caller, and no sample stepped past it warns."""
+    network, stepped_on, config, references, rows = case
+    lap = build_pinned_laplacian(network)
+    with np.errstate(all="ignore"):
+        want, want_error = _stepped_to_the_first_error(stepped_on, lap, config, references)
+    got, error = [np.zeros(references.shape[1:] + (network.n,))], None
+    with warnings.catch_warnings(), pytest.MonkeyPatch.context() as patch:
+        warnings.simplefilter("ignore", UnstableControllerWarning)
+        patch.setattr(dynamics, "_BLOCK_VALUES", rows * references[0].size * network.n)
+        patch.setattr(dynamics, "build_pinned_laplacian", lambda _: lap)
+        try:
+            for m, block in _run(stepped_on, config, references):
+                assert m == len(got) and len(block) - 1 <= rows
+                got.extend(block[1:].copy())
+        except (CrosscheckError, DivergenceError) as exc:
+            error = (type(exc), str(exc), getattr(exc, "step", None))
+    assert error == want_error
+    if error is None:
+        assert _same_bits(np.array(got), want)
+        return
+    failed = len(want)   # the sample that raised
+    assert len(got) <= failed < len(got) + rows
+    assert _same_bits(np.array(got), want[:len(got)])
+    hypothesis.event(f"{error[0].__name__} at a block's "
+                     f"{'first' if failed == len(got) else 'last'} sample"
+                     if failed in (len(got), min(len(got) + rows, len(references)) - 1)
+                     else f"{error[0].__name__} inside a block")
+
+
 def _route_scenario(name):
     """A bundled chain4 config, or one law on the 64-robot mesh (3 s)."""
     if name.endswith(".cfg"):
@@ -710,30 +810,37 @@ def _route_scenario(name):
     ("chain4_baseline.cfg", "floats"), ("chain4_dsr.cfg", "floats"),
     ("mesh64-baseline", "arrays"), ("mesh64-dsr", "arrays")])
 def test_simulate_steps_every_sample_on_its_route(monkeypatch, name, route):
-    # chain4 (10 robots plus directed springs) is stepped in floats, the mesh
-    # (64 + 224) as arrays
-    checks = _counted_checks(monkeypatch)
-    trace = simulate(_route_scenario(name))
-    assert checks == {route: trace.num_samples - 1}
+    # chain4 (10 robots plus directed springs) is stepped in floats, one check a
+    # sample; the mesh (64 + 224) a block of 64 samples at a time, one check a
+    # block: 2 for its 100 samples
+    checks, counts = _counted_checks(monkeypatch), step_counts(monkeypatch)
+    steps = simulate(_route_scenario(name)).num_samples - 1
+    assert sum(counts.values()) == steps
+    assert checks == {route: steps if route == "floats" else -(-steps // 64)}
 
 
-@pytest.mark.parametrize("command, route, samples", [
-    ("tune", "floats", 352 + 336), ("sweep", "arrays", 530)])
-def test_tune_and_sweep_step_on_their_routes(monkeypatch, chain4, command, route, samples):
+@pytest.mark.parametrize("command, route, samples, checked", [
+    ("tune", "floats", 352 + 336, 352 + 336), ("sweep", "arrays", 530, 17)])
+def test_tune_and_sweep_step_on_their_routes(monkeypatch, chain4, command, route, samples,
+                                             checked):
     # the tuner steps chain4's unit responses one run at a time, in floats (the
-    # baseline's 352 samples, then the cohesive law's 336); the sweep steps its
-    # 25 cutoffs as one batch, as arrays, until it stops at sample 530
-    checks = _counted_checks(monkeypatch)
+    # baseline's 352 samples, then the cohesive law's 336), one check a sample;
+    # the sweep steps its 25 cutoffs as one batch until it stops at sample 530,
+    # one check a block: blocks of at most 40 samples that also end at samples
+    # 16, 32, 64, ..., 512 and at each stop tried
+    checks, counts = _counted_checks(monkeypatch), step_counts(monkeypatch)
     if command == "tune":
         tune(chain4, TuningSpec(10, 0.03))
     else:
         cutoff_sweep(_route_scenario("chain4_baseline.cfg"), cli._DEFAULT_SWEEP)
-    assert checks == {route: samples}
+    assert sum(counts.values()) == samples
+    assert checks == {route: checked}
 
 
 def _counted_checks(monkeypatch):
-    """Counts the checked steps by route from here on; a float step that
-    falls back to the arrays counts on both."""
+    """Counts the checks by route from here on: one per sample in floats,
+    one per block as arrays; a float step that falls back to the arrays
+    counts on both."""
     checks = Counter()
     for check, counted_as in (("_crosscheck_floats", "floats"), ("_crosscheck", "arrays")):
         def counted(*args, _check=getattr(dynamics, check), _as=counted_as):
