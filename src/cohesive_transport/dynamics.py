@@ -39,12 +39,14 @@ most ``network._FLOAT_WORK_LIMIT`` robots plus directed springs, the paper's
 four robots among them, is stepped sample by sample through the public step,
 robot by robot in floats: the readings, both forms of the law, from one flat
 tuple of constants per robot (only K Y, and K (Y - Y[m-N]), stay numpy
-products), and the crosscheck's bound. Batches and larger networks step only
-the stacked form per sample, as arrays, and check a block of samples at a
-time before it is yielded: one reading of each sample, the per-robot form
-of the whole block, and each (sample, run) row's bound. Both round as the
-public steps' arrays do, so readings, positions and every raised error,
-at the sample it is raised at, are those of stepping sample by sample.
+products), and the crosscheck's bound. Only ``simulate`` hands ``_run`` such
+a run. Batches, the sweep's cutoffs and each of the tuner's unit steps (a
+batch of one run) among them, and larger networks step only the stacked
+form per sample, as arrays, and check a block of samples at a time before
+it is yielded: one reading of each sample, the per-robot form of the whole
+block, and each (sample, run) row's bound. Both round as the public steps'
+arrays do, so readings, positions and every raised error, at the sample it
+is raised at, are those of stepping sample by sample.
 
 Positions are cm, forces N, time s.
 """
@@ -456,12 +458,14 @@ def _run(network: CouplingNetwork, config: ControllerConfig, references: np.ndar
     that forms its rows as they are read (a stride-0 broadcast, the sweep's
     ``trajectory._Tustin``) serves.
 
-    One run of a small network (``_law_constants``'s ``per_robot``) calls the
-    public step once per sample, in floats. Any other state steps only the
-    stacked form per sample, and checks each block before it is yielded: one
-    reading of each sample stepped from, the per-robot form of the whole block
-    as one array evaluation, and ``_check_block``. A failing sample raises what
-    its step would, and no sample stepped past it reaches a caller."""
+    One run of a small network (``_law_constants``'s ``per_robot``), which
+    only ``simulate`` hands over, calls the public step once per sample, in
+    floats. Any other state, a batch (the sweep's, or the tuner's batch of one
+    run) or a larger network, steps only the stacked form per sample, and
+    checks each block before it is yielded: one reading of each sample stepped
+    from, the per-robot form of the whole block as one array evaluation, and
+    ``_check_block``. A failing sample raises what its step would, and no
+    sample stepped past it reaches a caller."""
     laplacian = build_pinned_laplacian(network)
     _warn_if_unstable(laplacian, config)
     steps = len(references) - 1

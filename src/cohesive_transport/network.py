@@ -30,9 +30,11 @@ from .errors import CalibrationError, UnpinnedNetworkError
 _EIGEN_RECONSTRUCT_RTOL = 1e-10
 # Robots plus directed springs up to which one state is sensed, and one run's
 # robots are stepped by both laws and checked (dynamics), in Python floats, one
-# public step per sample. A run on chains of 4, 8 and 13 robots took 1.8-4.0x
-# as long in floats as on the block route that batches and larger networks
-# take, with the same bits; floats stay while the benchmark pins that route.
+# public step per sample. Only simulate (and so reproduce) steps such a run;
+# the tuner and the sweep step batches. A run on chains of 4, 8 and 13 robots
+# took 1.8-4.0x as long in floats as on the block route that batches and
+# larger networks take, with the same bits; floats stay while the benchmark
+# pins simulate's route to one public step per sample.
 _FLOAT_WORK_LIMIT = 37
 
 
@@ -46,9 +48,10 @@ class CouplingNetwork:
     entry per robot). The network is frozen, so its spring list and pinned
     Laplacian are built once per object and can never go stale; every
     caller of one network object shares a single assembly and
-    eigendecomposition. It also keeps one batch spring list, for the batch
-    size last read, and one set of update-law constants, for the gains and
-    state shape last stepped (set by dynamics); another key replaces each.
+    eigendecomposition. It also keeps one batch spring list, for the largest
+    batch size read, which a larger batch replaces, and one set of update-law
+    constants, for the gains and state shape last stepped (set by dynamics),
+    which another key replaces.
     """
 
     n: int
@@ -107,9 +110,11 @@ class CouplingNetwork:
 
     @cached_property
     def _batch_bins(self) -> dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """The spring list of every row of a (batch, n) state, keyed by the
-        batch size last read, indexed into the flattened state: row b's
-        robot k is entry b*n + k, and so is its bincount bin."""
+        """The spring list of every row of the largest (batch, n) state read,
+        keyed by its batch size, indexed into the flattened state: row b's
+        robot k is entry b*n + k, and so is its bincount bin. Row b's springs
+        follow row b - 1's, so a smaller batch of b rows reads the first b*S
+        entries (S directed springs a row); only a larger batch rebuilds it."""
         return {}
 
     @cached_property
@@ -259,17 +264,19 @@ def measured_force(network: CouplingNetwork, positions: Sequence[float]) -> np.n
         robots, neighbours, stiffness = network._springs
         flat = y
     else:
-        springs = network._batch_bins.get(len(y))
-        if springs is None:
-            robots, neighbours, stiffness = network._springs
+        kept, (robots, neighbours, stiffness) = network._batch_bins, network._springs
+        rows = max(kept, default=-1)   # none kept yet: even 0 rows build one
+        if rows < len(y):
             offsets = network.n * np.arange(len(y))[:, None]
             springs = ((robots + offsets).ravel(), (neighbours + offsets).ravel(),
                        np.tile(stiffness, len(y)))
             for arr in springs:
                 arr.flags.writeable = False
-            network._batch_bins.clear()
-            network._batch_bins[len(y)] = springs
-        robots, neighbours, stiffness = springs
+            kept.clear()
+            rows = len(y)
+            kept[rows] = springs
+        count = len(robots) * len(y)   # row-major: a smaller batch reads a prefix
+        robots, neighbours, stiffness = (arr[:count] for arr in kept[rows])
         flat = y.ravel()
     pulls = stiffness * (flat[robots] - flat[neighbours])
     forces = np.bincount(robots, weights=pulls, minlength=y.size)

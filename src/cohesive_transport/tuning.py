@@ -46,14 +46,14 @@ out of reach (there is no floor if 1 - beta*lam_min <= 0). At the balanced
 beta, 1 - beta*lam_min is the baseline's decay at gamma*, so
 F = 2*T(gamma*); a capped beta raises F.
 
-The unit step is stepped once, up to 16 T, keeping only its last sample
-outside the band and its largest move per sample. It is judged at the first
-horizon 2*T*2**k (k = 0..3) that ends inside the band; stepping stops earlier
-where the modal tail bound (``stability.first_stop``, shared with the cutoff
-sweep) proves that no later sample can change those numbers, so tuning.json
-keeps its bits (``_measure_step_response``). Where ``stability.ModalTail.of``
-finds no bound, the step runs to the horizon; ``tune`` builds N = 1 controllers
-only. A target is infeasible if 16 T/dt exceeds MAX_STEP_SAMPLES, over an
+The unit step is stepped once, up to 16 T, as a batch of one run checked a
+block at a time, keeping only its last sample outside the band and its largest
+move per sample. It is judged at the first horizon 2*T*2**k (k = 0..3) that
+ends inside the band; stepping stops earlier where the modal tail bound
+(``stability.first_stop``, shared with the cutoff sweep) proves that no later
+sample can change those numbers, so tuning.json keeps its bits
+(``_measure_step_response``). Where ``stability.ModalTail.of`` finds no bound,
+the step runs to the horizon; ``tune`` builds N = 1 controllers only. A target is infeasible if 16 T/dt exceeds MAX_STEP_SAMPLES, over an
 hour's stepping (2e8 suffice for the shortest target both controllers reach on
 a 1024-robot chain at dt = 0.03).
 """
@@ -156,14 +156,21 @@ def _measure_step_response(network: CouplingNetwork,
     positions, so rounding before c does not count; where it does not hold yet,
     the stepped state predicts the next c. Where ``ModalTail.of`` finds no
     bound, every horizon is stepped.
+
+    The unit step is handed to ``_run`` as a batch of one run, so it takes the
+    block route on every network: it is stepped a block at a time, each block
+    ending at a horizon or a predicted stop and checked before it is yielded,
+    and row 0 of each (samples, 1, n) block is reduced. A diverging step
+    raises at the sample its public step would, after its block is stepped.
     """
     horizons = [num_steps(2.0 * max(spec.target_settling, spec.dt) * 2.0 ** k, spec.dt)
                 for k in range(4)]
     if horizons[-1] > MAX_STEP_SAMPLES:
         raise TuningInfeasibleError(f"target {spec.target_settling:.9g} s is too long to "
                                     f"verify: its unit step takes {horizons[-1]} samples")
-    # samples 0 and 1 are at rest: step from sample 1 on a constant 1, stride 0
-    reference = np.broadcast_to(1.0, (horizons[-1],))
+    # samples 0 and 1 are at rest: step from sample 1 on a constant 1, stride 0,
+    # as a batch of one run
+    reference = np.broadcast_to(1.0, (horizons[-1], 1))
     ends = {h - 1 for h in horizons}   # _run's sample m is the unit step's m + 1
     laplacian = build_pinned_laplacian(network)
     tail = ModalTail.of(laplacian, controller)
@@ -178,7 +185,8 @@ def _measure_step_response(network: CouplingNetwork,
     if stop is not None:
         ends.add(stop - 1)
     try:
-        for m, block in _run(network, controller, reference, ends=ends):
+        for m, batch in _run(network, controller, reference, ends=ends):
+            block = batch[:, 0]
             peaks.add(m + 1, block)
             if peaks.end in horizons and peaks.last_outside < peaks.end:
                 break

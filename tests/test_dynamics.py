@@ -820,14 +820,15 @@ def test_simulate_steps_every_sample_on_its_route(monkeypatch, name, route):
 
 
 @pytest.mark.parametrize("command, route, samples, checked", [
-    ("tune", "floats", 352 + 336, 352 + 336), ("sweep", "arrays", 530, 17)])
+    ("tune", "arrays", 352 + 336, 2), ("sweep", "arrays", 530, 17)])
 def test_tune_and_sweep_step_on_their_routes(monkeypatch, chain4, command, route, samples,
                                              checked):
-    # the tuner steps chain4's unit responses one run at a time, in floats (the
-    # baseline's 352 samples, then the cohesive law's 336), one check a sample;
-    # the sweep steps its 25 cutoffs as one batch until it stops at sample 530,
-    # one check a block: blocks of at most 40 samples that also end at samples
-    # 16, 32, 64, ..., 512 and at each stop tried
+    # the tuner steps chain4's unit responses as batches of one run, one check a
+    # block: the baseline's 352 samples, then the cohesive law's 336, each one
+    # block that ends where the tail bound predicts the stop from rest; the
+    # sweep steps its 25 cutoffs as one batch until it stops at sample 530, in
+    # blocks of at most 40 samples that also end at samples 16, 32, 64, ...,
+    # 512 and at each stop tried
     checks, counts = _counted_checks(monkeypatch), step_counts(monkeypatch)
     if command == "tune":
         tune(chain4, TuningSpec(10, 0.03))

@@ -147,17 +147,23 @@ def test_measured_force_on_a_batch_is_row_by_row(network, batch, data):
         assert np.array_equal(forces[k], measured_force(network, rows[k]))
 
 
-def test_measured_force_scatter_index_is_kept_per_batch_size(rng):
+def test_measured_force_scatter_index_is_kept_for_the_largest_batch(rng):
     def build():
         return StiffnessChain((0.05, 0.07, 0.04), (0.05, 0.0, 0.02, 0.0))
     network = build()
-    for batch in (3, 2, 3, 1, 2):   # each new size replaces the index
+    kept = []
+    for batch in (3, 2, 3, 1, 2, 5, 4):   # smaller batches read the largest's prefix
         rows = rng.normal(0.0, 10.0, (batch, network.n))
         forces = measured_force(network, rows)
+        assert len(network._batch_bins) == 1
+        kept.append(network._batch_bins[max(network._batch_bins)])
         assert np.array_equal(forces, measured_force(build(), rows))
         for k in range(batch):
             assert np.array_equal(forces[k], measured_force(network, rows[k]))
-    assert list(network._batch_bins) == [2]
+    assert list(network._batch_bins) == [5]
+    # built at the first 3 rows and again at 5, never when the size shrinks
+    assert [arrays is kept[0] for arrays in kept] == [True] * 5 + [False] * 2
+    assert kept[-1] is kept[-2]
 
 
 @pytest.mark.parametrize("shape", [(2, 5), (5,), (3,), (2, 3, 4), ()])

@@ -1,6 +1,7 @@
 import math
 import re
 import tracemalloc
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -321,24 +322,37 @@ def test_streamed_step_response_matches_the_retry_loop_on_any_network(
 def test_tune_stops_chain4_where_the_tail_bound_holds(chain4, monkeypatch):
     """At T = 10 s both unit steps settle inside their first horizon, 666
     samples after sample 1; the tail bound stops them at samples 353 and 337."""
-    counts = step_counts(monkeypatch)
+    counts, per_law = step_counts(monkeypatch), Counter()
+    measure = tuning._measure_step_response
+
+    def counted(network, controller, spec):
+        before = counts["block"]
+        result = measure(network, controller, spec)
+        per_law[controller.kind] += counts["block"] - before
+        return result
+
+    monkeypatch.setattr(tuning, "_measure_step_response", counted)
     tune(chain4, spec_for(10.0))
-    assert counts == {"step_baseline": 352, "step_dsr": 336}
+    assert per_law == {"baseline": 352, "dsr": 336}
+    assert counts == {"block": 352 + 336}
     assert num_steps(20.0, DT) - 1 == 666
 
 
 @pytest.mark.filterwarnings("ignore::cohesive_transport.UnstableControllerWarning")
-@pytest.mark.parametrize("controller, target, steps", [
-    (_B(15.0, DT), 1.0, 47),                   # unstable: diverges at step 48
-    (_D(0.39, 30.0, DT), 1.0, 19),             # unstable: diverges at step 20
-    (_D(_REPEATED_ALPHA, 8.0, DT), 10.0, 666),  # a repeated pair of roots
-    (_D(_NEARLY_REPEATED_ALPHA, 10.92, DT), 10.0, 666),   # and a nearly repeated one
+@pytest.mark.parametrize("controller, target, steps, oracle_steps, diverged_at", [
+    # unstable: the first horizon's 66 samples are stepped as one block, whose
+    # check raises at the step where the oracle's public step does
+    (_B(15.0, DT), 1.0, 66, 48, 48),
+    (_D(0.39, 30.0, DT), 1.0, 66, 20, 20),
+    (_D(_REPEATED_ALPHA, 8.0, DT), 10.0, 666, 667, None),  # a repeated pair of roots
+    (_D(_NEARLY_REPEATED_ALPHA, 10.92, DT), 10.0, 666, 667, None),   # a nearly repeated one
 ])
 def test_unbounded_tails_step_as_the_horizons_do(chain4, controller, target, steps,
-                                                 monkeypatch):
+                                                 oracle_steps, diverged_at, monkeypatch):
     """Where no tail bound exists the unit step is stepped as the oracle steps
-    its first horizon: the same samples, but for the oracle's step from sample
-    0 to 1 at rest, to the same divergence or the horizon's end."""
+    its first horizon, to the same divergence or to the horizon's end: the
+    oracle one sample at a time from sample 0, the tuner a block at a time from
+    sample 1 at rest, so a diverging step is stepped to its block's end."""
     assert stability.ModalTail.of(build_pinned_laplacian(chain4), controller) is None
     counts = step_counts(monkeypatch)
     outcomes, stepped = [], []
@@ -347,7 +361,8 @@ def test_unbounded_tails_step_as_the_horizons_do(chain4, controller, target, ste
         outcomes.append(_outcome(measure, chain4, controller, spec_for(target)))
         stepped.append(sum(counts.values()))
     assert outcomes[0] == outcomes[1]
-    assert stepped == [steps, steps + 1]
+    assert (outcomes[0][1] if outcomes[0][0] == "diverged" else None) == diverged_at
+    assert stepped == [steps, oracle_steps]
 
 
 def test_a_too_early_prediction_costs_a_retry_not_a_number(chain4, monkeypatch):
