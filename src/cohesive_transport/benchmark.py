@@ -1,15 +1,13 @@
-"""Reference transport scenarios and their expected results.
+"""Reference transport and its expected results.
 
-A four-robot chain carries a soft coil spring (all effective
-stiffnesses 0.05 N/cm, robot 1 pinned to the virtual source with the
-same stiffness) through a 50 cm move along a low-pass filtered step
-(cutoff 0.1 rad/s), sampled at 30 ms. The same move is run twice: with
-the plain force-descent controller tuned for a 10 s step settling time
-(gamma = 1.93) and with the cohesive controller tuned the same way
-(alpha = 0.39, beta = 10.92). The cohesive run cuts peak force and peak
-deformation by about 90%.
+The reference transport is declared once, in the two config files
+shipped in this package's ``configs/`` directory:
+``chain4_baseline.cfg`` (plain force-descent controller) and
+``chain4_dsr.cfg`` (cohesive controller), both tuned for a 10 s step
+settling time. The cohesive run cuts peak force and peak deformation
+by about 90%.
 
-``run_reproduction`` recomputes both runs and checks the headline
+``run_reproduction`` simulates both files and checks the headline
 metrics against the expected values, which is the package's end-to-end
 regression anchor.
 """
@@ -17,17 +15,11 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from pathlib import Path
 
 from . import metrics
-from .dynamics import ControllerConfig, SimulationTrace, simulate
-from .network import CouplingNetwork, StiffnessChain
-from .scenario import ScenarioConfig
-from .trajectory import TrajectorySpec
-
-DT = 0.03
-BASELINE_GAMMA = 1.93
-DSR_ALPHA = 0.39
-DSR_BETA = 10.92
+from .dynamics import SimulationTrace, simulate
+from .scenario import load_config
 
 # Expected peak force (N) and peak deformation (cm) for each run.
 EXPECTED_BASELINE_FORCE = 0.146
@@ -37,31 +29,6 @@ EXPECTED_DSR_DEFORMATION = 0.563
 EXPECTED_IMPROVEMENT_PCT = 90.0
 
 DEFAULT_TOLERANCE = 0.05
-
-
-def reference_chain() -> CouplingNetwork:
-    return StiffnessChain(neighbor_stiffness=(0.05, 0.05, 0.05),
-                          leader_stiffness=(0.05, 0.0, 0.0, 0.0))
-
-
-def _transport_trajectory() -> TrajectorySpec:
-    return TrajectorySpec(kind="filtered_step", amplitude=50.0, cutoff=0.1)
-
-
-def baseline_scenario() -> ScenarioConfig:
-    return ScenarioConfig(network=reference_chain(),
-                          controller=ControllerConfig.baseline(BASELINE_GAMMA, DT),
-                          trajectory=_transport_trajectory(),
-                          duration=60.0,
-                          label="chain4-baseline")
-
-
-def dsr_scenario() -> ScenarioConfig:
-    return ScenarioConfig(network=reference_chain(),
-                          controller=ControllerConfig.dsr(DSR_ALPHA, DSR_BETA, DT),
-                          trajectory=_transport_trajectory(),
-                          duration=60.0,
-                          label="chain4-dsr")
 
 
 @dataclass(frozen=True)
@@ -100,10 +67,11 @@ class ReproductionReport:
 
 
 def run_reproduction(tolerance: float = DEFAULT_TOLERANCE) -> ReproductionReport:
-    """Simulate both reference scenarios and compare to expectations."""
+    """Simulate both bundled reference configs and compare to expectations."""
     start = time.perf_counter()
-    base_trace = simulate(baseline_scenario())
-    dsr_trace = simulate(dsr_scenario())
+    base_trace, dsr_trace = (
+        simulate(load_config(Path(__file__).with_name("configs") / name))
+        for name in ("chain4_baseline.cfg", "chain4_dsr.cfg"))
     base = metrics.summarize(base_trace, final_value=50.0)
     dsr = metrics.summarize(dsr_trace, final_value=50.0)
     gain = metrics.improvement(base, dsr)

@@ -142,17 +142,17 @@ class _G9Kernel:
     Hence rint(s) = round(S) unless S lies within 2.3e-7 of a half-integer;
     the kernel declines every value with |s - rint(s)| > 1/2 - 1e-6, a margin
     four times that bound, and formats those through '%.9g' itself, as it
-    does NaN, +-inf, subnormals and |x| outside the range. E is the floor of numpy's log10|x|; a log10
-    accurate to about 1e-10 absolute puts it off by one only for |x| within
-    5e-10 relative of a power of ten. There S, taken at the E the kernel
-    uses, lies within 0.05 below 1e8 (E one too high) or within 0.5 above
-    1e9 (one too low), so rint(s) lands on 1e8 or 1e9; a result of 1e9 is
-    written as 1e8 at E + 1, and both are the 1e8 at the power's exponent
-    that '%.9g' prints for such |x|. The splits of rint(s) into 3-digit
-    groups divide exact integers below 2**53 by powers of ten, so every
-    floor and ceiling is exact. Zeros are written directly; the layout then
-    follows '%g': fixed notation for -4 <= E < 9, else d.dddddddde+XX,
-    without trailing zeros or a bare point.
+    does NaN, +-inf, subnormals and |x| outside the range. E is the floor of
+    numpy's log10|x|; a log10 accurate to about 1e-10 absolute puts it off by
+    one only for |x| within 5e-10 relative of a power of ten. There S, taken
+    at the E the kernel uses, lies within 0.05 below 1e8 (E one too high) or
+    within 0.5 above 1e9 (one too low), so rint(s) lands on 1e8 or 1e9; a
+    result of 1e9 is written as 1e8 at E + 1, and both are the 1e8 at the
+    power's exponent that '%.9g' prints for such |x|. The splits of rint(s)
+    into 3-digit groups divide exact integers below 2**53 by powers of ten,
+    so every floor and ceiling is exact. Zeros are written directly; the
+    layout then follows '%g': fixed notation for -4 <= E < 9, else
+    d.dddddddde+XX, without trailing zeros or a bare point.
 
     The work buffers are sized once for ``size`` values and reused by every
     chunk; ``declined`` counts the values handed to '%.9g' so far. Every
@@ -381,7 +381,7 @@ def cmd_sweep(args) -> int:
     scenario = load_config(args.config)
     try:
         omega_list = ([float(w) for w in args.omega_c_list.split(",")]
-                      if args.omega_c_list else _DEFAULT_SWEEP)
+                      if args.omega_c_list is not None else _DEFAULT_SWEEP)
         for wc in omega_list:
             replace(scenario.trajectory, kind="filtered_step",
                     cutoff=wc).validate_dt(scenario.controller.dt)

@@ -157,6 +157,11 @@ def jury_stable(lam: float, alpha: float, beta: float, dt: float) -> bool:
             and abs(c) < 1.0 - MARGINAL_TOL)
 
 
+def _beta_bound(lambda_max: float, alpha: float, dt: float) -> float:
+    """Supremum of the stable cohesive gains beta at rate gain alpha, N = 1."""
+    return 4.0 / (lambda_max * (alpha * dt + 2.0))
+
+
 def closed_form_stable(laplacian: PinnedLaplacian, alpha: float, beta: float,
                   dt: float, delay_multiple: int = 1) -> bool:
     """Closed-form stability of the cohesive network.
@@ -167,8 +172,7 @@ def closed_form_stable(laplacian: PinnedLaplacian, alpha: float, beta: float,
     """
     if delay_multiple != 1:
         return spectral_radius(laplacian, alpha, beta, dt, delay_multiple).stable
-    bound = 4.0 / (laplacian.lambda_max * (alpha * dt + 2.0))
-    return alpha > 0.0 and 0.0 < beta < bound
+    return alpha > 0.0 and 0.0 < beta < _beta_bound(laplacian.lambda_max, alpha, dt)
 
 
 @dataclass(frozen=True, eq=False)

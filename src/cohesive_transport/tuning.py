@@ -53,9 +53,10 @@ ends inside the band; stepping stops earlier where the modal tail bound
 (``stability.first_stop``, shared with the cutoff sweep) proves that no later
 sample can change those numbers, so tuning.json keeps its bits
 (``_measure_step_response``). Where ``stability.ModalTail.of`` finds no bound,
-the step runs to the horizon; ``tune`` builds N = 1 controllers only. A target is infeasible if 16 T/dt exceeds MAX_STEP_SAMPLES, over an
-hour's stepping (2e8 suffice for the shortest target both controllers reach on
-a 1024-robot chain at dt = 0.03).
+the step runs to the horizon; ``tune`` builds N = 1 controllers only. A target
+is infeasible if 16 T/dt exceeds MAX_STEP_SAMPLES, over an hour's stepping
+(2e8 suffice for the shortest target both controllers reach on a 1024-robot
+chain at dt = 0.03).
 """
 from __future__ import annotations
 
@@ -71,7 +72,7 @@ from .dynamics import simulate  # noqa: F401
 from .errors import DivergenceError, TuningInfeasibleError, UnstableGainError
 from .metrics import SETTLING_BAND, Peaks
 from .network import CouplingNetwork, PinnedLaplacian, build_pinned_laplacian
-from .stability import (ModalTail, StabilityReport, baseline_gamma_bound,
+from .stability import (ModalTail, StabilityReport, _beta_bound, baseline_gamma_bound,
                         baseline_spectral_radius, closed_form_stable, first_stop,
                         spectral_radius)
 
@@ -247,7 +248,7 @@ def _balance_mode_envelopes(laplacian: PinnedLaplacian, spec: TuningSpec) -> flo
     it usable downstream.
     """
     alpha_guess = math.log(1.0 / SETTLING_BAND) / spec.target_settling
-    cap = 4.0 / (laplacian.lambda_max * (alpha_guess * spec.dt + 2.0))
+    cap = _beta_bound(laplacian.lambda_max, alpha_guess, spec.dt)
     return min(2.0 / (laplacian.lambda_min + laplacian.lambda_max),
                cap * (1.0 - 1e-9))
 

@@ -1,4 +1,5 @@
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +10,9 @@ from cohesive_transport import (ControllerConfig, CouplingNetwork, ScenarioConfi
                                 build_pinned_laplacian, dynamics, simulate)
 
 DT = 0.03
+
+# the bundled chain4 reference configs, through the checkout's configs/ link
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
 # `pytest --hypothesis-profile ci`: more examples for the property tests that
 # take their count from the profile, the tuner's retry-loop oracles among them

@@ -22,14 +22,13 @@ import pytest
 
 from cohesive_transport import (ControllerConfig, TuningSpec,
                                 build_pinned_laplacian, closed_form_stable,
-                                jury_stable, simulate, summarize, tune)
-from cohesive_transport.benchmark import (baseline_scenario, dsr_scenario,
-                                          run_reproduction)
+                                jury_stable, load_config, simulate, summarize, tune)
+from cohesive_transport.benchmark import run_reproduction
 from cohesive_transport.dynamics import baseline_update_forms, dsr_update_forms
 from cohesive_transport.stability import _mode_roots
 from cohesive_transport.tuning import dsr_settling_estimate, settling_time_estimate
 
-from conftest import DT, unit_step_scenario
+from conftest import CONFIG_DIR, DT, unit_step_scenario
 
 
 def _verdict(criterion: str, ok: bool, detail: str) -> bool:
@@ -257,8 +256,8 @@ def test_criterion_8_decentralized_crosscheck(chain4, lap4, rng):
 def test_criterion_9_speed_constraint():
     """In the reference transport, the cohesive controller never
     commands more speed than the baseline, which stays under 5 cm/s."""
-    v_base = summarize(simulate(baseline_scenario())).max_speed
-    v_dsr = summarize(simulate(dsr_scenario())).max_speed
+    v_base, v_dsr = (summarize(simulate(load_config(CONFIG_DIR / name))).max_speed
+                     for name in ("chain4_baseline.cfg", "chain4_dsr.cfg"))
     ok = v_dsr <= v_base <= 5.0
     assert _verdict("9 (speed constraint)", ok,
                     f"cohesive {v_dsr:.3f} <= baseline {v_base:.3f} <= 5 cm/s")

@@ -11,9 +11,8 @@ from hypothesis import example, given, settings
 
 from cohesive_transport.cli import main
 
+from conftest import CONFIG_DIR
 from strategies import cli_cases
-
-CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
 
 def _bundled_with(name, **values):

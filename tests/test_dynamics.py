@@ -28,7 +28,7 @@ from cohesive_transport.stability import baseline_gamma_bound
 from cohesive_transport.trajectory import cutoff_sweep
 from cohesive_transport.tuning import TuningSpec, tune
 
-from conftest import DT, grid_network, step_counts, unit_step_scenario
+from conftest import CONFIG_DIR, DT, grid_network, step_counts, unit_step_scenario
 from strategies import coupling_networks
 
 
@@ -797,7 +797,7 @@ def test_block_check_matches_per_sample_steps(case):
 def _route_scenario(name):
     """A bundled chain4 config, or one law on the 64-robot mesh (3 s)."""
     if name.endswith(".cfg"):
-        return load_config(Path(__file__).resolve().parents[1] / "configs" / name)
+        return load_config(CONFIG_DIR / name)
     mesh = grid_network(8, 1)
     gain = 0.25 * baseline_gamma_bound(build_pinned_laplacian(mesh))
     controller = (ControllerConfig.baseline(gain, DT) if name == "mesh64-baseline"

@@ -8,11 +8,10 @@ from hypothesis.extra.numpy import arrays
 
 from cohesive_transport import (ControllerConfig, ScenarioConfig,
                                 SimulationTrace, TrajectorySpec, improvement,
-                                simulate, summarize)
-from cohesive_transport.benchmark import baseline_scenario, dsr_scenario
+                                load_config, simulate, summarize)
 from cohesive_transport.metrics import Peaks, sample_metrics
 
-from conftest import DT
+from conftest import CONFIG_DIR, DT
 
 
 def make_trace(positions, reference=None, forces=None, dt=DT):
@@ -92,7 +91,7 @@ def test_settling_time_needs_a_nonzero_final_value():
 
 def test_one_sample_trace_has_no_spread_and_no_speed():
     scenario = ScenarioConfig(
-        network=baseline_scenario().network,
+        network=load_config(CONFIG_DIR / "chain4_baseline.cfg").network,
         controller=ControllerConfig.baseline(1.93, DT),
         trajectory=TrajectorySpec(kind="step", amplitude=1.0, start_index=0),
         duration=1e-12)
@@ -161,8 +160,8 @@ def test_settling_reference_unit_steps(baseline_step_trace, dsr_step_trace):
 
 
 def test_improvement_paper_scenarios():
-    base = summarize(simulate(baseline_scenario()), final_value=50.0)
-    dsr = summarize(simulate(dsr_scenario()), final_value=50.0)
+    base, dsr = (summarize(simulate(load_config(CONFIG_DIR / name)), final_value=50.0)
+                 for name in ("chain4_baseline.cfg", "chain4_dsr.cfg"))
     gain = improvement(base, dsr)
     assert gain.deformation_pct == pytest.approx(90.0, abs=1.0)
     assert gain.force_pct == pytest.approx(90.0, abs=1.0)

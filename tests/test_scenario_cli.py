@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import re
 import tracemalloc
 import warnings
@@ -17,29 +18,31 @@ from cohesive_transport import (ConfigError, ControllerConfig, CouplingNetwork,
                                 ScenarioConfig, SimulationTrace, StiffnessChain,
                                 TrajectorySpec, UnstableGainError, load_config,
                                 simulate, write_config)
-from cohesive_transport.benchmark import baseline_scenario, dsr_scenario
 from cohesive_transport.cli import main, write_trace_csv
 
-from conftest import DT, grid_network
-
-CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+from conftest import CONFIG_DIR, DT, grid_network
 
 
-def test_bundled_baseline_config_matches_reference():
-    scenario = load_config(CONFIG_DIR / "chain4_baseline.cfg")
-    assert scenario == baseline_scenario()
+def test_reproduction_runs_the_bundled_configs():
+    # configs/ is the package's own directory, and reproduce simulates its files
+    report = benchmark.run_reproduction()
+    package_dir = Path(benchmark.__file__).with_name("configs")
+    for name, trace in (("chain4_baseline.cfg", report.baseline_trace),
+                        ("chain4_dsr.cfg", report.dsr_trace)):
+        assert os.path.samefile(CONFIG_DIR / name, package_dir / name)
+        want = simulate(load_config(package_dir / name))
+        assert trace.dt == want.dt
+        for field in ("positions", "forces", "reference", "times"):
+            got, expected = getattr(trace, field), getattr(want, field)
+            assert (got.shape, got.tobytes()) == (expected.shape, expected.tobytes())
 
 
-def test_bundled_dsr_config_matches_reference():
-    scenario = load_config(CONFIG_DIR / "chain4_dsr.cfg")
-    assert scenario == dsr_scenario()
-
-
-@pytest.mark.parametrize("scenario_fn", [baseline_scenario, dsr_scenario])
-def test_config_roundtrip(tmp_path, scenario_fn):
+@pytest.mark.parametrize("config", ["chain4_baseline.cfg", "chain4_dsr.cfg"])
+def test_config_roundtrip(tmp_path, config):
+    scenario = load_config(CONFIG_DIR / config)
     path = tmp_path / "roundtrip.cfg"
-    write_config(scenario_fn(), path)
-    assert load_config(path) == scenario_fn()
+    write_config(scenario, path)
+    assert load_config(path) == scenario
 
 
 def test_coupling_network_roundtrip(tmp_path):
@@ -640,6 +643,7 @@ def test_cli_sweep(tmp_path):
 
 @pytest.mark.parametrize("cutoffs, reason", [
     ("abc", "could not convert"),
+    ("", "could not convert"),
     ("0.1,100", "must be < 2"),      # cutoff*dt = 3
     ("0.1,0", "cutoff > 0"),
 ])

@@ -1,7 +1,6 @@
 import hashlib
 import math
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,7 +17,7 @@ from cohesive_transport.cli import main
 from cohesive_transport.stability import ModalTail, _mode_roots, mode_roots
 from cohesive_transport.trajectory import _tustin_pole
 
-from conftest import unit_step_scenario
+from conftest import CONFIG_DIR, unit_step_scenario
 from test_trajectory import _POLE_AT_ROOT, _POLE_NEAR_ROOT
 from test_tuning import _NEARLY_REPEATED_ALPHA, _REPEATED_ALPHA
 
@@ -393,9 +392,6 @@ def test_mode_roots_broadcast_gains_at_one_sample_of_delay(lap4):
             one = np.stack(_mode_roots(lap4.eigenvalues, alpha, beta, DT))
             assert np.array_equal(np.stack([z1[i, j], z2[i, j]]).view(np.uint64),
                                   one.view(np.uint64))
-
-
-CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 @pytest.mark.parametrize("config, edits, digest", [

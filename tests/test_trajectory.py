@@ -1,6 +1,5 @@
 import tracemalloc
 from dataclasses import replace
-from pathlib import Path
 from types import SimpleNamespace
 
 import hypothesis
@@ -13,12 +12,11 @@ from cohesive_transport import (ControllerConfig, CouplingNetwork, DivergenceErr
                                 ScenarioConfig, StiffnessChain, SweepRow, TrajectorySpec,
                                 build_pinned_laplacian, cutoff_sweep, dynamics, load_config,
                                 reference_series, simulate, stability, trajectory)
-from cohesive_transport.benchmark import baseline_scenario, dsr_scenario
 from cohesive_transport.cli import _DEFAULT_SWEEP
 from cohesive_transport.dynamics import _BLOCK_VALUES, _run, num_steps
 from cohesive_transport.metrics import Peaks
 
-from conftest import step_counts
+from conftest import CONFIG_DIR, step_counts
 from strategies import coupling_networks
 
 DT = 0.03
@@ -123,7 +121,7 @@ def test_tustin_validity_guard():
 
 
 def test_cutoff_sweep_reference_point_and_monotonicity():
-    scenario = baseline_scenario()
+    scenario = load_config(CONFIG_DIR / "chain4_baseline.cfg")
     cutoffs = [0.001, 0.02, 0.05, 0.08, 0.1, 0.15, 0.2]
     rows = cutoff_sweep(scenario, cutoffs)
 
@@ -151,22 +149,23 @@ def _assert_matches_one_run_per_cutoff(scenario, cutoffs, rel=1e-12):
         assert row.max_speed == pytest.approx(speed, rel=rel, abs=0.0)
 
 
-@pytest.mark.parametrize("scenario_fn", [baseline_scenario, dsr_scenario])
-def test_batched_sweep_matches_one_run_per_cutoff(scenario_fn):
+@pytest.mark.parametrize("config", ["chain4_baseline.cfg", "chain4_dsr.cfg"])
+def test_batched_sweep_matches_one_run_per_cutoff(config):
     # unsorted, with a duplicate; each row is its single run bit for bit
-    _assert_matches_one_run_per_cutoff(scenario_fn(), [0.3, 0.05, 0.1, 0.05, 0.02], rel=0.0)
+    _assert_matches_one_run_per_cutoff(load_config(CONFIG_DIR / config),
+                                       [0.3, 0.05, 0.1, 0.05, 0.02], rel=0.0)
 
 
 def test_sweep_of_no_cutoffs_is_empty():
-    assert cutoff_sweep(baseline_scenario(), []) == []
+    assert cutoff_sweep(load_config(CONFIG_DIR / "chain4_baseline.cfg"), []) == []
 
 
-@pytest.mark.parametrize("scenario_fn", [baseline_scenario, dsr_scenario])
-def test_sweep_of_a_run_with_no_steps_has_zero_peaks(scenario_fn):
+@pytest.mark.parametrize("config", ["chain4_baseline.cfg", "chain4_dsr.cfg"])
+def test_sweep_of_a_run_with_no_steps_has_zero_peaks(config):
     """A 1e-12 s run has sample 0 alone, at rest, as its single run's trace
     does: each row's deformation and speed are 0."""
-    scenario = replace(scenario_fn(), trajectory=TrajectorySpec("step", 50.0, start_index=0),
-                       duration=1e-12)
+    scenario = replace(load_config(CONFIG_DIR / config),
+                       trajectory=TrajectorySpec("step", 50.0, start_index=0), duration=1e-12)
     assert simulate(scenario).num_samples == 1
     assert cutoff_sweep(scenario, [0.2, 0.1]) == [SweepRow(0.1, 0.0, 0.0),
                                                   SweepRow(0.2, 0.0, 0.0)]
@@ -192,7 +191,6 @@ def test_batched_sweep_matches_one_run_per_cutoff_on_random_networks(network, ki
     _assert_matches_one_run_per_cutoff(scenario, cutoffs)
 
 
-CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 _CHAIN4 = StiffnessChain((0.05, 0.05, 0.05), (0.05, 0.0, 0.0, 0.0))
 
 
