@@ -69,11 +69,11 @@ class ReproductionReport:
 def run_reproduction(tolerance: float = DEFAULT_TOLERANCE) -> ReproductionReport:
     """Simulate both bundled reference configs and compare to expectations."""
     start = time.perf_counter()
-    base_trace, dsr_trace = (
-        simulate(load_config(Path(__file__).with_name("configs") / name))
-        for name in ("chain4_baseline.cfg", "chain4_dsr.cfg"))
-    base = metrics.summarize(base_trace, final_value=50.0)
-    dsr = metrics.summarize(dsr_trace, final_value=50.0)
+    scenarios = [load_config(Path(__file__).with_name("configs") / name)
+                 for name in ("chain4_baseline.cfg", "chain4_dsr.cfg")]
+    base_trace, dsr_trace = (simulate(scenario) for scenario in scenarios)
+    base, dsr = (metrics.summarize(trace, final_value=scenario.trajectory.amplitude or None)
+                 for trace, scenario in zip((base_trace, dsr_trace), scenarios))
     gain = metrics.improvement(base, dsr)
     return ReproductionReport(baseline=base, dsr=dsr, improvement=gain,
                               tolerance=tolerance,

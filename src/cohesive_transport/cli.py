@@ -9,7 +9,7 @@ Subcommands
                the expected results (nonzero exit on mismatch)
 
 Exit codes: 0 success, 1 other package error (infeasible tuning, failed
-per-robot crosscheck), 2 config problem (also an --out directory that
+per-robot crosscheck), 2 config problem (also an empty --out or one that
 cannot be created, and ``tune`` on a cohesive controller with
 delay_multiple > 1), 3 simulation divergence, 4 reproduce mismatch, 5 out
 of memory (a run too long or too wide to hold). A failed run creates no
@@ -40,7 +40,7 @@ from . import benchmark, metrics, tuning
 from .dynamics import SimulationTrace, simulate
 from .errors import CohesiveTransportError, ConfigError, DivergenceError
 from .network import build_pinned_laplacian
-from .scenario import ScenarioConfig, load_config
+from .scenario import load_config
 from .stability import baseline_gamma_bound, mode_roots, spectral_radius
 from .trajectory import cutoff_sweep
 
@@ -303,8 +303,8 @@ def write_trace_csv(trace: SimulationTrace, path: Path) -> None:
                               deformation, _StepSpeeds(moves, trace.dt)))
 
 
-def _out_dir(args, scenario: ScenarioConfig | None = None) -> Path:
-    path = Path(args.out or (scenario.out_dir if scenario else None) or "results")
+def _out_dir(args) -> Path:
+    path = Path("results" if args.out is None else args.out)
     try:
         path.mkdir(parents=True, exist_ok=True)
     except OSError as exc:   # a file in the way, no permission, ...
@@ -316,7 +316,7 @@ def cmd_simulate(args) -> int:
     scenario = load_config(args.config)
     trace = simulate(scenario)
     summary = metrics.summarize(trace, final_value=scenario.trajectory.amplitude or None)
-    out = _out_dir(args, scenario)
+    out = _out_dir(args)
     write_trace_csv(trace, out / "trace.csv")
     _write_json(out / "summary.json", summary.as_dict())
     print(f"wrote {out / 'trace.csv'} ({trace.num_samples} samples)")
@@ -339,7 +339,7 @@ def cmd_stability(args) -> int:
                    "gamma_bound": bound,
                    "per_mode": [{"eigenvalue": lam, "multiplier": mu} for lam, mu in
                                 zip(lap.eigenvalues.tolist(), multipliers.tolist())]}
-    out = _out_dir(args, scenario)
+    out = _out_dir(args)
     _write_json(out / "stability.json", payload)
     print(f"{'stable' if payload['stable'] else 'UNSTABLE'} "
           f"(spectral radius {payload['spectral_radius']:.6f}); "
@@ -361,7 +361,7 @@ def cmd_tune(args) -> int:
     lap = build_pinned_laplacian(scenario.network)
     gamma_rows = tuning.ts_vs_gamma_table(lap, spec)
     dsr_rows = tuning.dsr_gains_vs_ts_table(lap, spec, [float(t) for t in range(4, 21)])
-    out = _out_dir(args, scenario)
+    out = _out_dir(args)
     gamma_csv, dsr_csv = out / "ts_vs_gamma.csv", out / "dsr_gains_vs_ts.csv"
     _write_csv(gamma_csv, ["gamma", "ts_estimate_s"], [np.reshape(gamma_rows, (-1, 2))])
     _write_csv(dsr_csv, ["target_ts_s", "alpha", "beta", "sigma"], [np.reshape(dsr_rows, (-1, 4))])
@@ -388,7 +388,7 @@ def cmd_sweep(args) -> int:
     except ValueError as exc:
         raise ConfigError(f"--omega-c-list: {exc}") from exc
     rows = cutoff_sweep(scenario, omega_list)
-    out = _out_dir(args, scenario)
+    out = _out_dir(args)
     sweep_csv = out / "sweep.csv"
     _write_csv(sweep_csv, ["omega_c", "D_bar_cm", "v_max_cmps"],
                [np.reshape([(r.omega_c, r.max_deformation, r.max_speed) for r in rows], (-1, 3))])
@@ -401,7 +401,7 @@ def cmd_reproduce(args) -> int:
         raise ConfigError(f"--tolerance: must be non-negative and finite, got {args.tolerance}")
     report = benchmark.run_reproduction(tolerance=args.tolerance)
     print(benchmark.format_report(report))
-    if args.out:
+    if args.out is not None:
         out = _out_dir(args)
         write_trace_csv(report.baseline_trace, out / "baseline_trace.csv")
         write_trace_csv(report.dsr_trace, out / "dsr_trace.csv")
@@ -447,6 +447,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.out == "":
+            raise ConfigError("--out: an empty path names no directory")
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -35,18 +35,20 @@ the smallest such bound, is accepted without the row-by-row pass.
 
 ``_law`` evaluates every robot at once on arrays, or one robot on Python
 floats. One run (an (n,) state with a scalar reference) on a network of at
-most ``network._FLOAT_WORK_LIMIT`` robots plus directed springs, the paper's
-four robots among them, is stepped sample by sample through the public step,
-robot by robot in floats: the readings, both forms of the law, from one flat
-tuple of constants per robot (only K Y, and K (Y - Y[m-N]), stay numpy
-products), and the crosscheck's bound. Only ``simulate`` hands ``_run`` such
-a run. Batches, the sweep's cutoffs and each of the tuner's unit steps (a
-batch of one run) among them, and larger networks step only the stacked
-form per sample, as arrays, and check a block of samples at a time before
-it is yielded: one reading of each sample, the per-robot form of the whole
-block, and each (sample, run) row's bound. Both round as the public steps'
-arrays do, so readings, positions and every raised error, at the sample it
-is raised at, are those of stepping sample by sample.
+most ``_FLOAT_WORK_LIMIT`` robots plus directed springs, the paper's four
+robots among them, is stepped sample by sample through the public step,
+robot by robot in floats: the readings (each robot's springs summed in
+list order, as ``measured_force`` sums them on arrays), both forms of the
+law, from one flat tuple of constants per robot (only K Y, and K (Y -
+Y[m-N]), stay numpy products), and the crosscheck's bound. Only
+``simulate`` hands ``_run`` such a run. Batches, the sweep's cutoffs and
+each of the tuner's unit steps (a batch of one run) among them, and larger
+networks step only the stacked form per sample, as arrays, and check a
+block of samples at a time before it is yielded: one reading of each
+sample, the per-robot form of the whole block, and each (sample, run) row's
+bound. Both round as the public steps' arrays do, so readings, positions
+and every raised error, at the sample it is raised at, are those of
+stepping sample by sample.
 
 Positions are cm, forces N, time s.
 """
@@ -78,6 +80,14 @@ _CROSSCHECK_ATOL = 1e-12
 SAMPLE_NOISE = 1e-9   # of a sample: num_steps' guard against float noise in duration/dt
 MAX_STEP_SAMPLES = 10 ** 9   # most samples a sweep or the tuner steps: over an hour
 _BLOCK_VALUES = 4096   # positions per block of _run's samples
+# Robots plus directed springs up to which one run's state is sensed, stepped
+# by both laws and checked in Python floats, one public step per sample. Only
+# simulate (and so reproduce) steps such a run; the tuner and the sweep step
+# batches. A run on chains of 4, 8 and 13 robots took 1.8-4.0x as long in
+# floats as on the block route that batches and larger networks take, with
+# the same bits; floats stay while the benchmark pins simulate's route to one
+# public step per sample.
+_FLOAT_WORK_LIMIT = 37
 
 
 class UnstableControllerWarning(RuntimeWarning):
@@ -211,14 +221,16 @@ class SimulationTrace:
 def _law_constants(network: CouplingNetwork, laplacian: PinnedLaplacian, gains: tuple,
                    shape: tuple[int, ...]) -> tuple:
     """Constants of the law ("baseline", gamma) or ("dsr", alpha, beta, dt, N)
-    for states of ``shape``, in two parts, (constants, per_robot), as ``_law``
-    reads them. ``constants`` holds the stacked law's, made from the
-    laplacian's B, then the per-robot coefficients, where robot k's use its
-    own leader spring: each a read-only array of ``shape``, so that no ufunc
-    of a sample broadcasts one. ``per_robot`` holds each robot's entries of
-    them as one flat tuple of Python floats, for one state of a network small
-    enough to be stepped in floats (``network._spring_floats``), else None.
-    The network keeps one entry, for the gains and shape last stepped; other
+    for states of ``shape``, as (constants, per_robot, springs). ``constants``
+    holds the stacked law's, made from the laplacian's B, then the per-robot
+    coefficients, where robot k's use its own leader spring, as ``_law``
+    reads them: each a read-only array of ``shape``, so that no ufunc of a
+    sample broadcasts one. One state of a network of at most
+    _FLOAT_WORK_LIMIT robots plus directed springs is stepped in Python
+    floats: ``per_robot`` holds each robot's entries of the constants as one
+    flat tuple, and ``springs`` the spring list as (robot, neighbour,
+    stiffness) triples in its order; both are None for any other state. The
+    network keeps one entry, for the gains and shape last stepped; other
     gains, another shape or another laplacian replace it. Gains that overflow
     a per-robot coefficient raise UnstableGainError before any arithmetic on
     them. States of a shape other than (n,) and (batch, n) raise
@@ -249,11 +261,14 @@ def _law_constants(network: CouplingNetwork, laplacian: PinnedLaplacian, gains: 
     constants = tuple(np.broadcast_to(c, shape).copy() for c in stacked + local)
     for arr in constants:
         arr.flags.writeable = False
-    per_robot = (tuple(zip(*(c.tolist() for c in constants)))
-                 if len(shape) == 1 and network._spring_floats is not None else None)
+    per_robot = springs = None
+    robots, neighbours, stiffness = network._springs
+    if len(shape) == 1 and network.n + len(robots) <= _FLOAT_WORK_LIMIT:
+        per_robot = tuple(zip(*(c.tolist() for c in constants)))
+        springs = tuple(zip(robots.tolist(), neighbours.tolist(), stiffness.tolist()))
     cache.clear()
-    cache[gains, shape] = laplacian, (constants, per_robot)
-    return constants, per_robot
+    cache[gains, shape] = laplacian, (constants, per_robot, springs)
+    return constants, per_robot, springs
 
 
 def _law(c, y_d, y, ky, f, d=None, kd=None, y_old=None, f_old=None):
@@ -285,7 +300,7 @@ def baseline_update_forms(positions, laplacian: PinnedLaplacian,
     bits, broadcast on every sample). Both are arrays, whatever the state:
     the reference that the tests hold ``step_baseline``'s routes to."""
     y = np.asarray(positions, dtype=float)
-    constants, _ = _law_constants(network, laplacian, ("baseline", gamma), y.shape)
+    constants = _law_constants(network, laplacian, ("baseline", gamma), y.shape)[0]
     return _law(constants, y_d, y, np.matvec(laplacian.matrix, y), measured_force(network, y))
 
 
@@ -298,8 +313,8 @@ def dsr_update_forms(positions, delayed_positions, laplacian: PinnedLaplacian,
     in ``baseline_update_forms``."""
     y = np.asarray(positions, dtype=float)
     y_old = np.asarray(delayed_positions, dtype=float)
-    constants, _ = _law_constants(
-        network, laplacian, ("dsr", alpha, beta, dt, delay_multiple), y.shape)
+    constants = _law_constants(
+        network, laplacian, ("dsr", alpha, beta, dt, delay_multiple), y.shape)[0]
     delta = y - y_old
     return _law(constants, y_d, y, np.matvec(laplacian.matrix, y), measured_force(network, y),
                 delta, np.matvec(laplacian.matrix, delta), y_old, measured_force(network, y_old))
@@ -359,23 +374,31 @@ def _check_block(stacked: np.ndarray, local: np.ndarray, first: int) -> None:
 
 def _step(state: NetworkState, laplacian: PinnedLaplacian, network: CouplingNetwork,
           gains: tuple, y_d) -> np.ndarray:
-    """The one update of both laws, for the gains of ``_law_constants``. The
-    robots sense the current positions and store the reading on the state;
-    the cohesive law also reads the one stored N samples earlier on this
-    network object, sensed again only if there is none. One state with a
-    scalar reference on a small network steps both laws robot by robot in
-    Python floats, anything else as arrays, with the same bits."""
+    """The one update of both laws, for the gains of ``_law_constants``,
+    which are checked before anything is sensed. The robots sense the
+    current positions and store the reading on the state; the cohesive law
+    also reads the one stored N samples earlier on this network object,
+    sensed again only if there is none. One state with a scalar reference on
+    a small network (``_law_constants``'s ``per_robot``) is sensed and steps
+    both laws robot by robot in Python floats, anything else as arrays, with
+    the same bits."""
+    y = np.asarray(state.positions, dtype=float)
+    constants, per_robot, springs = _law_constants(network, laplacian, gains, y.shape)
     if state.sensed_on is not network:
         state.readings, state.sensed_on = (), network
-    y = np.asarray(state.positions, dtype=float)
-    state.reading = force = measured_force(network, y)
-    constants, per_robot = _law_constants(network, laplacian, gains, y.shape)
-    ky = np.matvec(laplacian.matrix, y)
     floats = per_robot is not None and isinstance(y_d, float)
+    if floats:   # each robot's springs in list order, as measured_force sums them
+        ys, force = y.tolist(), [0.0] * network.n
+        for robot, neighbour, stiffness in springs:
+            force[robot] += stiffness * (ys[robot] - ys[neighbour])
+        state.reading = np.array(force)
+    else:
+        state.reading = force = measured_force(network, y)
+    ky = np.matvec(laplacian.matrix, y)
     # one map per law over its named lists: building them in a loop costs ~0.4 us
     # of a 7-10 us chain4 step
     if gains[0] == "baseline":
-        forms = (map(_law, per_robot, repeat(y_d), y.tolist(), ky.tolist(), force.tolist())
+        forms = (map(_law, per_robot, repeat(y_d), ys, ky.tolist(), force)
                  if floats else _law(constants, y_d, y, ky, force))
     else:
         y_old = np.asarray(state.delayed_positions, dtype=float)
@@ -383,7 +406,7 @@ def _step(state: NetworkState, laplacian: PinnedLaplacian, network: CouplingNetw
                  else measured_force(network, y_old))
         delta = y - y_old
         k_delta = np.matvec(laplacian.matrix, delta)
-        forms = (map(_law, per_robot, repeat(y_d), y.tolist(), ky.tolist(), force.tolist(),
+        forms = (map(_law, per_robot, repeat(y_d), ys, ky.tolist(), force,
                      delta.tolist(), k_delta.tolist(), y_old.tolist(), f_old.tolist())
                  if floats else _law(constants, y_d, y, ky, force, delta, k_delta, y_old, f_old))
     if floats:
@@ -474,7 +497,7 @@ def _run(network: CouplingNetwork, config: ControllerConfig, references: np.ndar
     shape = references.shape[1:] + (laplacian.n,)
     gains = (("baseline", config.gamma) if config.kind == "baseline" else   # as the steps key it
              ("dsr", config.alpha, config.beta, config.dt, config.delay_multiple))
-    constants, per_robot = _law_constants(network, laplacian, gains, shape)
+    constants, per_robot, _ = _law_constants(network, laplacian, gains, shape)
     if per_robot is not None:
         stepper = step_baseline if config.kind == "baseline" else step_dsr
         state = NetworkState.at_rest(np.zeros(shape), config.delay_multiple)

@@ -28,14 +28,6 @@ from .eigensolve import eigen_decompose
 from .errors import CalibrationError, UnpinnedNetworkError
 
 _EIGEN_RECONSTRUCT_RTOL = 1e-10
-# Robots plus directed springs up to which one state is sensed, and one run's
-# robots are stepped by both laws and checked (dynamics), in Python floats, one
-# public step per sample. Only simulate (and so reproduce) steps such a run;
-# the tuner and the sweep step batches. A run on chains of 4, 8 and 13 robots
-# took 1.8-4.0x as long in floats as on the block route that batches and
-# larger networks take, with the same bits; floats stay while the benchmark
-# pins simulate's route to one public step per sample.
-_FLOAT_WORK_LIMIT = 37
 
 
 @dataclass(frozen=True)
@@ -50,8 +42,9 @@ class CouplingNetwork:
     caller of one network object shares a single assembly and
     eigendecomposition. It also keeps one batch spring list, for the largest
     batch size read, which a larger batch replaces, and one set of update-law
-    constants, for the gains and state shape last stepped (set by dynamics),
-    which another key replaces.
+    constants, for the gains and state shape last stepped (set by dynamics,
+    which decides there whether to step in Python floats), which another key
+    replaces.
     """
 
     n: int
@@ -97,16 +90,6 @@ class CouplingNetwork:
         for arr in springs:
             arr.flags.writeable = False
         return springs
-
-    @cached_property
-    def _spring_floats(self) -> tuple[tuple[int, int, float], ...] | None:
-        """The spring list as (robot, neighbour, stiffness) Python triples, in
-        its order, if the robots plus directed springs are at most
-        _FLOAT_WORK_LIMIT; None for a larger network."""
-        robots, neighbours, stiffness = self._springs
-        if self.n + len(robots) > _FLOAT_WORK_LIMIT:
-            return None
-        return tuple(zip(robots.tolist(), neighbours.tolist(), stiffness.tolist()))
 
     @cached_property
     def _batch_bins(self) -> dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]]:
@@ -246,21 +229,14 @@ def measured_force(network: CouplingNetwork, positions: Sequence[float]) -> np.n
     The virtual-source force on leaders is not included here; update
     laws add it separately. Every robot's reading comes from one pass over
     the spring list; a (batch, n) state takes one pass over every row's
-    springs, gathered from the flattened state. One state of a small network
-    (``_spring_floats``) takes the pass in Python floats, summing each robot's
-    springs in list order as ``np.bincount`` does, so with the same bits.
-    Positions of any other shape raise ValueError.
+    springs, gathered from the flattened state. ``np.bincount`` sums each
+    robot's springs in list order. Positions of any other shape raise
+    ValueError.
     """
     y = np.asarray(positions, dtype=float)
     if y.shape[-1:] != (network.n,) or y.ndim > 2:
         raise _shape_error(network, y.shape)
     if y.ndim == 1:
-        springs = network._spring_floats
-        if springs is not None:
-            ys, forces = y.tolist(), [0.0] * network.n
-            for robot, neighbour, stiffness in springs:
-                forces[robot] += stiffness * (ys[robot] - ys[neighbour])
-            return np.array(forces)
         robots, neighbours, stiffness = network._springs
         flat = y
     else:

@@ -28,7 +28,6 @@ A network gives ``couplings`` or ``neighbor_stiffness``, one or the other;
     [run]
     duration = 60.0          # s
     label = chain4-baseline
-    # out_dir = results/run  # optional: the output directory without --out
 """
 from __future__ import annotations
 
@@ -52,7 +51,6 @@ class ScenarioConfig:
     trajectory: TrajectorySpec
     duration: float
     label: str = ""
-    out_dir: str | None = None
 
 
 def _parse_floats(raw: str) -> list[float]:
@@ -79,7 +77,7 @@ def _parse_couplings(raw: str, robots: int) -> dict[tuple[int, int], float]:
 _KEYS = {"network": ("robots", "couplings", "neighbor_stiffness", "leader_stiffness"),
          "controller": ("kind", "gamma", "alpha", "beta", "delay_multiple", "dt"),
          "trajectory": ("kind", "amplitude", "cutoff", "start_index"),
-         "run": ("duration", "label", "out_dir")}   # any other key is a problem
+         "run": ("duration", "label")}   # any other key is a problem
 
 
 class _SectionReader:
@@ -188,7 +186,6 @@ def load_config(path) -> ScenarioConfig:
 
     duration = run.get("duration", float)
     label = run.get("label", str, required=False, default="")
-    out_dir = run.get("out_dir", str, required=False)
 
     if network is not None:
         try:
@@ -219,8 +216,7 @@ def load_config(path) -> ScenarioConfig:
     if problems:
         raise ConfigError("invalid scenario config:\n  " + "\n  ".join(problems))
     return ScenarioConfig(network=network, controller=controller,
-                          trajectory=trajectory, duration=duration,
-                          label=label, out_dir=out_dir)
+                          trajectory=trajectory, duration=duration, label=label)
 
 
 def write_config(scenario: ScenarioConfig, path) -> None:
@@ -254,6 +250,4 @@ def write_config(scenario: ScenarioConfig, path) -> None:
     lines += ["", "[run]", f"duration = {scenario.duration!r}"]
     if scenario.label:
         lines.append(f"label = {scenario.label}")
-    if scenario.out_dir:
-        lines.append(f"out_dir = {scenario.out_dir}")
     Path(path).write_text("\n".join(lines) + "\n")

@@ -5,9 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from cohesive_transport import (ControllerConfig, CouplingNetwork, ScenarioConfig,
-                                StiffnessChain, TrajectorySpec,
-                                build_pinned_laplacian, dynamics, simulate)
+from cohesive_transport import (CouplingNetwork, ScenarioConfig, TrajectorySpec,
+                                build_pinned_laplacian, dynamics, load_config, simulate)
 
 DT = 0.03
 
@@ -59,10 +58,8 @@ def grid_network(side, seed):
 
 @pytest.fixture(scope="session")
 def chain4():
-    """Four-robot reference chain: uniform 0.05 N/cm springs, robot 0
-    pinned to the virtual source with the same stiffness."""
-    return StiffnessChain(neighbor_stiffness=(0.05, 0.05, 0.05),
-                          leader_stiffness=(0.05, 0.0, 0.0, 0.0))
+    """The bundled configs' four-robot reference chain."""
+    return load_config(CONFIG_DIR / "chain4_baseline.cfg").network
 
 
 @pytest.fixture(scope="session")
@@ -78,14 +75,16 @@ def unit_step_scenario(chain, controller, duration=20.0):
 
 @pytest.fixture(scope="session")
 def baseline_step_trace(chain4):
-    """Unit step under the reference baseline gain."""
-    return simulate(unit_step_scenario(chain4, ControllerConfig.baseline(1.93, DT)))
+    """Unit step under the bundled baseline gain."""
+    controller = load_config(CONFIG_DIR / "chain4_baseline.cfg").controller
+    return simulate(unit_step_scenario(chain4, controller))
 
 
 @pytest.fixture(scope="session")
 def dsr_step_trace(chain4):
-    """Unit step under the reference cohesive gains."""
-    return simulate(unit_step_scenario(chain4, ControllerConfig.dsr(0.39, 10.92, DT)))
+    """Unit step under the bundled cohesive gains."""
+    controller = load_config(CONFIG_DIR / "chain4_dsr.cfg").controller
+    return simulate(unit_step_scenario(chain4, controller))
 
 
 @pytest.fixture(scope="session")

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import warnings
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import hypothesis
@@ -20,10 +21,9 @@ from cohesive_transport import (ControllerConfig, CouplingNetwork, CrosscheckErr
                                 StiffnessChain, TrajectorySpec, UnstableControllerWarning,
                                 UnstableGainError, build_pinned_laplacian, load_config,
                                 measured_force, simulate, step_baseline, step_dsr)
-from cohesive_transport.dynamics import (_BLOCK_VALUES, _crosscheck, _run,
-                                         baseline_update_forms, dsr_update_forms,
-                                         num_steps)
-from cohesive_transport.network import _FLOAT_WORK_LIMIT
+from cohesive_transport.dynamics import (_BLOCK_VALUES, _FLOAT_WORK_LIMIT, _crosscheck,
+                                         _law_constants, _run, baseline_update_forms,
+                                         dsr_update_forms, num_steps)
 from cohesive_transport.stability import baseline_gamma_bound
 from cohesive_transport.trajectory import cutoff_sweep
 from cohesive_transport.tuning import TuningSpec, tune
@@ -35,6 +35,17 @@ from strategies import coupling_networks
 def single_node():
     chain = StiffnessChain((), (0.05,))
     return chain, build_pinned_laplacian(chain)
+
+
+def _takes_floats(network, shape):
+    """Whether the public steps sense and step a state of ``shape`` on
+    ``network`` robot by robot in Python floats (given a scalar reference):
+    dynamics' own decision, which no gain changes."""
+    lap = build_pinned_laplacian(network)
+    return _law_constants(network, lap, ("baseline", 1.0), shape)[1] is not None
+
+
+_CHAIN4 = load_config(CONFIG_DIR / "chain4_baseline.cfg").network
 
 
 def test_controller_config_validation():
@@ -177,9 +188,11 @@ def test_batched_steps_reject_springs_that_disagree_with_the_laplacian(chain4, l
 @pytest.mark.parametrize("delay", [1, 3])
 @pytest.mark.parametrize("runs", ["chain4", "mesh64", "chain4-batch"])
 def test_each_robot_reads_its_force_once_per_sample(chain4, monkeypatch, delay, runs):
-    # chain4 is read sample by sample (floats); the 64-robot mesh and a batch
-    # of three chain4 runs a block at a time
+    # chain4 is read sample by sample, in floats inside each public step, which
+    # stores its reading; the 64-robot mesh and a batch of three chain4 runs a
+    # block at a time, by measured_force
     network = grid_network(8, 1) if runs == "mesh64" else chain4
+    assert _takes_floats(network, (network.n,)) == (runs != "mesh64")
     beta = 0.25 * baseline_gamma_bound(build_pinned_laplacian(network))
     config = ControllerConfig.dsr(0.39, beta, DT, delay)
     sensed = []
@@ -188,7 +201,14 @@ def test_each_robot_reads_its_force_once_per_sample(chain4, monkeypatch, delay, 
         sensed.append(np.array(positions))
         return measured_force(network, positions)
 
+    def storing(state, *args, _step=step_dsr):
+        stepped = _step(state, *args)
+        assert _same_bits(state.reading, measured_force(network, state.positions))
+        sensed.append(np.array(state.positions))   # the reading the step took itself
+        return stepped
+
     monkeypatch.setattr(dynamics, "measured_force", counting)
+    monkeypatch.setattr(dynamics, "step_dsr", storing)
     if runs == "chain4-batch":
         positions = _joined_blocks(network, config, np.tile([1.0, 2.0, 3.0], (101, 1)))[0]
     else:
@@ -412,7 +432,7 @@ def _random_chain(n):
 
 @settings(max_examples=60, deadline=None)
 @given(coupling_networks(), st.integers(0, 2**32 - 1))
-@example(StiffnessChain((0.05,) * 3, (0.05, 0.0, 0.0, 0.0)), 0)   # the reference chain
+@example(_CHAIN4, 0)   # the reference chain
 @example(_random_chain(1), 1)
 @example(_random_chain(64), 64)
 @example(_random_chain(256), 256)
@@ -455,7 +475,7 @@ def test_step_dsr_rejects_a_history_of_another_delay(chain4, lap4, rows):
 def test_both_laws_name_a_state_of_the_wrong_width(step, config, robots, rows, offset):
     # one chain4 state takes the float route, one of 15 robots (15 + 28 springs) the arrays
     network = StiffnessChain((0.05,) * (robots - 1), (0.05,) + (0.0,) * (robots - 1))
-    assert (network._spring_floats is None) == (robots == 15)
+    assert _takes_floats(network, rows + (robots,)) == (robots == 4 and not rows)
     lap = build_pinned_laplacian(network)
     y_d = np.ones(rows + (1,)) if rows else 1.0
     step(NetworkState.at_rest(np.zeros(rows + (robots,))), lap, network, config, y_d)
@@ -533,7 +553,9 @@ def _joined_blocks(network, config, references, ends=()):
     return np.array(samples), lengths
 
 
-_CONFIGS = [ControllerConfig.baseline(1.93, DT), ControllerConfig.dsr(0.39, 10.92, DT, 2)]
+_BUNDLED = [load_config(CONFIG_DIR / name).controller
+            for name in ("chain4_baseline.cfg", "chain4_dsr.cfg")]
+_CONFIGS = [_BUNDLED[0], replace(_BUNDLED[1], delay_multiple=2)]
 
 
 @pytest.mark.parametrize("config", _CONFIGS, ids=["baseline", "dsr"])
@@ -582,6 +604,13 @@ def _ramp(network, rows):
 _AT_THE_LIMIT = [_network_of_work(_FLOAT_WORK_LIMIT + d) for d in (-1, 0, 1)]
 _EDGES = st.sampled_from([-0.0, 1e300, -1e300, math.nan, math.inf, -math.inf, 1e9, -1e9,
                           math.nextafter(1e9, 0.0), math.nextafter(1e9, math.inf)])
+
+
+def test_one_state_of_a_network_up_to_the_limit_takes_floats():
+    # the route tests below take their route from dynamics; this pins where it changes
+    assert [_takes_floats(network, (network.n,)) for network in _AT_THE_LIMIT] == [
+        True, True, False]
+    assert not any(_takes_floats(network, (1, network.n)) for network in _AT_THE_LIMIT)
 
 
 def _law(kind, gain, delay):
@@ -647,7 +676,7 @@ def test_single_run_routes_match_their_batch_row(case):
     small network both laws are evaluated robot by robot in floats, each with
     the bits of the array route's form."""
     network, stepped_on, config, rows, references = case
-    small = stepped_on.n + 2 * len(stepped_on.couplings) <= _FLOAT_WORK_LIMIT
+    small = _takes_floats(stepped_on, rows[0].shape)
     hypothesis.event("floats" if small else "arrays")
     lap = build_pinned_laplacian(network)
     step = step_baseline if config.kind == "baseline" else step_dsr
@@ -673,7 +702,10 @@ def test_single_run_routes_match_their_batch_row(case):
             assert len(checked) == (small and forms is not None)
             assert not checked or _same_bits(checked[0], forms)
             want = _outcome(step, batch, lap, stepped_on, config, np.full((1, 1), y_d))
-            assert _same_bits(single.reading, batch.reading[0])   # the stored reading
+            if forms is None:   # gains that overflow raise before the robots sense
+                assert single.reading is None and batch.reading is None
+            else:
+                assert _same_bits(single.reading, batch.reading[0])   # the stored reading
             if isinstance(want, tuple):
                 assert got == want
                 hypothesis.event(want[0].__name__)
@@ -685,8 +717,8 @@ def test_single_run_routes_match_their_batch_row(case):
 @settings(deadline=None)
 @given(coupling_networks(max_robots=20), st.sampled_from(["baseline", "dsr"]),
        st.integers(1, 3), st.floats(0.5e9, 3e9), st.floats(0.1, 3.0))
-@example(StiffnessChain((0.05,) * 3, (0.05, 0.0, 0.0, 0.0)), "baseline", 1, 1.5e9, 1.0)
-@example(StiffnessChain((0.05,) * 3, (0.05, 0.0, 0.0, 0.0)), "dsr", 2, 1.5e9, 2.5)
+@example(_CHAIN4, "baseline", 1, 1.5e9, 1.0)
+@example(_CHAIN4, "dsr", 2, 1.5e9, 2.5)
 @example(_AT_THE_LIMIT[0], "dsr", 3, 1.5e9, 1.0)
 @example(_AT_THE_LIMIT[1], "baseline", 1, 2e9, 2.0)
 @example(_AT_THE_LIMIT[2], "dsr", 1, 1.5e9, 1.0)
@@ -716,7 +748,6 @@ def test_single_run_routes_diverge_at_their_batch_rows_step(network, kind, delay
     hypothesis.event("diverged" if single_error else "stayed below 1e9 cm")
 
 
-_CHAIN4 = StiffnessChain((0.05,) * 3, (0.05, 0.0, 0.0, 0.0))
 _LARGE = _AT_THE_LIMIT[2]   # one more than the float route's limit
 
 
@@ -855,7 +886,7 @@ _OPTIMIZED_SCRIPT = """
 assert False, "asserts are still on"
 import numpy as np
 from cohesive_transport import *
-from cohesive_transport.network import _FLOAT_WORK_LIMIT
+from cohesive_transport.dynamics import _FLOAT_WORK_LIMIT
 chain = StiffnessChain((0.05, 0.05, 0.05), (0.05, 0, 0, 0))
 stiffer = StiffnessChain((0.05, 0.06, 0.05), (0.05, 0, 0, 0))
 lap = build_pinned_laplacian(chain)
@@ -875,8 +906,8 @@ for label, network, laplacian, state, y_d in (
         try:
             step(state, laplacian, network, config, y_d)
         except CrosscheckError:
-            (_, constants), = network._law_coefficients.values()
-            route = "arrays" if constants[-1] is None else "floats"
+            (_, (_, per_robot, _)), = network._law_coefficients.values()
+            route = "arrays" if per_robot is None else "floats"
             print(label + step.__name__, "raised on the", route, "route")
 """
 
@@ -981,6 +1012,23 @@ def test_overflowing_baseline_gain_stops_before_stepping():
                            match=re.escape("gamma = 1e+300 (gamma*k_leader = inf)")):
             simulate(scenario)
     assert [w.category for w in caught] == [UnstableControllerWarning]
+
+
+@pytest.mark.parametrize("rows", [(), (1,)], ids=["floats", "arrays"])
+@pytest.mark.parametrize("step, config", [
+    (step_baseline, ControllerConfig.baseline(1e300, DT)),
+    (step_dsr, ControllerConfig.dsr(1e300, 1.0, DT)),
+], ids=["baseline", "dsr"])
+def test_overflowing_gains_raise_before_the_robots_sense(monkeypatch, step, config, rows):
+    # gamma, or alpha*beta*dt, times the 1e10 N/cm leader spring overflows
+    network = StiffnessChain((1.0,), (1e10, 0.0))
+    assert _takes_floats(network, rows + (2,)) == (not rows)
+    monkeypatch.setattr(dynamics, "measured_force", lambda *args: pytest.fail("sensed"))
+    state = NetworkState.at_rest(np.ones(rows + (2,)))
+    y_d = np.ones(rows + (1,)) if rows else 1.0
+    with pytest.raises(UnstableGainError, match="overflow the per-robot law coefficients"):
+        step(state, build_pinned_laplacian(network), network, config, y_d)
+    assert state.reading is None and state.readings == () and state.sensed_on is None
 
 
 def test_simulate_is_deterministic(chain4):

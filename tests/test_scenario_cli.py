@@ -4,6 +4,7 @@ import os
 import re
 import tracemalloc
 import warnings
+from dataclasses import replace
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
@@ -35,6 +36,22 @@ def test_reproduction_runs_the_bundled_configs():
         for field in ("positions", "forces", "reference", "times"):
             got, expected = getattr(trace, field), getattr(want, field)
             assert (got.shape, got.tobytes()) == (expected.shape, expected.tobytes())
+
+
+def test_reproduction_summarizes_against_each_config_amplitude(monkeypatch):
+    # the transport's amplitude is read from each config, not declared again
+    load = benchmark.load_config
+
+    def moved_20_cm(path):
+        scenario = load(path)
+        return replace(scenario, trajectory=replace(scenario.trajectory, amplitude=20.0))
+
+    monkeypatch.setattr(benchmark, "load_config", moved_20_cm)
+    report = benchmark.run_reproduction()
+    for summary, trace in ((report.baseline, report.baseline_trace),
+                           (report.dsr, report.dsr_trace)):
+        assert summary == metrics.summarize(trace, final_value=20.0)
+        assert summary != metrics.summarize(trace, final_value=50.0)
 
 
 @pytest.mark.parametrize("config", ["chain4_baseline.cfg", "chain4_dsr.cfg"])
@@ -165,6 +182,16 @@ def test_unknown_keys_are_config_errors(tmp_path, capsys):
     assert "controller.delay_mutliple: unknown key" in err
     assert "run.colour: unknown key" in err
     assert not (tmp_path / "r").exists()
+
+
+def test_out_dir_is_not_a_config_key(tmp_path, monkeypatch, capsys):
+    # --out alone names the output directory
+    config = tmp_path / "run.cfg"
+    config.write_text((CONFIG_DIR / "chain4_dsr.cfg").read_text() + "out_dir = elsewhere\n")
+    monkeypatch.chdir(tmp_path)
+    assert main(["simulate", "--config", str(config)]) == 2
+    assert "run.out_dir: unknown key" in capsys.readouterr().err
+    assert sorted(tmp_path.iterdir()) == [config]
 
 
 def test_parse_error(tmp_path):
@@ -655,6 +682,21 @@ def test_cli_sweep_bad_cutoffs_are_config_errors(tmp_path, capsys, cutoffs, reas
     assert not (tmp_path / "s").exists()
 
 
+@pytest.mark.parametrize("command", [
+    ["simulate", "--config", str(CONFIG_DIR / "chain4_dsr.cfg")],
+    ["stability", "--config", str(CONFIG_DIR / "chain4_dsr.cfg")],
+    ["tune", "--config", str(CONFIG_DIR / "chain4_baseline.cfg"), "--target-ts", "10"],
+    ["sweep", "--config", str(CONFIG_DIR / "chain4_baseline.cfg"), "--omega-c-list", "0.1"],
+    ["reproduce"]], ids=lambda command: command[0])
+def test_cli_empty_out_is_a_config_error(tmp_path, monkeypatch, capsys, command):
+    # an empty path names no directory: it is not read as the default results/,
+    # nor, by reproduce, as no --out
+    monkeypatch.chdir(tmp_path)
+    assert main(command + ["--out", ""]) == 2
+    assert capsys.readouterr().err == "config error: --out: an empty path names no directory\n"
+    assert not any(tmp_path.iterdir())
+
+
 def test_cli_reproduce(tmp_path, capsys):
     assert main(["reproduce", "--out", str(tmp_path / "rep")]) == 0
     printed = capsys.readouterr().out
@@ -856,10 +898,18 @@ def test_cli_run_too_long_to_index_is_exit_5(tmp_path, capsys, config_name, key,
 
 
 def test_cli_exit_code_failed_crosscheck(tmp_path, monkeypatch, capsys):
-    # a per-robot route that senses no force disagrees with the stacked
-    # law as soon as the leader has moved
-    monkeypatch.setattr(dynamics, "measured_force",
-                        lambda network, positions, robot=None: np.zeros(network.n))
+    # a per-robot route that senses no force disagrees with the stacked law as
+    # soon as the leader has moved; chain4 is sensed in floats, on the springs
+    # that _law_constants lists for it
+    law_constants = dynamics._law_constants
+
+    def numb(*args):
+        constants, per_robot, springs = law_constants(*args)
+        assert springs is not None
+        return constants, per_robot, tuple((robot, neighbour, 0.0)
+                                           for robot, neighbour, _ in springs)
+
+    monkeypatch.setattr(dynamics, "_law_constants", numb)
     assert main(["simulate", "--config", str(CONFIG_DIR / "chain4_dsr.cfg"),
                  "--out", str(tmp_path / "c")]) == 1
     assert "per-robot and stacked updates disagree" in capsys.readouterr().err

@@ -191,7 +191,7 @@ def test_batched_sweep_matches_one_run_per_cutoff_on_random_networks(network, ki
     _assert_matches_one_run_per_cutoff(scenario, cutoffs)
 
 
-_CHAIN4 = StiffnessChain((0.05, 0.05, 0.05), (0.05, 0.0, 0.0, 0.0))
+_CHAIN4 = load_config(CONFIG_DIR / "chain4_baseline.cfg").network
 
 
 def _full_horizon(scenario, cutoffs):
