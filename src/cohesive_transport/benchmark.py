@@ -28,7 +28,7 @@ EXPECTED_DSR_FORCE = 0.014
 EXPECTED_DSR_DEFORMATION = 0.563
 EXPECTED_IMPROVEMENT_PCT = 90.0
 
-DEFAULT_TOLERANCE = 0.05
+TOLERANCE = 0.05   # relative, on each checked quantity
 
 
 @dataclass(frozen=True)
@@ -39,7 +39,6 @@ class ReproductionReport:
     baseline: metrics.RunSummary
     dsr: metrics.RunSummary
     improvement: metrics.Improvement
-    tolerance: float
     elapsed_s: float
     baseline_trace: SimulationTrace
     dsr_trace: SimulationTrace
@@ -47,7 +46,6 @@ class ReproductionReport:
     @property
     def checks(self) -> list[tuple[str, float, float, bool]]:
         """(name, measured, expected, ok) per checked quantity."""
-        tol = self.tolerance
         rows = [
             ("baseline max force [N]", self.baseline.max_force,
              EXPECTED_BASELINE_FORCE),
@@ -58,7 +56,7 @@ class ReproductionReport:
              EXPECTED_DSR_DEFORMATION),
         ]
         return [(name, measured, expected,
-                 abs(measured - expected) <= tol * expected)
+                 abs(measured - expected) <= TOLERANCE * expected)
                 for name, measured, expected in rows]
 
     @property
@@ -66,7 +64,7 @@ class ReproductionReport:
         return all(ok for *_, ok in self.checks)
 
 
-def run_reproduction(tolerance: float = DEFAULT_TOLERANCE) -> ReproductionReport:
+def run_reproduction() -> ReproductionReport:
     """Simulate both bundled reference configs and compare to expectations."""
     start = time.perf_counter()
     scenarios = [load_config(Path(__file__).with_name("configs") / name)
@@ -76,7 +74,6 @@ def run_reproduction(tolerance: float = DEFAULT_TOLERANCE) -> ReproductionReport
                  for trace, scenario in zip((base_trace, dsr_trace), scenarios))
     gain = metrics.improvement(base, dsr)
     return ReproductionReport(baseline=base, dsr=dsr, improvement=gain,
-                              tolerance=tolerance,
                               elapsed_s=time.perf_counter() - start,
                               baseline_trace=base_trace, dsr_trace=dsr_trace)
 
@@ -92,7 +89,7 @@ def format_report(report: ReproductionReport) -> str:
          f"{report.dsr.max_deformation:>10.3f}"
          f"{report.improvement.deformation_pct:>10.1f}%"),
         "",
-        f"checks (tolerance {report.tolerance:.0%}):",
+        f"checks (tolerance {TOLERANCE:.0%}):",
     ]
     for name, measured, expected, ok in report.checks:
         status = "ok" if ok else "FAIL"

@@ -11,9 +11,9 @@ Subcommands
 Exit codes: 0 success, 1 other package error (infeasible tuning, failed
 per-robot crosscheck), 2 config problem (also an empty --out or one that
 cannot be created, and ``tune`` on a cohesive controller with
-delay_multiple > 1), 3 simulation divergence, 4 reproduce mismatch, 5 out
-of memory (a run too long or too wide to hold). A failed run creates no
-output directory.
+delay_multiple > 1), 3 simulation divergence, 4 reproduce outside its 5%
+tolerance, 5 out of memory (a run too long or too wide to hold). A failed
+run creates no output directory.
 
 The trace CSV schema is one row per sample:
     t,y_1..y_n,f_1..f_n,yd,D,vmax_step
@@ -397,9 +397,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_reproduce(args) -> int:
-    if not 0 <= args.tolerance < math.inf:
-        raise ConfigError(f"--tolerance: must be non-negative and finite, got {args.tolerance}")
-    report = benchmark.run_reproduction(tolerance=args.tolerance)
+    report = benchmark.run_reproduction()
     print(benchmark.format_report(report))
     if args.out is not None:
         out = _out_dir(args)
@@ -436,11 +434,8 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_p.add_argument("--omega-c-list",
                          help="comma-separated cutoffs in rad/s "
                               "(default 0.02..0.5)")
-    rep = add("reproduce", cmd_reproduce,
-              "rerun the bundled reference scenarios and check the results",
-              needs_config=False)
-    rep.add_argument("--tolerance", type=float, default=benchmark.DEFAULT_TOLERANCE,
-                     help="relative tolerance for the checks (default 0.05)")
+    add("reproduce", cmd_reproduce,
+        "rerun the bundled reference scenarios and check the results", needs_config=False)
     return parser
 
 

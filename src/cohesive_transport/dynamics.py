@@ -22,8 +22,10 @@ alone: per robot from local quantities, and stacked via K. The two are
 cross-checked on every sample of every run (``_run``, which hands samples
 out in blocks that the sweep and the tuner reduce as they come); that check
 certifies the laws as decentralized. Both step functions share one core
-(``_step``), which raises CrosscheckError on a disagreement, also under
-``python -O``, and DivergenceError past DIVERGENCE_LIMIT_CM.
+(``_step``), a pure function of its arguments. Every stepped sample, on any
+route, is judged by one function (``_check_block``), which raises
+CrosscheckError on a disagreement, also under ``python -O``, and
+DivergenceError past DIVERGENCE_LIMIT_CM.
 
 The stacked law takes K Y as np.matvec(K, Y) for one state and each batch
 row alike. A run builds its constants once, not per sample: the stacked
@@ -46,9 +48,11 @@ each of the tuner's unit steps (a batch of one run) among them, and larger
 networks step only the stacked form per sample, as arrays, and check a
 block of samples at a time before it is yielded: one reading of each
 sample, the per-robot form of the whole block, and each (sample, run) row's
-bound. Both round as the public steps' arrays do, so readings, positions
-and every raised error, at the sample it is raised at, are those of
-stepping sample by sample.
+bound; a block keeps each sample's reading for the cohesive law N samples
+later. The public steps keep nothing: they sense the delayed positions
+again, with the same bits. Both routes round as the public steps' arrays
+do, so readings, positions and every raised error, at the sample it is
+raised at, are those of stepping sample by sample.
 
 Positions are cm, forces N, time s.
 """
@@ -57,7 +61,7 @@ from __future__ import annotations
 import math
 import operator
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import repeat
 from typing import TYPE_CHECKING
@@ -151,20 +155,11 @@ class NetworkState:
     oldest first, so ``history[0]`` is Y[m-N]. Before N steps have
     elapsed the buffer is padded with the initial positions (system
     starts at rest).
-
-    The robots also keep their force readings, all taken on the network
-    object ``sensed_on``: either law's step stores the one at ``positions``
-    in ``reading``, and ``advanced`` moves it into ``readings``, which holds
-    those of the newest ``history`` samples (None where none was taken).
-    Only the cohesive law reads them, or ``history``, again.
     """
 
     positions: np.ndarray
     history: tuple[np.ndarray, ...]
     step: int = 0
-    readings: tuple[np.ndarray | None, ...] = field(default=(), repr=False)
-    reading: np.ndarray | None = field(default=None, repr=False)
-    sensed_on: CouplingNetwork | None = field(default=None, repr=False)
 
     @classmethod
     def at_rest(cls, initial_positions, delay_multiple: int = 1) -> "NetworkState":
@@ -176,10 +171,7 @@ class NetworkState:
         return self.history[0]
 
     def advanced(self, new_positions: np.ndarray) -> "NetworkState":
-        return NetworkState(new_positions, self.history[1:] + (self.positions,),
-                            self.step + 1,
-                            (self.readings + (self.reading,))[-len(self.history):],
-                            None, self.sensed_on)
+        return NetworkState(new_positions, self.history[1:] + (self.positions,), self.step + 1)
 
 
 @dataclass(frozen=True)
@@ -321,15 +313,14 @@ def dsr_update_forms(positions, delayed_positions, laplacian: PinnedLaplacian,
 
 
 def _crosscheck(stacked: np.ndarray, local: np.ndarray) -> float:
-    """Each row (one run) of ``local`` must be within 1e-12 * max(1, largest
-    |stacked| of the row) of ``stacked``, NaN failing; returns the largest |stacked|.
-    A batch is accepted at once if every entry is within 1e-12, the smallest
-    bound a row can have; only otherwise is each row held to its own bound."""
+    """Each row (one run at one sample) of ``local`` must be within 1e-12 *
+    max(1, largest |stacked| of the row) of ``stacked``, NaN failing; returns
+    the largest |stacked|. A block is accepted at once if every entry is
+    within 1e-12, the smallest bound a row can have; only otherwise is each
+    row held to its own bound."""
     scale = np.maximum.reduce(np.abs(stacked), axis=None)
-    largest_gap = np.maximum.reduce(np.abs(stacked - local), axis=None)
-    if largest_gap <= _CROSSCHECK_ATOL * (max(1.0, scale) if stacked.ndim == 1 else 1.0):
+    if np.maximum.reduce(np.abs(stacked - local), axis=None) <= _CROSSCHECK_ATOL:
         return scale
-    # row by row; also names the worst entry of a failed 1-D state
     row_scale = np.maximum.reduce(np.abs(stacked), axis=-1, keepdims=True)
     bound = _CROSSCHECK_ATOL * np.maximum(1.0, row_scale)
     residual = np.abs(stacked - local)
@@ -341,27 +332,12 @@ def _crosscheck(stacked: np.ndarray, local: np.ndarray) -> float:
     return np.maximum.reduce(row_scale, axis=None)
 
 
-def _crosscheck_floats(rows: list[tuple[float, float]]) -> tuple[np.ndarray, float]:
-    """``_crosscheck`` of one state evaluated robot by robot: ``rows`` holds
-    each robot's (stacked, per-robot) next position as Python floats. Returns
-    the stacked positions as an array and the largest |stacked|. Where every
-    robot is within the bound no stacked value is NaN, so the largest is
-    numpy's; a robot outside it (a NaN anywhere is) hands the state to
-    ``_crosscheck``, which names the failure as it does for the array route."""
-    values = [s for s, _ in rows]
-    stacked, scale = np.array(values), max(map(abs, values))
-    bound = _CROSSCHECK_ATOL * max(1.0, scale)
-    for s, l in rows:
-        if not abs(s - l) <= bound:
-            return stacked, _crosscheck(stacked, np.array([l for _, l in rows]))
-    return stacked, scale
-
-
 def _check_block(stacked: np.ndarray, local: np.ndarray, first: int) -> None:
-    """``_step``'s checks of samples ``first``.. at once: row i of ``stacked``
-    and ``local`` holds sample first + i's two forms, each of its runs held to
-    its own bound. Where any sample fails, the first one that does raises
-    what ``_step`` raises there."""
+    """The verdict on samples ``first``.. of a run or a batch: row i of
+    ``stacked`` and ``local`` holds sample first + i's two forms, each of its
+    runs held to its own bound (``_crosscheck``) and to DIVERGENCE_LIMIT_CM.
+    Where any sample fails, the first one that does raises CrosscheckError,
+    or DivergenceError with its step, also under ``python -O``."""
     try:
         if _crosscheck(stacked, local) <= DIVERGENCE_LIMIT_CM:
             return
@@ -372,67 +348,89 @@ def _check_block(stacked: np.ndarray, local: np.ndarray, first: int) -> None:
             raise DivergenceError(step=first + i)
 
 
+def _crosscheck_floats(rows: list[tuple[float, float]], step: int) -> np.ndarray:
+    """Accepts sample ``step`` of one run robot by robot, ``rows`` holding each
+    robot's (stacked, per-robot) next position as Python floats, and returns
+    the stacked positions as an array. A sample that any robot fails, by the
+    bound or the divergence limit (a NaN anywhere does), goes to
+    ``_check_block``, which raises as it does on arrays."""
+    values = [s for s, _ in rows]
+    stacked, scale = np.array(values), max(map(abs, values))
+    bound = _CROSSCHECK_ATOL * max(1.0, scale)
+    if scale <= DIVERGENCE_LIMIT_CM:
+        for s, l in rows:   # a loop: all() of a generator costs ~0.3 us of a chain4 step
+            if not abs(s - l) <= bound:
+                break
+        else:
+            return stacked
+    _check_block(stacked[None], np.array([[l for _, l in rows]]), step)
+    return stacked
+
+
+def _float_readings(ys: list[float], springs: tuple, n: int) -> list[float]:
+    """``measured_force`` of one state in Python floats: each robot's
+    springs summed in list order, as it sums them on arrays."""
+    force = [0.0] * n
+    for robot, neighbour, stiffness in springs:
+        force[robot] += stiffness * (ys[robot] - ys[neighbour])
+    return force
+
+
 def _step(state: NetworkState, laplacian: PinnedLaplacian, network: CouplingNetwork,
           gains: tuple, y_d) -> np.ndarray:
     """The one update of both laws, for the gains of ``_law_constants``,
     which are checked before anything is sensed. The robots sense the
-    current positions and store the reading on the state; the cohesive law
-    also reads the one stored N samples earlier on this network object,
-    sensed again only if there is none. One state with a scalar reference on
-    a small network (``_law_constants``'s ``per_robot``) is sensed and steps
-    both laws robot by robot in Python floats, anything else as arrays, with
-    the same bits."""
+    current positions; the cohesive law also senses the delayed ones. One
+    state with a scalar reference on a small network (``_law_constants``'s
+    ``per_robot``) is sensed and steps both laws robot by robot in Python
+    floats, anything else as arrays, with the same bits; either is judged
+    by ``_check_block``. Nothing is written to ``state``."""
     y = np.asarray(state.positions, dtype=float)
     constants, per_robot, springs = _law_constants(network, laplacian, gains, y.shape)
-    if state.sensed_on is not network:
-        state.readings, state.sensed_on = (), network
     floats = per_robot is not None and isinstance(y_d, float)
-    if floats:   # each robot's springs in list order, as measured_force sums them
-        ys, force = y.tolist(), [0.0] * network.n
-        for robot, neighbour, stiffness in springs:
-            force[robot] += stiffness * (ys[robot] - ys[neighbour])
-        state.reading = np.array(force)
-    else:
-        state.reading = force = measured_force(network, y)
     ky = np.matvec(laplacian.matrix, y)
     # one map per law over its named lists: building them in a loop costs ~0.4 us
     # of a 7-10 us chain4 step
     if gains[0] == "baseline":
-        forms = (map(_law, per_robot, repeat(y_d), ys, ky.tolist(), force)
-                 if floats else _law(constants, y_d, y, ky, force))
+        if floats:
+            ys = y.tolist()
+            forms = map(_law, per_robot, repeat(y_d), ys, ky.tolist(),
+                        _float_readings(ys, springs, network.n))
+        else:
+            forms = _law(constants, y_d, y, ky, measured_force(network, y))
     else:
         y_old = np.asarray(state.delayed_positions, dtype=float)
-        f_old = (state.readings[0] if len(state.readings) == len(state.history)
-                 else measured_force(network, y_old))
         delta = y - y_old
         k_delta = np.matvec(laplacian.matrix, delta)
-        forms = (map(_law, per_robot, repeat(y_d), ys, ky.tolist(), force,
-                     delta.tolist(), k_delta.tolist(), y_old.tolist(), f_old.tolist())
-                 if floats else _law(constants, y_d, y, ky, force, delta, k_delta, y_old, f_old))
+        if floats:
+            ys, ys_old = y.tolist(), y_old.tolist()
+            forms = map(_law, per_robot, repeat(y_d), ys, ky.tolist(),
+                        _float_readings(ys, springs, network.n), delta.tolist(),
+                        k_delta.tolist(), ys_old, _float_readings(ys_old, springs, network.n))
+        else:
+            forms = _law(constants, y_d, y, ky, measured_force(network, y), delta, k_delta,
+                         y_old, measured_force(network, y_old))
     if floats:
-        stacked, scale = _crosscheck_floats(list(forms))
-    else:
-        stacked, scale = forms[0], _crosscheck(*forms)
-    if not scale <= DIVERGENCE_LIMIT_CM:
-        raise DivergenceError(step=state.step + 1)
-    return stacked
+        return _crosscheck_floats(list(forms), state.step + 1)
+    _check_block(forms[0][None], forms[1][None], state.step + 1)
+    return forms[0]
 
 
 def step_baseline(state: NetworkState, laplacian: PinnedLaplacian,
                   network: CouplingNetwork, config: ControllerConfig,
                   y_d) -> np.ndarray:
     """One baseline update; returns the next positions, (n,) or (batch, n).
-    Any beyond DIVERGENCE_LIMIT_CM raises DivergenceError. The robots' reading
-    is stored on the state, as ``step_dsr`` stores it."""
+    Any beyond DIVERGENCE_LIMIT_CM raises DivergenceError. ``state`` is only
+    read."""
     return _step(state, laplacian, network, ("baseline", config.gamma), y_d)
 
 
 def step_dsr(state: NetworkState, laplacian: PinnedLaplacian,
              network: CouplingNetwork, config: ControllerConfig,
              y_d) -> np.ndarray:
-    """One cohesive update; returns and raises as ``step_baseline``, and
-    reuses the readings stored on the state (``_step``). A state whose
-    history does not hold N samples raises ValueError."""
+    """One cohesive update; returns and raises as ``step_baseline``. The
+    robots sense both the current and the delayed positions (``_step``). A
+    state whose history does not hold N samples raises ValueError."""
     if len(state.history) != config.delay_multiple:
         raise ValueError(f"the state's history holds {len(state.history)} samples; "
                          f"delay_multiple is {config.delay_multiple}")

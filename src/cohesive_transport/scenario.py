@@ -1,6 +1,7 @@
 """Scenario configs: one file fully describes one run.
 
-Flat INI-style files with four sections and only the keys below.
+Flat INI-style files with four sections and only the keys below, each
+only where its section's kind reads it.
 Robots are numbered from 1 in files and in config errors, as the lab
 numbers them, and from 0 in memory.
 A network gives ``couplings`` or ``neighbor_stiffness``, one or the other;
@@ -78,6 +79,9 @@ _KEYS = {"network": ("robots", "couplings", "neighbor_stiffness", "leader_stiffn
          "controller": ("kind", "gamma", "alpha", "beta", "delay_multiple", "dt"),
          "trajectory": ("kind", "amplitude", "cutoff", "start_index"),
          "run": ("duration", "label")}   # any other key is a problem
+# keys that a section of this kind does not read, and so may not set
+_UNREAD = {("controller", "baseline"): ("alpha", "beta", "delay_multiple"),
+           ("controller", "dsr"): ("gamma",), ("trajectory", "step"): ("cutoff",)}
 
 
 class _SectionReader:
@@ -94,6 +98,9 @@ class _SectionReader:
             problems.append(f"{section}: missing section")
         problems.extend(f"{section}.{key}: unknown key"
                         for key in self.raw if key not in _KEYS[section])
+        kind = self.raw.get("kind")
+        problems.extend(f"{section}.{key}: not used by kind = {kind}"
+                        for key in _UNREAD.get((section, kind), ()) if key in self.raw)
 
     def get(self, key: str, convert, required: bool = True, default=None):
         if key not in self.raw:
@@ -220,7 +227,8 @@ def load_config(path) -> ScenarioConfig:
 
 
 def write_config(scenario: ScenarioConfig, path) -> None:
-    """Serialize a scenario so that load_config reads back an equal one.
+    """Serialize a scenario so that load_config reads back an equal one,
+    apart from a cutoff on a raw step, which no step reads and no file sets.
 
     Floats are written with repr, which round-trips exactly.
     """
@@ -243,7 +251,7 @@ def write_config(scenario: ScenarioConfig, path) -> None:
     trj = scenario.trajectory
     lines += ["", "[trajectory]", f"kind = {trj.kind}",
               f"amplitude = {trj.amplitude!r}"]
-    if trj.cutoff is not None:
+    if trj.cutoff is not None and trj.kind != "step":
         lines.append(f"cutoff = {trj.cutoff!r}")
     lines.append(f"start_index = {trj.start_index}")
 

@@ -22,16 +22,22 @@ def step_counts(monkeypatch):
     """Samples stepped from here on, by route: one per call of each public
     step function (a single run of a small network, or a state stepped by
     hand), and under "block" each sample of the blocks that ``dynamics._run``
-    steps and checks at once (batches and larger networks)."""
-    counts = Counter()
+    steps and checks at once (batches and larger networks). A public step's
+    own sample, which ``_check_block`` also judges, counts once, as the step."""
+    counts, stepping = Counter(), []
     for name in ("step_baseline", "step_dsr"):
         def counted(*args, _step=getattr(dynamics, name), _name=name, **kwargs):
             counts[_name] += 1
-            return _step(*args, **kwargs)
+            stepping.append(_name)
+            try:
+                return _step(*args, **kwargs)
+            finally:
+                stepping.pop()
         monkeypatch.setattr(dynamics, name, counted)
 
     def checked(stacked, local, first, _check=dynamics._check_block):
-        counts["block"] += len(stacked)
+        if not stepping:
+            counts["block"] += len(stacked)
         return _check(stacked, local, first)
     monkeypatch.setattr(dynamics, "_check_block", checked)
     return counts

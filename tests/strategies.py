@@ -68,7 +68,8 @@ def cli_cases(draw):
     """(scenario file text, argv without --config and --out).
 
     The scenario is valid apart from at most one key, which is broken
-    (not a number, NaN, negative, extreme) or missing. Valid runs take at
+    (not a number, NaN, negative, extreme), missing, or set where its
+    section's kind does not read it. Valid runs take at
     most 2,000 samples, and so does each of tune's horizons; a broken dt
     or duration may ask for far more, which must fail before any step.
     """
@@ -95,8 +96,16 @@ def cli_cases(draw):
         ("trajectory", "start_index"): number(st.integers(0, 5)),
         ("run", "duration"): repr(draw(st.integers(1, 2000)) * dt),
     }
+    # the keys that the drawn kinds do not read; only a broken one is kept
+    unread = {("controller", key) for key in (("alpha", "beta", "delay_multiple")
+                                              if values[("controller", "kind")] == "baseline"
+                                              else ("gamma",))}
+    if values[("trajectory", "kind")] == "step":
+        unread.add(("trajectory", "cutoff"))
     broken = draw(st.one_of(st.none(), st.sampled_from(sorted(values))))
-    if broken is not None:
+    for key in unread - {broken}:
+        del values[key]
+    if broken is not None and broken not in unread:
         replacement = draw(st.one_of(st.none(), broken_numbers, st.just("x")))
         if replacement is None:
             del values[broken]
@@ -117,6 +126,4 @@ def cli_cases(draw):
     elif command == "sweep" and draw(st.booleans()):
         cutoffs = st.lists(st.floats(0.01, 1.0).map(repr), min_size=1, max_size=3)
         extra = option("--omega-c-list", cutoffs.map(",".join) | st.just("x"))
-    elif command == "reproduce" and draw(st.booleans()):
-        extra = option("--tolerance", st.floats(0.0, 0.2).map(repr))
     return config + "\n", [command] + extra

@@ -23,7 +23,7 @@ import pytest
 from cohesive_transport import (ControllerConfig, TuningSpec,
                                 build_pinned_laplacian, closed_form_stable,
                                 jury_stable, load_config, simulate, summarize, tune)
-from cohesive_transport.benchmark import run_reproduction
+from cohesive_transport.benchmark import TOLERANCE, run_reproduction
 from cohesive_transport.dynamics import baseline_update_forms, dsr_update_forms
 from cohesive_transport.stability import _mode_roots
 from cohesive_transport.tuning import dsr_settling_estimate, settling_time_estimate
@@ -39,7 +39,8 @@ def _verdict(criterion: str, ok: bool, detail: str) -> bool:
 def test_criterion_1_reference_run_metrics():
     """Peak force/deformation of both reference transports, within 5%,
     in under 5 seconds."""
-    report = run_reproduction(tolerance=0.05)
+    assert TOLERANCE == 0.05
+    report = run_reproduction()
     details = ", ".join(f"{name.split(' [')[0]}={measured:.4f}"
                         for name, measured, _, _ in report.checks)
     ok = report.ok and report.elapsed_s < 5.0

@@ -5,7 +5,7 @@ import subprocess
 import sys
 import warnings
 from collections import Counter
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import hypothesis
@@ -188,9 +188,10 @@ def test_batched_steps_reject_springs_that_disagree_with_the_laplacian(chain4, l
 @pytest.mark.parametrize("delay", [1, 3])
 @pytest.mark.parametrize("runs", ["chain4", "mesh64", "chain4-batch"])
 def test_each_robot_reads_its_force_once_per_sample(chain4, monkeypatch, delay, runs):
-    # chain4 is read sample by sample, in floats inside each public step, which
-    # stores its reading; the 64-robot mesh and a batch of three chain4 runs a
-    # block at a time, by measured_force
+    # the 64-robot mesh and a batch of three chain4 runs are read a block at a
+    # time, by measured_force, each sample once; chain4 is read sample by
+    # sample, in floats inside each public step, which reads exactly the sample
+    # it steps from and that sample's delayed sample, with measured_force's bits
     network = grid_network(8, 1) if runs == "mesh64" else chain4
     assert _takes_floats(network, (network.n,)) == (runs != "mesh64")
     beta = 0.25 * baseline_gamma_bound(build_pinned_laplacian(network))
@@ -201,19 +202,24 @@ def test_each_robot_reads_its_force_once_per_sample(chain4, monkeypatch, delay, 
         sensed.append(np.array(positions))
         return measured_force(network, positions)
 
-    def storing(state, *args, _step=step_dsr):
-        stepped = _step(state, *args)
-        assert _same_bits(state.reading, measured_force(network, state.positions))
-        sensed.append(np.array(state.positions))   # the reading the step took itself
-        return stepped
+    def float_counting(ys, *args, _read=dynamics._float_readings):
+        sensed.append(np.array(ys))
+        force = _read(ys, *args)
+        assert _same_bits(np.array(force), measured_force(network, np.array(ys)))
+        return force
 
     monkeypatch.setattr(dynamics, "measured_force", counting)
-    monkeypatch.setattr(dynamics, "step_dsr", storing)
+    monkeypatch.setattr(dynamics, "_float_readings", float_counting)
     if runs == "chain4-batch":
         positions = _joined_blocks(network, config, np.tile([1.0, 2.0, 3.0], (101, 1)))[0]
     else:
         positions = simulate(unit_step_scenario(network, config, duration=3.0)).positions
     rows = np.concatenate([np.reshape(p, (-1, network.n)) for p in sensed])
+    if runs == "chain4":   # sample m, then sample m - N (the rest padding before 0)
+        delayed = np.concatenate([np.zeros((delay, network.n)), positions])
+        assert np.array_equal(rows, np.stack([positions[:-1], delayed[:-delay - 1]], axis=1)
+                              .reshape(-1, network.n))
+        return
     stepped_from, runs = positions[:-1].reshape(-1, network.n), positions[0].size // network.n
     # each sample stepped from is read once, plus at most one reading of each
     # at-rest padding sample: the rows read that are not at rest are theirs
@@ -221,19 +227,24 @@ def test_each_robot_reads_its_force_once_per_sample(chain4, monkeypatch, delay, 
     assert np.array_equal(rows[rows.any(axis=1)], stepped_from[stepped_from.any(axis=1)])
 
 
-@pytest.mark.parametrize("step, config", [
-    (step_baseline, ControllerConfig.baseline(1.93, DT)),
-    (step_dsr, ControllerConfig.dsr(0.39, 10.92, DT, 2)),
-], ids=["baseline", "dsr"])
-def test_stored_readings_are_the_readings_sensed_again(chain4, lap4, rng, step, config):
-    # both laws store their reading; only the cohesive law reads it again
-    state = NetworkState.at_rest(np.zeros(4), delay_multiple=2)
-    for y_d in rng.normal(0.0, 10.0, 12):
-        state = state.advanced(step(state, lap4, chain4, config, y_d))
-        if len(state.readings) == len(state.history):
-            assert np.array_equal(state.readings[0],
-                                  measured_force(chain4, state.delayed_positions))
-    assert len(state.readings) == 2 and state.sensed_on is chain4
+@pytest.mark.parametrize("rows", [(), (1,)], ids=["floats", "arrays"])
+def test_a_state_stepped_on_another_network_steps_as_a_fresh_one(chain4, lap4, rows):
+    # the public steps keep nothing on the state: stepped on `stiffer`, it then
+    # steps on chain4 as a state never stepped does
+    assert [f.name for f in fields(NetworkState)] == ["positions", "history", "step"]
+    stiffer = StiffnessChain((0.05, 0.06, 0.05), chain4.leader_stiffness)
+    config = ControllerConfig.dsr(0.39, 10.92, DT, 2)
+    state = NetworkState.at_rest(np.reshape([0.0, 1.0, 3.0, 6.0], rows + (4,)), 2)
+    y_d = np.ones(rows + (1,)) if rows else 1.0
+    for _ in range(3):
+        state = state.advanced(step_dsr(state, build_pinned_laplacian(stiffer), stiffer,
+                                        config, y_d))
+    fresh = NetworkState(state.positions.copy(), tuple(y.copy() for y in state.history),
+                         state.step)
+    assert _same_bits(step_dsr(state, lap4, chain4, config, y_d),
+                      step_dsr(fresh, lap4, chain4, config, y_d))
+    with pytest.raises(CrosscheckError, match="disagree"):   # lap4 is not stiffer's
+        step_dsr(state, lap4, stiffer, config, y_d)
 
 
 @pytest.mark.parametrize("rows", [(), (1,)], ids=["floats", "arrays"])
@@ -244,24 +255,6 @@ def test_the_baseline_reads_no_history(chain4, lap4, rows):
     config = ControllerConfig.baseline(1.93, DT)
     assert np.array_equal(step_baseline(NetworkState.at_rest(y, 0), lap4, chain4, config, y_d),
                           baseline_update_forms(y, lap4, chain4, 1.93, y_d)[0])
-
-
-def test_no_reading_crosses_networks(chain4, lap4):
-    stiffer = StiffnessChain((0.05, 0.06, 0.05), chain4.leader_stiffness)
-    config = ControllerConfig.dsr(0.39, 10.92, DT, 2)
-    state = NetworkState.at_rest([0.0, 1.0, 3.0, 6.0], delay_multiple=2)
-    for _ in range(2):   # fill the delay buffer with readings taken on `stiffer`
-        with pytest.raises(CrosscheckError, match="disagree"):
-            step_dsr(state, lap4, stiffer, config, 1.0)
-        state = state.advanced(2.0 * state.positions)
-    assert state.sensed_on is stiffer and len(state.readings) == 2
-    with pytest.raises(CrosscheckError, match="disagree"):
-        step_dsr(state, lap4, stiffer, config, 1.0)
-    fresh = NetworkState(state.positions, state.history)
-    assert np.array_equal(step_dsr(state, lap4, chain4, config, 1.0),
-                          step_dsr(fresh, lap4, chain4, config, 1.0))
-    with pytest.raises(CrosscheckError, match="disagree"):
-        step_dsr(state, lap4, stiffer, config, 1.0)
 
 
 def test_crosscheck_bounds_each_row_by_its_own_scale():
@@ -351,12 +344,17 @@ def _crosscheck_pairs(draw):
 @example((np.array([[1.0, 0.5], [1e6, 2.0]]), np.array([[1.0, 0.5 + 1e-9], [1e6, 2.0]])))
 @example((np.array([[1.0, math.inf]]), np.array([[1.0, 5.0]])))
 def test_crosscheck_of_a_batch_is_the_documented_bound_row_by_row(pair):
-    # each row also as one state checked in floats, from its (stacked, local) pairs
+    # each row also as one state checked in floats, from its (stacked, local)
+    # pairs: passed, it returns the row's bits, or raises DivergenceError past the limit
     stacked, local = pair
 
     def crosscheck_floats(row, local_row):
-        checked, scale = dynamics._crosscheck_floats(list(zip(row.tolist(), local_row)))
-        assert _same_bits(checked, row)
+        scale, rows = float(np.max(np.abs(row))), list(zip(row.tolist(), local_row))
+        if scale <= dynamics.DIVERGENCE_LIMIT_CM:
+            assert _same_bits(dynamics._crosscheck_floats(rows, 1), row)
+        else:   # a failing crosscheck raises first
+            with pytest.raises(DivergenceError, match="at step 1$"):
+                dynamics._crosscheck_floats(rows, 1)
         return scale
 
     cases = [(_crosscheck, stacked, local)] + [
@@ -684,9 +682,9 @@ def test_single_run_routes_match_their_batch_row(case):
     batch = NetworkState(rows[0][None], tuple(row[None] for row in rows[1:]))
     checked, crosscheck_floats = [], dynamics._crosscheck_floats
 
-    def recorded(pairs):
+    def recorded(pairs, step):
         checked.append(np.array(pairs).T)   # the stacked values, then the per-robot ones
-        return crosscheck_floats(pairs)
+        return crosscheck_floats(pairs, step)
 
     with np.errstate(all="ignore"), pytest.MonkeyPatch.context() as patch:
         patch.setattr(dynamics, "_crosscheck_floats", recorded)
@@ -702,10 +700,6 @@ def test_single_run_routes_match_their_batch_row(case):
             assert len(checked) == (small and forms is not None)
             assert not checked or _same_bits(checked[0], forms)
             want = _outcome(step, batch, lap, stepped_on, config, np.full((1, 1), y_d))
-            if forms is None:   # gains that overflow raise before the robots sense
-                assert single.reading is None and batch.reading is None
-            else:
-                assert _same_bits(single.reading, batch.reading[0])   # the stored reading
             if isinstance(want, tuple):
                 assert got == want
                 hypothesis.event(want[0].__name__)
@@ -1023,12 +1017,12 @@ def test_overflowing_gains_raise_before_the_robots_sense(monkeypatch, step, conf
     # gamma, or alpha*beta*dt, times the 1e10 N/cm leader spring overflows
     network = StiffnessChain((1.0,), (1e10, 0.0))
     assert _takes_floats(network, rows + (2,)) == (not rows)
-    monkeypatch.setattr(dynamics, "measured_force", lambda *args: pytest.fail("sensed"))
+    for sense in ("measured_force", "_float_readings"):
+        monkeypatch.setattr(dynamics, sense, lambda *args: pytest.fail("sensed"))
     state = NetworkState.at_rest(np.ones(rows + (2,)))
     y_d = np.ones(rows + (1,)) if rows else 1.0
     with pytest.raises(UnstableGainError, match="overflow the per-robot law coefficients"):
         step(state, build_pinned_laplacian(network), network, config, y_d)
-    assert state.reading is None and state.readings == () and state.sensed_on is None
 
 
 def test_simulate_is_deterministic(chain4):
